@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import OutcomeCounts, ProbTable, empirical_probs
+from .measure import CHANNELS, OutcomeCounts, ProbTable, empirical_probs
 from .qcore import INPUT_IDS, PSI1, PSI2, PSI3, PSI4
 from .spectral import SamplingPlan
 
@@ -23,55 +23,60 @@ CHANNEL_FOR_INPUT = {PSI1: "zz", PSI2: "zz", PSI3: "xz", PSI4: "xz"}
 
 
 @dataclass(frozen=True)
-class ConcurrencePoint:
-    """One estimated C^2 value on the time grid, with the shots that produced it."""
-
-    time: float
-    c2_estimate: float
-    shots_zz: int = 0
-    shots_xz: int = 0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.time) and self.time > 0):
-            raise ValueError(f"time must be positive and finite, got {self.time!r}")
-        if not (0.0 <= self.c2_estimate <= 1.0):
-            raise ValueError(f"c2_estimate must lie in [0, 1], got {self.c2_estimate!r}")
-        if self.shots_zz < 0 or self.shots_xz < 0:
-            raise ValueError("shot counts must be nonnegative")
-
-
-@dataclass(frozen=True)
 class ConcurrenceSeries:
-    """C^2 estimates on a uniform grid t_j = j*dt, j = 1..nt."""
+    """C^2 estimates on a uniform grid t_j = j*dt, j = 1..nt, held as arrays.
 
-    dt: float
-    points: tuple[ConcurrencePoint, ...]
+    shots[j] is the number of shots behind values[j] (0 for exact tables).
+    channel is the readout the values came from.  counts, when present, is
+    the (nt, 4) table of outcome counts in that channel, or the exact outcome
+    probabilities in noiseless mode.
+    """
+
+    times: np.ndarray
+    values: np.ndarray
+    shots: np.ndarray
+    channel: str
+    counts: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.dt, (int, float)) and math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
-        if len(self.points) < 4:
+        times = np.array(self.times, dtype=float).reshape(-1)
+        values = np.array(self.values, dtype=float).reshape(-1)
+        shots = np.array(self.shots).reshape(-1)
+        if times.size < 4:
             raise ValueError("series needs at least 4 points")
-        times = np.array([p.time for p in self.points])
-        expected = self.dt * np.arange(1, len(self.points) + 1)
-        if float(np.abs(times - expected).max()) > 1e-9 * self.dt:
+        if values.size != times.size or shots.size != times.size:
+            raise ValueError("times, values and shots must have one entry per point")
+        if self.channel not in CHANNELS:
+            raise ValueError(f"unknown channel {self.channel!r}")
+        if not (np.all(np.isfinite(times)) and times[0] > 0):
+            raise ValueError("times must be finite, starting at a positive t_1")
+        dt = times[0]
+        if float(np.abs(times - dt * np.arange(1, times.size + 1)).max()) > 1e-9 * dt:
             raise ValueError("points must sit on the uniform grid j*dt without gaps")
-        object.__setattr__(self, "points", tuple(self.points))
+        in_range = (values >= 0.0) & (values <= 1.0)
+        if not np.all(in_range):
+            raise ValueError(f"C^2 estimates must lie in [0, 1], got {float(values[~in_range][0])!r}")
+        if not np.issubdtype(shots.dtype, np.integer):
+            raise ValueError("shot counts must be integers")
+        if np.any(shots < 0):
+            raise ValueError("shot counts must be nonnegative")
+        arrays = {"times": times, "values": values, "shots": shots}
+        if self.counts is not None:
+            counts = np.array(self.counts)
+            if counts.shape != (times.size, 4):
+                raise ValueError(f"counts must have shape ({times.size}, 4), got {counts.shape}")
+            arrays["counts"] = counts
+        for name, array in arrays.items():
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return int(self.times.size)
 
     @property
-    def times(self) -> np.ndarray:
-        return np.array([p.time for p in self.points])
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([p.c2_estimate for p in self.points])
-
-    @property
-    def shots_per_point(self) -> np.ndarray:
-        return np.array([p.shots_zz + p.shots_xz for p in self.points])
+    def dt(self) -> float:
+        """Grid step; the first point sits at t_1 = dt."""
+        return float(self.times[0])
 
 
 def _clamped_cosine(numerator: float, denominator: float) -> float:
@@ -89,11 +94,23 @@ def _cos_angle_sum(cos_a: float, cos_b: float) -> float:
 
 
 def _as_probs(source) -> np.ndarray:
+    """Outcome probabilities of a table, of counts, or of an (n, 4) array of either.
+
+    An integer array holds counts and is normalized row by row; a float array
+    is taken as exact probabilities.
+    """
     if isinstance(source, ProbTable):
         return source.probabilities
     if isinstance(source, OutcomeCounts):
         return empirical_probs(source).probabilities
-    raise TypeError(f"expected ProbTable or OutcomeCounts, got {type(source).__name__}")
+    if isinstance(source, np.ndarray) and source.ndim == 2 and source.shape[1] == 4:
+        if not np.issubdtype(source.dtype, np.integer):
+            return source
+        totals = source.sum(axis=1, keepdims=True)
+        if np.any(totals < 1):
+            raise ValueError("cannot form empirical probabilities from zero shots")
+        return source / totals
+    raise TypeError(f"expected ProbTable, OutcomeCounts or an (n, 4) array, got {type(source).__name__}")
 
 
 def concurrence_sq_from_probs(p_zz, p_xz) -> float:
@@ -122,7 +139,7 @@ def concurrence_sq_from_probs(p_zz, p_xz) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def concurrence_sq_reduced(input_id: str, counts_zz=None, counts_xz=None) -> float:
+def concurrence_sq_reduced(input_id: str, counts_zz=None, counts_xz=None):
     """Single-channel estimator specialized to one protocol input.
 
     psi1 and psi2 keep two zz outcomes pinned at zero, so only the zz channel
@@ -130,52 +147,53 @@ def concurrence_sq_reduced(input_id: str, counts_zz=None, counts_xz=None) -> flo
     pin all zz probabilities at 1/4, so only the xz channel is needed:
     cos A = 4*Pxz++ - 1, cos B = 4*Pxz+- - 1 and C^2 = (1 - cos(A+B))/2.
 
-    Accepts ProbTable (exact) or OutcomeCounts (finite shots) per channel.
+    Accepts ProbTable (exact) or OutcomeCounts (finite shots) per channel and
+    returns a float, or an (n, 4) array of probabilities or integer counts and
+    returns the n estimates.
     """
     if input_id not in INPUT_IDS:
         raise ValueError(f"unknown input id {input_id!r}")
-    if input_id in (PSI1, PSI2):
-        if counts_zz is None:
-            raise ValueError(f"{input_id} estimation needs the zz channel")
-        pp, pm, mp, mm = _as_probs(counts_zz)
-        value = 4.0 * mm * pp if input_id == PSI1 else 4.0 * mp * pm
-        return min(max(float(value), 0.0), 1.0)
-    if counts_xz is None:
-        raise ValueError(f"{input_id} estimation needs the xz channel")
-    x = _as_probs(counts_xz)
-    cos_a = min(1.0, max(-1.0, 4.0 * float(x[0]) - 1.0))
-    cos_b = min(1.0, max(-1.0, 4.0 * float(x[1]) - 1.0))
-    value = 0.5 * (1.0 - _cos_angle_sum(cos_a, cos_b))
-    return min(max(value, 0.0), 1.0)
+    channel = CHANNEL_FOR_INPUT[input_id]
+    source = counts_zz if channel == "zz" else counts_xz
+    if source is None:
+        raise ValueError(f"{input_id} estimation needs the {channel} channel")
+    p = _as_probs(source)
+    rows = np.atleast_2d(p)
+    if input_id == PSI1:
+        value = 4.0 * rows[:, 3] * rows[:, 0]
+    elif input_id == PSI2:
+        value = 4.0 * rows[:, 2] * rows[:, 1]
+    else:
+        # Positive-root convention: both sines taken as +sqrt(1 - cos^2).
+        cos_a = np.clip(4.0 * rows[:, 0] - 1.0, -1.0, 1.0)
+        cos_b = np.clip(4.0 * rows[:, 1] - 1.0, -1.0, 1.0)
+        sin_a = np.sqrt(np.maximum(0.0, 1.0 - cos_a * cos_a))
+        sin_b = np.sqrt(np.maximum(0.0, 1.0 - cos_b * cos_b))
+        value = 0.5 * (1.0 - (cos_a * cos_b - sin_a * sin_b))
+    value = np.clip(value, 0.0, 1.0)
+    return float(value[0]) if p.ndim == 1 else value
 
 
 def build_series(input_id: str, plan: SamplingPlan, counts_zz=None, counts_xz=None) -> ConcurrenceSeries:
-    """Assemble a ConcurrenceSeries from per-point channel data on a plan's grid.
+    """Assemble a ConcurrenceSeries from the measured channel's data on a plan's grid.
 
-    counts_zz / counts_xz are sequences aligned with plan.times(); whichever
-    channel the input needs must be present and complete.
+    counts_zz / counts_xz are (nt, 4) arrays aligned with plan.times(): integer
+    outcome counts, or exact outcome probabilities.  Whichever channel the
+    input needs must be present and complete.
     """
-    needed = CHANNEL_FOR_INPUT[input_id] if input_id in CHANNEL_FOR_INPUT else None
     if input_id not in INPUT_IDS:
         raise ValueError(f"unknown input id {input_id!r}")
-    source = counts_zz if needed == "zz" else counts_xz
+    channel = CHANNEL_FOR_INPUT[input_id]
+    source = counts_zz if channel == "zz" else counts_xz
     if source is None or len(source) != plan.nt:
         raise ValueError(
-            f"{input_id} needs {plan.nt} points of {needed} data, got "
+            f"{input_id} needs {plan.nt} points of {channel} data, got "
             f"{0 if source is None else len(source)}"
         )
-    points = []
-    for j in range(plan.nt):
-        t = (j + 1) * plan.dt
-        cz = counts_zz[j] if counts_zz is not None else None
-        cx = counts_xz[j] if counts_xz is not None else None
-        estimate = concurrence_sq_reduced(input_id, counts_zz=cz, counts_xz=cx)
-        points.append(
-            ConcurrencePoint(
-                time=t,
-                c2_estimate=estimate,
-                shots_zz=cz.shots if isinstance(cz, OutcomeCounts) else 0,
-                shots_xz=cx.shots if isinstance(cx, OutcomeCounts) else 0,
-            )
-        )
-    return ConcurrenceSeries(dt=plan.dt, points=tuple(points))
+    table = np.asarray(source)
+    values = concurrence_sq_reduced(input_id, **{f"counts_{channel}": table})
+    if np.issubdtype(table.dtype, np.integer):
+        shots = table.sum(axis=1)
+    else:
+        shots = np.zeros(plan.nt, dtype=np.int64)
+    return ConcurrenceSeries(plan.times(), values, shots, channel, counts=table)

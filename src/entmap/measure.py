@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import INPUT_IDS, PSI1, PSI2, PSI3, PSI4, PureState, state_vector
+from .qcore import ALL_INPUTS, PSI1, PSI2, PSI3, PSI4, PSI5, PureState, require_normalized, state_vector
 
 OUTCOMES = ("++", "+-", "-+", "--")
 
@@ -51,6 +51,20 @@ BASIS_XZ = BasisPair("X", "Z")
 BASIS_BY_TAG = {"zz": BASIS_ZZ, "xz": BASIS_XZ}
 
 
+def _checked_prob_rows(p: np.ndarray) -> np.ndarray:
+    """Validate (n, 4) outcome probabilities row by row; returns them clipped to [0, 1]."""
+    if not np.all(np.isfinite(p)):
+        raise ValueError("probabilities must be finite")
+    outside = ((p < -PROB_TOL) | (p > 1.0 + PROB_TOL)).any(axis=1)
+    if np.any(outside):
+        raise ValueError(f"probabilities outside [0, 1]: {p[outside][0].tolist()}")
+    sums = p.sum(axis=1)
+    off = np.abs(sums - 1.0) > PROB_TOL
+    if np.any(off):
+        raise ValueError(f"probabilities sum to {sums[off][0]!r}, expected 1")
+    return np.clip(p, 0.0, 1.0)
+
+
 @dataclass(frozen=True)
 class ProbTable:
     """Outcome probabilities in the order (++, +-, -+, --); must sum to 1."""
@@ -58,14 +72,7 @@ class ProbTable:
     probabilities: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.array(self.probabilities, dtype=float).reshape(4)
-        if not np.all(np.isfinite(p)):
-            raise ValueError("probabilities must be finite")
-        if float(p.min()) < -PROB_TOL or float(p.max()) > 1.0 + PROB_TOL:
-            raise ValueError(f"probabilities outside [0, 1]: {p.tolist()}")
-        if abs(float(p.sum()) - 1.0) > PROB_TOL:
-            raise ValueError(f"probabilities sum to {p.sum()!r}, expected 1")
-        p = np.clip(p, 0.0, 1.0)
+        p = _checked_prob_rows(np.array(self.probabilities, dtype=float).reshape(1, 4))[0]
         p.flags.writeable = False
         object.__setattr__(self, "probabilities", p)
 
@@ -104,15 +111,15 @@ class PrepSpec:
 
     eta is the weight of an orthogonal contaminant mixed coherently into the
     target: psi = (target + sqrt(eta) * partner) / sqrt(1 + eta).  The partner
-    flips the second qubit within its own preparation basis, so psi1 <-> psi2
-    and psi3 <-> psi4.
+    flips the second qubit within its own preparation basis, so psi1 <-> psi2,
+    psi3 <-> psi4, and the tie-breaking |0>|+> takes |0>|->.
     """
 
     input_id: str
     eta: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.input_id not in INPUT_IDS:
+        if self.input_id not in ALL_INPUTS:
             raise ValueError(f"unknown input id {self.input_id!r}")
         if not (isinstance(self.eta, (int, float)) and 0.0 <= self.eta < 1.0):
             raise ValueError(f"eta must lie in [0, 1), got {self.eta!r}")
@@ -123,9 +130,16 @@ _BASE_AMPLITUDES = {
     PSI2: np.array([0.0, 1.0, 0.0, 0.0], dtype=complex),
     PSI3: np.array([0.5, 0.5, 0.5, 0.5], dtype=complex),
     PSI4: np.array([0.5, -0.5, 0.5, -0.5], dtype=complex),
+    PSI5: np.array([1.0, 1.0, 0.0, 0.0], dtype=complex) / math.sqrt(2.0),
 }
 
-_CONTAMINANT_PARTNER = {PSI1: PSI2, PSI2: PSI1, PSI3: PSI4, PSI4: PSI3}
+_CONTAMINANT_AMPLITUDES = {
+    PSI1: _BASE_AMPLITUDES[PSI2],
+    PSI2: _BASE_AMPLITUDES[PSI1],
+    PSI3: _BASE_AMPLITUDES[PSI4],
+    PSI4: _BASE_AMPLITUDES[PSI3],
+    PSI5: np.array([1.0, -1.0, 0.0, 0.0], dtype=complex) / math.sqrt(2.0),
+}
 
 
 def prepare_input(spec: PrepSpec) -> PureState:
@@ -133,20 +147,26 @@ def prepare_input(spec: PrepSpec) -> PureState:
     base = _BASE_AMPLITUDES[spec.input_id]
     if spec.eta == 0.0:
         return PureState(base.copy())
-    partner = _BASE_AMPLITUDES[_CONTAMINANT_PARTNER[spec.input_id]]
+    partner = _CONTAMINANT_AMPLITUDES[spec.input_id]
     amps = (base + math.sqrt(spec.eta) * partner) / math.sqrt(1.0 + spec.eta)
     return PureState(amps)
 
 
+def outcome_probs_batch(states, basis: BasisPair) -> np.ndarray:
+    """Exact outcome probabilities, one (++, +-, -+, --) row per state row.
+
+    The rotation is a stacked mat-vec so each row matches a lone state's bits.
+    """
+    amps = np.asarray(states, dtype=complex).reshape(-1, 4)
+    require_normalized(amps)
+    rotated = (basis.rotation() @ amps[:, :, None])[:, :, 0]
+    p = np.abs(rotated) ** 2
+    return _checked_prob_rows(p / p.sum(axis=1, keepdims=True))
+
+
 def outcome_probs(state, basis: BasisPair) -> ProbTable:
     """Exact outcome probabilities of measuring a state in the given basis pair."""
-    amps = state_vector(state)
-    norm_sq = float(np.vdot(amps, amps).real)
-    if abs(norm_sq - 1.0) > 1e-9:
-        raise ValueError(f"state must be normalized, |norm^2 - 1| = {abs(norm_sq - 1.0):.3e}")
-    rotated = basis.rotation() @ amps
-    p = np.abs(rotated) ** 2
-    return ProbTable(p / p.sum())
+    return ProbTable(outcome_probs_batch(state_vector(state), basis)[0])
 
 
 def sample_counts(table: ProbTable, shots: int, rng) -> OutcomeCounts:
@@ -178,12 +198,12 @@ def point_rng(master_seed: int, input_id: str, time_index: int, channel: str) ->
     give statistically independent generators and the same coordinates always
     give the same draws regardless of evaluation order.
     """
-    if input_id not in INPUT_IDS:
+    if input_id not in ALL_INPUTS:
         raise ValueError(f"unknown input id {input_id!r}")
     if channel not in CHANNELS:
         raise ValueError(f"unknown channel {channel!r}")
     if time_index < 0:
         raise ValueError(f"time_index must be >= 0, got {time_index!r}")
-    key = (INPUT_IDS.index(input_id), int(time_index), CHANNELS.index(channel))
+    key = (ALL_INPUTS.index(input_id), int(time_index), CHANNELS.index(channel))
     seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=key)
     return np.random.Generator(np.random.PCG64(seq))

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .concest import CHANNEL_FOR_INPUT, ConcurrenceSeries, build_series
-from .measure import BASIS_BY_TAG, PrepSpec, outcome_probs, point_rng, prepare_input, sample_counts
-from .qcore import INPUT_IDS, HamiltonianParams, evolve
+from .measure import BASIS_BY_TAG, PrepSpec, outcome_probs_batch, point_rng, prepare_input
+from .qcore import INPUT_IDS, PSI1, PSI5, HamiltonianParams, evolve_batch
 from .spectral import (
     FrequencyEstimate,
     NoOscillationError,
@@ -38,6 +38,10 @@ COMBINATION_MATRIX = np.array(
 )
 
 SIGN_CONVENTION = "c2 >= 0"
+
+# A runner-up candidate farther than this many quoted sigmas from the best
+# (and from its mirror) on some coupling makes the inversion ambiguous.
+AMBIGUITY_SIGMAS = 5.0
 
 MODES = ("sampled", "noiseless")
 
@@ -69,23 +73,28 @@ class FrequencyQuad:
         object.__setattr__(self, "values", tuple(float(w) for w in self.values))
         object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
 
-    @classmethod
-    def from_fractional(cls, values, fractional) -> "FrequencyQuad":
-        return cls(
-            values=tuple(float(w) for w in values),
-            sigmas=tuple(float(w) * float(f) for w, f in zip(values, fractional)),
-        )
-
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Best-fit couplings with propagated uncertainties and fit diagnostics."""
+    """Best-fit couplings with propagated uncertainties and fit diagnostics.
+
+    alternatives lists the other candidates that fit the quad within the noise
+    floor yet differ from c_hat by more than AMBIGUITY_SIGMAS on some coupling
+    (the |c1| = |c3| family); fifth_input_used records that the |0>|+> input
+    was measured to choose between them.
+    """
 
     c_hat: HamiltonianParams
     sigma: tuple[float, float, float]
     residual: float
     convention: str = SIGN_CONVENTION
     candidates_considered: int = 16
+    alternatives: tuple["ReconstructionResult", ...] = ()
+    fifth_input_used: bool = False
+
+    @property
+    def ambiguous(self) -> bool:
+        return bool(self.alternatives)
 
 
 @dataclass(frozen=True)
@@ -123,7 +132,9 @@ def invert_frequencies(quad: FrequencyQuad, residual_tolerance_factor: float = 3
     image has identical residual), the minimum-residual survivor wins, and exact
     ties break deterministically toward larger c2, then c3, then c1.  If even
     the best candidate misses by more than residual_tolerance_factor times the
-    propagated frequency noise, the quad is declared inconsistent.
+    propagated frequency noise, the quad is declared inconsistent.  Runner-up
+    candidates within that tolerance that are neither the best nor its H -> -H
+    mirror, to AMBIGUITY_SIGMAS, are returned as alternatives.
     """
     w = np.asarray(quad.values, dtype=float)
     sig = np.asarray(quad.sigmas, dtype=float)
@@ -133,13 +144,17 @@ def invert_frequencies(quad: FrequencyQuad, residual_tolerance_factor: float = 3
         c, *_ = np.linalg.lstsq(COMBINATION_MATRIX, y, rcond=None)
         residual = float(np.linalg.norm(COMBINATION_MATRIX @ c - y))
         candidates.append((residual, c))
-    eligible = [(r, c) for r, c in candidates if c[1] >= -1e-12]
-    best_residual, best_c = min(eligible, key=lambda rc: (rc[0], -rc[1][1], -rc[1][2], -rc[1][0]))
+    eligible = sorted(
+        (rc for rc in candidates if rc[1][1] >= -1e-12),
+        key=lambda rc: (rc[0], -rc[1][1], -rc[1][2], -rc[1][0]),
+    )
+    best_residual, best_c = eligible[0]
 
     noise = float(np.linalg.norm(sig))
     scale = max(float(w.max()), 1.0)
     floor = max(noise, 1e-9 * scale)
-    if best_residual > residual_tolerance_factor * floor:
+    tolerance = residual_tolerance_factor * floor
+    if best_residual > tolerance:
         raise InconsistentFrequencyError(
             f"no sign assignment fits the quad {quad.values}: best residual "
             f"{best_residual:.3e} exceeds {residual_tolerance_factor} x noise floor {floor:.3e}"
@@ -150,15 +165,31 @@ def invert_frequencies(quad: FrequencyQuad, residual_tolerance_factor: float = 3
     cov = pinv @ np.diag(sig**2) @ pinv.T
     sigma = tuple(float(s) for s in np.sqrt(np.diag(cov)))
 
-    c1, c2, c3 = (float(v) for v in best_c)
+    limit = AMBIGUITY_SIGMAS * np.asarray(sigma)
+    kept = [best_c]
+    alternatives = []
+    for residual, c in eligible[1:]:
+        if residual <= tolerance and all(
+            np.any(np.abs(c - k) > limit) and np.any(np.abs(c + k) > limit) for k in kept
+        ):
+            kept.append(c)
+            alternatives.append(_candidate_result(c, residual, sigma, len(candidates)))
+    return replace(
+        _candidate_result(best_c, best_residual, sigma, len(candidates)),
+        alternatives=tuple(alternatives),
+    )
+
+
+def _candidate_result(c, residual: float, sigma, considered: int) -> ReconstructionResult:
+    c1, c2, c3 = (float(v) for v in c)
     if -1e-12 <= c2 < 0.0:
         c2 = 0.0
     return ReconstructionResult(
         c_hat=HamiltonianParams(c1, c2, c3),
         sigma=sigma,
-        residual=best_residual,
+        residual=residual,
         convention=SIGN_CONVENTION,
-        candidates_considered=len(candidates),
+        candidates_considered=considered,
     )
 
 
@@ -173,24 +204,49 @@ def invert_three_state(w1_signed: float, w2_signed: float, w3_signed: float) -> 
     return HamiltonianParams(c1, c2, c2 - w3_signed)
 
 
-def default_plans(
-    h_guess: HamiltonianParams, nt: int, ne: int, strategy: str = "uniform"
-) -> dict[str, SamplingPlan]:
-    """Per-input observation plans from a prior guess of the couplings.
+def planning_guesses(h_guess: HamiltonianParams) -> dict[str, float]:
+    """Per-input rate to plan each observation around, from a prior guess.
 
     A combination too small to plan around (including exactly degenerate ones)
-    borrows the largest combination's time step so its flat trace is still
-    recorded on a sensible grid.
+    borrows the largest combination so its flat trace is still recorded on a
+    sensible grid.
     """
     mags = np.abs(combinations(h_guess))
     largest = float(mags.max())
     if largest <= 0.0:
         raise ValueError("all coupling combinations vanish; nothing to observe")
-    plans = {}
-    for input_id, w in zip(INPUT_IDS, mags):
-        guess = float(w) if w > 1e-9 * largest else largest
-        plans[input_id] = plan_observation(guess, nt, ne, strategy)
-    return plans
+    return {
+        input_id: float(w) if w > 1e-9 * largest else largest
+        for input_id, w in zip(INPUT_IDS, mags)
+    }
+
+
+def default_plans(
+    h_guess: HamiltonianParams, nt: int, ne: int, strategy: str = "uniform"
+) -> dict[str, SamplingPlan]:
+    """Per-input observation plans from a prior guess of the couplings."""
+    return {
+        input_id: plan_observation(guess, nt, ne, strategy)
+        for input_id, guess in planning_guesses(h_guess).items()
+    }
+
+
+def _record(
+    h: HamiltonianParams, input_id: str, channel: str, plan: SamplingPlan, seed: int, eta: float, mode: str
+) -> np.ndarray:
+    """One input read out in one channel over a plan's grid, as an (nt, 4) table.
+
+    "sampled" draws integer counts, point j from its own seeded stream;
+    "noiseless" returns the exact outcome probabilities.
+    """
+    states = evolve_batch(h, prepare_input(PrepSpec(input_id, eta)), plan.times())
+    probs = outcome_probs_batch(states, BASIS_BY_TAG[channel])
+    if mode == "noiseless":
+        return probs
+    counts = np.empty((plan.nt, 4), dtype=np.int64)
+    for j, p in enumerate(probs):
+        counts[j] = point_rng(seed, input_id, j, channel).multinomial(plan.shots_at(j), p / p.sum())
+    return counts
 
 
 def simulate_series(
@@ -209,18 +265,8 @@ def simulate_series(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     channel = CHANNEL_FOR_INPUT[input_id]
-    basis = BASIS_BY_TAG[channel]
-    psi0 = prepare_input(PrepSpec(input_id, eta))
-    data = []
-    for j, t in enumerate(plan.times()):
-        table = outcome_probs(evolve(h, psi0, float(t)), basis)
-        if mode == "noiseless":
-            data.append(table)
-        else:
-            rng = point_rng(seed, input_id, j, channel)
-            data.append(sample_counts(table, plan.shots_at(j), rng))
-    kwargs = {"counts_zz": data} if channel == "zz" else {"counts_xz": data}
-    return build_series(input_id, plan, **kwargs)
+    table = _record(h, input_id, channel, plan, seed, eta, mode)
+    return build_series(input_id, plan, **{f"counts_{channel}": table})
 
 
 def estimate_combination(
@@ -266,6 +312,8 @@ def characterize(
             estimates[input_id] = estimate
     quad = FrequencyQuad(values=tuple(values), sigmas=tuple(sigmas))
     result = invert_frequencies(quad)
+    if result.ambiguous:
+        result = _resolve_with_fifth_input(h_true, result, plans[PSI1], seed, eta=eta, mode=mode)
     return CharacterizationReport(
         result=result,
         quad=quad,
@@ -274,4 +322,38 @@ def characterize(
         seed=int(seed),
         mode=mode,
         eta=float(eta),
+    )
+
+
+def _resolve_with_fifth_input(
+    h_true: HamiltonianParams,
+    result: ReconstructionResult,
+    plan_like: SamplingPlan,
+    seed: int,
+    eta: float = 0.0,
+    mode: str = "sampled",
+) -> ReconstructionResult:
+    """Pick among ambiguous candidates by measuring |0>|+> in the xz channel.
+
+    Its lines sit at 4|c1 +/- c3|, which tell (a, b, a) from (b, a, b).  The
+    grid is planned around the fastest candidate's |c1| + |c3| with plan_like's
+    nt, ne and strategy, and the draws come from the fifth input's own
+    point_rng streams.  The candidate whose exact outcome probabilities give
+    the record the highest log-likelihood wins (the exact table stands in for
+    the counts in noiseless mode); ties keep the four-input choice.
+    """
+    options = (replace(result, alternatives=()),) + result.alternatives
+    guess = max(abs(r.c_hat.c1) + abs(r.c_hat.c3) for r in options)
+    plan = plan_observation(guess, plan_like.nt, plan_like.ne, plan_like.strategy)
+    record = _record(h_true, PSI5, "xz", plan, seed, eta, mode)
+    psi0 = prepare_input(PrepSpec(PSI5))
+    scores = []
+    for option in options:
+        probs = outcome_probs_batch(evolve_batch(option.c_hat, psi0, plan.times()), BASIS_BY_TAG["xz"])
+        scores.append(float(np.sum(record * np.log(np.maximum(probs, 1e-300)))))
+    k = int(np.argmax(scores))
+    return replace(
+        options[k],
+        alternatives=options[:k] + options[k + 1 :],
+        fifth_input_used=True,
     )

@@ -23,7 +23,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .concest import ConcurrencePoint, ConcurrenceSeries
+from .concest import CHANNEL_FOR_INPUT, ConcurrenceSeries
 from .gateerr import GATE_ISING_CNOT, GATES, budget_curve, measurements_for_threshold
 from .measure import PrepSpec, prepare_input
 from .qcore import (
@@ -37,8 +37,8 @@ from .qcore import (
 from .recon import (
     InconsistentFrequencyError,
     characterize,
-    combinations,
     default_plans,
+    planning_guesses,
     simulate_series,
 )
 from .spectral import NoOscillationError, SamplingPlan, dft, find_peak, plan_observation
@@ -61,6 +61,11 @@ class ConfigError(Exception):
 def _fmt(x: float) -> str:
     """17 significant digits round-trips any double exactly."""
     return format(float(x), ".17g")
+
+
+def _eta_tag(eta: float) -> str:
+    """File-name tag of one robustness eta."""
+    return f"eta{eta:g}"
 
 
 @dataclass(frozen=True)
@@ -88,13 +93,6 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         blob = json.dumps(self.payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
-
-
-@dataclass(frozen=True)
-class RunArtifacts:
-    out_dir: Path
-    files: tuple[str, ...]
-    config_hash: str
 
 
 def _expect(condition: bool, path: str, message: str) -> None:
@@ -234,6 +232,11 @@ def resolve_config(raw: dict, args=None) -> ExperimentConfig:
             f"robustness.etas[{i}]",
             f"must lie in [0, 0.2], got {value!r}",
         )
+        _expect(
+            _eta_tag(float(value)) not in map(_eta_tag, etas),
+            f"robustness.etas[{i}]",
+            f"{value!r} shares the file tag {_eta_tag(float(value))!r} with an earlier eta",
+        )
         etas.append(float(value))
     rob = RobustnessConfig(
         etas=tuple(etas),
@@ -271,8 +274,7 @@ def build_plans(cfg: ExperimentConfig) -> dict[str, SamplingPlan]:
         plans = default_plans(cfg.hamiltonian, cfg.nt, cfg.ne, cfg.strategy)
     except ValueError as exc:
         raise ConfigError(f"hamiltonian: {exc}") from exc
-    mags = np.abs(combinations(cfg.hamiltonian))
-    largest = float(mags.max())
+    guesses = planning_guesses(cfg.hamiltonian)
     for input_id, entry in cfg.plan_overrides.items():
         if "dt" in entry:
             kwargs = (
@@ -284,9 +286,9 @@ def build_plans(cfg: ExperimentConfig) -> dict[str, SamplingPlan]:
                 nt=entry["nt"], dt=entry["dt"], strategy=entry["strategy"], **kwargs
             )
         else:
-            w = float(mags[INPUT_IDS.index(input_id)])
-            guess = w if w > 1e-9 * largest else largest
-            plans[input_id] = plan_observation(guess, entry["nt"], entry["ne"], entry["strategy"])
+            plans[input_id] = plan_observation(
+                guesses[input_id], entry["nt"], entry["ne"], entry["strategy"]
+            )
     return plans
 
 
@@ -317,14 +319,19 @@ def _write_manifest(cfg: ExperimentConfig, command: str, files: list[str]) -> No
     _write_json(cfg.out / "manifest.json", manifest)
 
 
+SERIES_HEADER = "t,c2_estimate,shots_zz,shots_xz"
+
+
 def _series_csv(series: ConcurrenceSeries, config_hash: str) -> str:
-    lines = [f"# config_hash={config_hash}", "t,c2_estimate,shots_zz,shots_xz"]
-    for p in series.points:
-        lines.append(f"{_fmt(p.time)},{_fmt(p.c2_estimate)},{p.shots_zz},{p.shots_xz}")
+    lines = [f"# config_hash={config_hash}", SERIES_HEADER]
+    zz = series.channel == "zz"
+    for t, v, n in zip(series.times, series.values, series.shots):
+        lines.append(f"{_fmt(t)},{_fmt(v)},{n if zz else 0},{0 if zz else n}")
     return "\n".join(lines) + "\n"
 
 
-def _read_series_csv(path: Path, expected_hash: str) -> ConcurrenceSeries:
+def _read_series_csv(path: Path, expected_hash: str, input_id: str) -> ConcurrenceSeries:
+    """Read one series_*.csv back; any malformed line is a ConfigError naming path:line."""
     if not path.exists():
         raise FileNotFoundError(f"{path}: series file missing; run simulate first")
     lines = path.read_text().splitlines()
@@ -335,22 +342,41 @@ def _read_series_csv(path: Path, expected_hash: str) -> ConcurrenceSeries:
         raise ConfigError(
             f"{path}: config_hash {found[:12]}... does not match current config {expected_hash[:12]}..."
         )
-    points = []
-    for line in lines[2:]:
+    if len(lines) < 2 or lines[1] != SERIES_HEADER:
+        raise ConfigError(f"{path}:2: expected the column header {SERIES_HEADER!r}")
+    times, values, shots = [], [], []
+    for lineno, line in enumerate(lines[2:], start=3):
         if not line:
             continue
-        t, c2, szz, sxz = line.split(",")
-        points.append(
-            ConcurrencePoint(
-                time=float(t), c2_estimate=float(c2), shots_zz=int(szz), shots_xz=int(sxz)
-            )
+        where = f"{path}:{lineno}"
+        fields = line.split(",")
+        if len(fields) != 4:
+            raise ConfigError(f"{where}: expected 4 comma-separated fields, got {len(fields)}")
+        try:
+            t, c2 = float(fields[0]), float(fields[1])
+            shots_zz, shots_xz = int(fields[2]), int(fields[3])
+        except ValueError:
+            raise ConfigError(f"{where}: expected {SERIES_HEADER} as numbers, got {line!r}") from None
+        if not (math.isfinite(t) and t > 0):
+            raise ConfigError(f"{where}: time must be positive and finite, got {t!r}")
+        if times and abs(t - (len(times) + 1) * times[0]) > 1e-9 * times[0]:
+            raise ConfigError(f"{where}: time {t!r} is off the uniform grid j*{times[0]!r}")
+        if not 0.0 <= c2 <= 1.0:
+            raise ConfigError(f"{where}: c2_estimate must lie in [0, 1], got {c2!r}")
+        if shots_zz < 0 or shots_xz < 0:
+            raise ConfigError(f"{where}: shot counts must be nonnegative")
+        times.append(t)
+        values.append(c2)
+        shots.append(shots_zz + shots_xz)
+    try:
+        return ConcurrenceSeries(
+            times, values, np.array(shots, dtype=np.int64), CHANNEL_FOR_INPUT[input_id]
         )
-    times = [p.time for p in points]
-    dt = times[0] if len(times) < 2 else times[1] - times[0]
-    return ConcurrenceSeries(dt=dt, points=tuple(points))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
-def cmd_simulate(cfg: ExperimentConfig) -> RunArtifacts:
+def cmd_simulate(cfg: ExperimentConfig) -> None:
     plans = build_plans(cfg)
     files = []
     for input_id in INPUT_IDS:
@@ -363,14 +389,13 @@ def cmd_simulate(cfg: ExperimentConfig) -> RunArtifacts:
     _write_manifest(cfg, "simulate", files)
     for name in files:
         print(f"wrote {cfg.out / name}")
-    return RunArtifacts(cfg.out, tuple(files), cfg.config_hash)
 
 
-def cmd_spectrum(cfg: ExperimentConfig) -> RunArtifacts:
+def cmd_spectrum(cfg: ExperimentConfig) -> None:
     files = []
     peaks: dict[str, dict] = {}
     for input_id in INPUT_IDS:
-        series = _read_series_csv(cfg.out / f"series_{input_id}.csv", cfg.config_hash)
+        series = _read_series_csv(cfg.out / f"series_{input_id}.csv", cfg.config_hash, input_id)
         spectrum = dft(series)
         name = f"spectrum_{input_id}.csv"
         lines = [f"# config_hash={cfg.config_hash}", "omega,magnitude"]
@@ -394,10 +419,9 @@ def cmd_spectrum(cfg: ExperimentConfig) -> RunArtifacts:
     _write_manifest(cfg, "spectrum", files)
     for name in files:
         print(f"wrote {cfg.out / name}")
-    return RunArtifacts(cfg.out, tuple(files), cfg.config_hash)
 
 
-def cmd_characterize(cfg: ExperimentConfig) -> RunArtifacts:
+def cmd_characterize(cfg: ExperimentConfig) -> None:
     plans = build_plans(cfg)
     report = characterize(cfg.hamiltonian, plans, cfg.seed, eta=cfg.eta, mode=cfg.mode)
     frequencies = {}
@@ -445,10 +469,9 @@ def cmd_characterize(cfg: ExperimentConfig) -> RunArtifacts:
         )
     )
     print(f"wrote {cfg.out / 'summary.json'}")
-    return RunArtifacts(cfg.out, ("summary.json",), cfg.config_hash)
 
 
-def cmd_gate_error(args) -> RunArtifacts:
+def cmd_gate_error(args) -> None:
     ne_min, ne_max, ne_count = args.ne_range
     if ne_min < 1 or ne_max < ne_min or ne_count < 1:
         raise ConfigError(
@@ -501,7 +524,6 @@ def cmd_gate_error(args) -> RunArtifacts:
 
     for name in files:
         print(f"wrote {out / name}")
-    return RunArtifacts(out, tuple(files), config_hash)
 
 
 def _sideband_frequencies(h: HamiltonianParams) -> dict[str, float]:
@@ -545,7 +567,7 @@ def cosine_amplitudes(times: np.ndarray, values: np.ndarray, omegas: dict[str, f
     }
 
 
-def cmd_robustness(cfg: ExperimentConfig) -> RunArtifacts:
+def cmd_robustness(cfg: ExperimentConfig) -> None:
     """Sweep preparation error and track what it does to the first input's line.
 
     The swept quantity is the exact squared concurrence of the contaminated
@@ -556,12 +578,10 @@ def cmd_robustness(cfg: ExperimentConfig) -> RunArtifacts:
     first-order expansion approximates and is computed regardless of mode.
     """
     h = cfg.hamiltonian
-    mags = np.abs(combinations(h))
-    largest = float(mags.max())
-    if largest <= 0.0:
-        raise ConfigError("hamiltonian: all coupling combinations vanish; nothing to observe")
-    main_w = float(mags[0])
-    guess = main_w if main_w > 1e-9 * largest else largest
+    try:
+        guess = planning_guesses(h)[PSI1]
+    except ValueError as exc:
+        raise ConfigError(f"hamiltonian: {exc}") from exc
     plan = plan_observation(guess, cfg.robustness.nt, cfg.robustness.ne, cfg.strategy)
 
     sidebands = _sideband_frequencies(h)
@@ -570,16 +590,11 @@ def cmd_robustness(cfg: ExperimentConfig) -> RunArtifacts:
     rows = []
     for eta in cfg.robustness.etas:
         psi0 = prepare_input(PrepSpec(PSI1, eta))
-        points = tuple(
-            ConcurrencePoint(
-                time=float(t),
-                c2_estimate=concurrence_sq_exact(evolve(h, psi0, float(t))),
-            )
-            for t in plan.times()
-        )
-        series = ConcurrenceSeries(dt=plan.dt, points=points)
+        times = plan.times()
+        exact = [concurrence_sq_exact(evolve(h, psi0, float(t))) for t in times]
+        series = ConcurrenceSeries(times, exact, np.zeros(plan.nt, dtype=np.int64), "zz")
         spectrum = dft(series)
-        tag = f"eta{eta:g}"
+        tag = _eta_tag(eta)
 
         name = f"robustness_spectrum_{tag}.csv"
         lines = [f"# config_hash={cfg.config_hash}", "omega,magnitude"]
@@ -615,7 +630,6 @@ def cmd_robustness(cfg: ExperimentConfig) -> RunArtifacts:
     _write_manifest(cfg, "robustness", files)
     for name in files:
         print(f"wrote {cfg.out / name}")
-    return RunArtifacts(cfg.out, tuple(files), cfg.config_hash)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser, config_required: bool = True) -> None:

@@ -220,11 +220,54 @@ def _endpoint_amplitude(series, shots_end: float) -> float:
     1 - 1/shots; the trigonometric estimators are unbiased to O(1/shots), so
     series that involve the xz channel keep the ideal amplitude 1.
     """
-    points = getattr(series, "points", None)
-    if points and shots_end >= 2.0:
-        if all(getattr(p, "shots_xz", 0) == 0 for p in points):
-            return 1.0 - 1.0 / shots_end
-    return 1.0
+    return 1.0 - 1.0 / shots_end if series.channel == "zz" else 1.0
+
+
+def _profiled_fit(w: float, t_fit: np.ndarray, v_fit: np.ndarray, wt_fit: np.ndarray):
+    """SSE and coefficients (a, b) of the lstsq fit of a*sin^2(w t) + b, rows weighted by wt_fit."""
+    design = np.column_stack([np.sin(w * t_fit) ** 2, np.ones_like(t_fit)])
+    design *= wt_fit[:, None]
+    coef, _, _, _ = np.linalg.lstsq(design, v_fit * wt_fit, rcond=None)
+    r = design @ coef - v_fit * wt_fit
+    return float(r @ r), coef
+
+
+def _grid_sse(grid: np.ndarray, t_fit: np.ndarray, v_fit: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted SSE of the best a*sin^2(w t) + b at every w of the grid, in closed form.
+
+    With weighted means removed, the profiled SSE is Svv - Ssv^2 / Sss; a grid
+    rate whose sin^2 column is constant leaves only the offset, SSE = Svv.
+    """
+    # One (grid, time) buffer holds sin^2, then its centred and squared forms,
+    # so the scan never holds more than one grid-sized array.
+    s = np.outer(grid, t_fit)
+    np.sin(s, out=s)
+    s *= s
+    total = weights.sum()
+    s -= (s @ weights / total)[:, None]
+    dv = v_fit - (v_fit @ weights) / total
+    s_sv = s @ (weights * dv)
+    s *= s
+    s_ss = s @ weights
+    s_vv = dv @ (weights * dv)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(s_ss > 0.0, s_vv - s_sv * s_sv / s_ss, s_vv)
+
+
+def _grid_argmin(grid: np.ndarray, t_fit: np.ndarray, v_fit: np.ndarray, weights: np.ndarray) -> int:
+    """Index of the grid rate with the least weighted SSE, exactly as an lstsq scan picks it.
+
+    The grid is scored in closed form.  Both that and lstsq round at the
+    scale of the uncentered sum of weighted squares, so every rate within
+    1e-9 of that scale of the minimum is ranked again by the lstsq
+    objective, first index on ties.
+    """
+    sse = _grid_sse(grid, t_fit, v_fit, weights)
+    near = np.flatnonzero(sse <= sse.min() + 1e-9 * float(v_fit @ (weights * v_fit)))
+    if near.size == 1:
+        return int(near[0])
+    wt_fit = np.sqrt(weights)
+    return int(near[np.argmin([_profiled_fit(grid[i], t_fit, v_fit, wt_fit)[0] for i in near])])
 
 
 def _endpoint_phase_polish(
@@ -262,6 +305,8 @@ def refine_frequency(series, coarse_peak_omega: float, plan: SamplingPlan) -> Fr
     (they enter linearly), locating w by a deterministic grid-plus-Brent
     search of the one-dimensional profiled objective within 1.5 spectral bins
     of a candidate line; residuals are weighted by per-point shot counts.
+    The grid is scored in one pass with the closed-form weighted fit, and
+    Brent polishes the bracket on the lstsq objective.
     Candidates are the supplied coarse peak plus the next-strongest spectral
     local maxima, and the best weighted fit wins: with few shots per point a
     noise bin occasionally outranks the true line in raw magnitude, but it
@@ -276,7 +321,7 @@ def refine_frequency(series, coarse_peak_omega: float, plan: SamplingPlan) -> Fr
     if not (math.isfinite(coarse_peak_omega) and coarse_peak_omega > 0):
         raise ValueError(f"coarse_peak_omega must be positive, got {coarse_peak_omega!r}")
     times, values, _ = _series_arrays(series)
-    shots = np.asarray(getattr(series, "shots_per_point", np.zeros(times.size)), dtype=float)
+    shots = np.asarray(series.shots, dtype=float)
     weights = np.maximum(shots, 1.0)
 
     fit_sel = slice(None)
@@ -284,14 +329,11 @@ def refine_frequency(series, coarse_peak_omega: float, plan: SamplingPlan) -> Fr
         fit_sel = slice(0, times.size - 2)
     t_fit = times[fit_sel]
     v_fit = values[fit_sel]
-    wt_fit = np.sqrt(weights[fit_sel])
+    weights_fit = weights[fit_sel]
+    wt_fit = np.sqrt(weights_fit)
 
     def profiled(w: float):
-        design = np.column_stack([np.sin(w * t_fit) ** 2, np.ones_like(t_fit)])
-        design *= wt_fit[:, None]
-        coef, _, _, _ = np.linalg.lstsq(design, v_fit * wt_fit, rcond=None)
-        r = design @ coef - v_fit * wt_fit
-        return float(r @ r), coef
+        return _profiled_fit(w, t_fit, v_fit, wt_fit)
 
     bin_w = plan.bin_width
 
@@ -299,8 +341,7 @@ def refine_frequency(series, coarse_peak_omega: float, plan: SamplingPlan) -> Fr
         w_lo = max((center_omega - 1.5 * bin_w) / 2.0, 0.25 * bin_w)
         w_hi = (center_omega + 1.5 * bin_w) / 2.0
         grid = np.linspace(w_lo, w_hi, 121)
-        sse_grid = np.array([profiled(w)[0] for w in grid])
-        k = int(sse_grid.argmin())
+        k = _grid_argmin(grid, t_fit, v_fit, weights_fit)
         bracket_lo = float(grid[max(k - 1, 0)])
         bracket_hi = float(grid[min(k + 1, grid.size - 1)])
         best = minimize_scalar(

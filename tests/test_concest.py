@@ -5,7 +5,6 @@ import pytest
 
 from entmap.concest import (
     CHANNEL_FOR_INPUT,
-    ConcurrencePoint,
     ConcurrenceSeries,
     build_series,
     concurrence_sq_from_probs,
@@ -156,54 +155,76 @@ def test_channel_map_covers_all_inputs():
     assert CHANNEL_FOR_INPUT[PSI4] == "xz"
 
 
-def test_concurrence_point_validation():
+def flat_series(**overrides):
+    fields = {
+        "times": 0.5 * np.arange(1, 5),
+        "values": np.zeros(4),
+        "shots": np.zeros(4, dtype=int),
+        "channel": "zz",
+    }
+    fields.update(overrides)
+    return ConcurrenceSeries(**fields)
+
+
+def test_concurrence_series_validation():
     with pytest.raises(ValueError):
-        ConcurrencePoint(time=0.0, c2_estimate=0.5)
+        flat_series(times=0.5 * np.arange(0, 4))
     with pytest.raises(ValueError):
-        ConcurrencePoint(time=1.0, c2_estimate=1.5)
+        flat_series(times=-0.5 * np.arange(1, 5))
     with pytest.raises(ValueError):
-        ConcurrencePoint(time=1.0, c2_estimate=0.5, shots_zz=-1)
+        flat_series(values=np.array([0.0, 1.5, 0.0, 0.0]))
+    with pytest.raises(ValueError):
+        flat_series(values=np.array([0.0, np.nan, 0.0, 0.0]))
+    with pytest.raises(ValueError):
+        flat_series(shots=np.array([1, -1, 1, 1]))
+    with pytest.raises(ValueError):
+        flat_series(shots=np.array([1.5, 1.0, 1.0, 1.0]))
+    with pytest.raises(ValueError):
+        flat_series(channel="yy")
+    with pytest.raises(ValueError):
+        flat_series(counts=np.zeros((3, 4), dtype=int))
 
 
 def test_concurrence_series_requires_uniform_grid():
-    good = [ConcurrencePoint(time=0.5 * j, c2_estimate=0.0) for j in range(1, 5)]
-    series = ConcurrenceSeries(dt=0.5, points=tuple(good))
+    series = flat_series()
     assert len(series) == 4
+    assert series.dt == 0.5
     np.testing.assert_allclose(series.times, [0.5, 1.0, 1.5, 2.0])
 
-    bad = list(good)
-    bad[2] = ConcurrencePoint(time=1.7, c2_estimate=0.0)
     with pytest.raises(ValueError):
-        ConcurrenceSeries(dt=0.5, points=tuple(bad))
+        flat_series(times=np.array([0.5, 1.0, 1.7, 2.0]))
     with pytest.raises(ValueError):
-        ConcurrenceSeries(dt=0.5, points=tuple(good[:3]))
+        flat_series(times=0.5 * np.arange(1, 4), values=np.zeros(3), shots=np.zeros(3, dtype=int))
 
 
 def test_build_series_noiseless_matches_closed_form():
     plan = SamplingPlan(nt=32, dt=0.3, strategy="uniform", ne_per_point=5)
-    tables = [exact_tables(PSI2, H_REF, float(t))[0] for t in plan.times()]
+    tables = np.array([exact_tables(PSI2, H_REF, float(t))[0].probabilities for t in plan.times()])
     series = build_series(PSI2, plan, counts_zz=tables)
     np.testing.assert_allclose(
         series.values, np.sin(3.6 * series.times) ** 2, atol=1e-10
     )
-    assert np.all(series.shots_per_point == 0)
+    assert np.all(series.shots == 0)
+    assert series.channel == "zz"
+    np.testing.assert_array_equal(series.counts, tables)
 
 
 def test_build_series_records_shots():
     rng = np.random.default_rng(37)
     plan = SamplingPlan(nt=16, dt=0.3, strategy="uniform", ne_per_point=7)
-    counts = [
-        sample_counts(exact_tables(PSI1, H_REF, float(t))[0], 7, rng)
+    counts = np.array([
+        sample_counts(exact_tables(PSI1, H_REF, float(t))[0], 7, rng).counts
         for t in plan.times()
-    ]
+    ])
     series = build_series(PSI1, plan, counts_zz=counts)
-    assert np.all(series.shots_per_point == 7)
+    assert np.all(series.shots == 7)
     assert np.all(series.values >= 0.0) and np.all(series.values <= 1.0)
+    np.testing.assert_array_equal(series.counts, counts)
 
 
 def test_build_series_rejects_incomplete_data():
     plan = SamplingPlan(nt=8, dt=0.3)
-    tables = [exact_tables(PSI1, H_REF, float(t))[0] for t in plan.times()]
+    tables = np.array([exact_tables(PSI1, H_REF, float(t))[0].probabilities for t in plan.times()])
     with pytest.raises(ValueError):
         build_series(PSI1, plan, counts_xz=tables)
     with pytest.raises(ValueError):

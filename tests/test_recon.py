@@ -5,7 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from entmap.qcore import INPUT_IDS, PSI1, PSI2, PSI3, PSI4, HamiltonianParams
+from entmap.concest import CHANNEL_FOR_INPUT, concurrence_sq_reduced
+from entmap.measure import BASIS_BY_TAG, PrepSpec, outcome_probs, point_rng, prepare_input, sample_counts
+from entmap.qcore import (
+    BELL_BASIS,
+    INPUT_IDS,
+    PSI1,
+    PSI2,
+    PSI3,
+    PSI4,
+    HamiltonianParams,
+    bell_spectrum,
+    evolve,
+)
 from entmap.recon import (
     SIGN_CONVENTION,
     FrequencyQuad,
@@ -165,7 +177,7 @@ def test_simulate_series_noiseless_matches_closed_form():
     plan = plan_observation(1.8, 64, 5)
     series = simulate_series(H_REF, PSI2, plan, seed=0, mode="noiseless")
     np.testing.assert_allclose(series.values, np.sin(3.6 * series.times) ** 2, atol=1e-10)
-    assert np.all(series.shots_per_point == 0)
+    assert np.all(series.shots == 0)
 
 
 def test_simulate_series_sampled_is_deterministic():
@@ -175,7 +187,7 @@ def test_simulate_series_sampled_is_deterministic():
     c = simulate_series(H_REF, PSI1, plan, seed=6)
     np.testing.assert_array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
-    assert np.all(a.shots_per_point == 8)
+    assert np.all(a.shots == 8)
 
 
 def test_simulate_series_rejects_bad_mode():
@@ -241,3 +253,99 @@ def test_characterize_reported_sigma_scales_with_budget():
         sig.append(float(np.linalg.norm(report.result.sigma)))
     slope = float(np.polyfit(np.log(ne_values), np.log(sig), 1)[0])
     assert slope == pytest.approx(-0.5, abs=1e-6)
+
+
+def reference_series_data(h, input_id, plan, seed, eta, mode):
+    """The per-point path: evolve -> outcome_probs -> point_rng -> sample_counts -> estimator.
+
+    The state and probabilities of each point are also rebuilt from the
+    per-vector arithmetic (Bell map mat-vec, np.linalg.norm, basis mat-vec).
+    """
+    channel = CHANNEL_FOR_INPUT[input_id]
+    basis = BASIS_BY_TAG[channel]
+    psi0 = prepare_input(PrepSpec(input_id, eta))
+    rows, values = [], []
+    for j, t in enumerate(plan.times()):
+        state = evolve(h, psi0, float(t))
+        phases = np.exp(-1j * bell_spectrum(h).as_array() * float(t))
+        vec = BELL_BASIS @ (phases * (BELL_BASIS.T @ psi0.amplitudes))
+        np.testing.assert_array_equal(state.amplitudes, vec / np.linalg.norm(vec))
+        table = outcome_probs(state, basis)
+        p = np.abs(basis.rotation() @ state.amplitudes) ** 2
+        np.testing.assert_array_equal(table.probabilities, np.clip(p / p.sum(), 0.0, 1.0))
+        if mode == "noiseless":
+            data, row = table, table.probabilities
+        else:
+            data = sample_counts(table, plan.shots_at(j), point_rng(seed, input_id, j, channel))
+            row = data.counts
+        rows.append(row)
+        values.append(concurrence_sq_reduced(input_id, **{f"counts_{channel}": data}))
+    return np.array(rows), np.array(values)
+
+
+@pytest.mark.parametrize("strategy", ["uniform", "endpoint"])
+@pytest.mark.parametrize("eta", [0.0, 0.05])
+@pytest.mark.parametrize("mode", ["sampled", "noiseless"])
+def test_simulate_series_matches_the_per_point_reference(strategy, eta, mode):
+    for input_id in INPUT_IDS:
+        plan = default_plans(H_REF, 48, 6, strategy)[input_id]
+        series = simulate_series(H_REF, input_id, plan, seed=17, eta=eta, mode=mode)
+        rows, values = reference_series_data(H_REF, input_id, plan, 17, eta, mode)
+        np.testing.assert_array_equal(series.counts, rows)
+        np.testing.assert_array_equal(series.values, values)
+        np.testing.assert_array_equal(series.times, plan.times())
+        expected_shots = [plan.shots_at(j) if mode == "sampled" else 0 for j in range(plan.nt)]
+        np.testing.assert_array_equal(series.shots, expected_shots)
+        assert series.channel == CHANNEL_FOR_INPUT[input_id]
+
+
+# Desk inputs (jittered H_REF, default plans at nt=200, ne=10) with |c1| ~ |c3|
+# whose four-input inversion picks the swapped (b, a, b) candidate.
+SWAP_CASES = [
+    ((1.2831416862483367, 0.6299429234791883, 1.283554730266492), 7682815014028445433),
+    ((1.2956161322416373, 0.6561934120107349, 1.295727143427733), 1421089332665720074),
+    ((1.2943192337656784, 0.5659074770270474, 1.2946162803366166), 8508083374400663794),
+    ((1.2644709656506146, 0.5552502613631355, 1.2649657833748862), 2809824984459132541),
+]
+
+
+@pytest.mark.parametrize("truth,seed", SWAP_CASES)
+def test_characterize_resolves_the_c1_c3_swap(truth, seed):
+    h = HamiltonianParams(*truth)
+    plans = default_plans(h, 200, 10)
+    result = characterize(h, plans, seed).result
+    assert result.fifth_input_used
+    miss = np.abs(np.array(result.c_hat.as_tuple()) - np.array(truth))
+    assert np.all(miss <= 5.0 * np.array(result.sigma))
+    # Without the fifth input the four-input choice is the swapped candidate.
+    quad = characterize(h, plans, seed).quad
+    four_input = invert_frequencies(quad)
+    assert four_input.ambiguous
+    assert np.any(np.abs(np.array(four_input.c_hat.as_tuple()) - truth) > 5.0 * np.array(four_input.sigma))
+
+
+def test_characterize_noiseless_xxz_y_axis_returns_the_truth():
+    """(1, 0.5, 1) and (0.5, 1, 0.5) give the same four traces; |0>|+> tells them apart."""
+    h = HamiltonianParams(1.0, 0.5, 1.0)
+    report = characterize(h, default_plans(h, 200, 10), seed=0, mode="noiseless")
+    np.testing.assert_allclose(report.result.c_hat.as_tuple(), (1.0, 0.5, 1.0), atol=1e-6)
+    assert report.result.fifth_input_used
+    (other,) = report.result.alternatives
+    np.testing.assert_allclose(other.c_hat.as_tuple(), (0.5, 1.0, 0.5), atol=1e-6)
+
+    four_input = invert_frequencies(report.quad)
+    assert four_input.ambiguous and not four_input.fifth_input_used
+    np.testing.assert_allclose(four_input.c_hat.as_tuple(), (0.5, 1.0, 0.5), atol=1e-6)
+
+
+def test_invert_unambiguous_quad_has_no_alternatives():
+    result = invert_frequencies(quad_from_params(H_REF, fractional=0.01))
+    assert not result.ambiguous
+    assert result.alternatives == ()
+
+
+def test_fifth_input_confirms_a_right_four_input_choice():
+    """At nt=64, ne=4 the wide noise floor admits (b, a, b); the fifth input keeps the truth."""
+    report = characterize(H_REF, default_plans(H_REF, 64, 4), seed=11)
+    assert report.result.fifth_input_used
+    assert report.result.c_hat == invert_frequencies(report.quad).c_hat

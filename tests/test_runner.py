@@ -308,3 +308,46 @@ def test_cosine_amplitudes_merges_coincident_lines():
     amps = cosine_amplitudes(times, values, {"a": 1.7, "b": 1.7})
     assert amps["a"] == pytest.approx(0.2, abs=1e-12)
     assert amps["b"] == pytest.approx(0.2, abs=1e-12)
+
+def _series_line_edit(field, value):
+    def edit(fields):
+        fields = list(fields)
+        if value is None:
+            del fields[field]
+        else:
+            fields[field] = value(fields[field]) if callable(value) else value
+        return fields
+
+    return edit
+
+
+BAD_INPUT_CASES = [
+    ("wrong field count", _series_line_edit(3, None), "series_psi1.csv:4:"),
+    ("non-number", _series_line_edit(1, "abc"), "series_psi1.csv:4:"),
+    ("nan", _series_line_edit(1, "nan"), "series_psi1.csv:4:"),
+    ("c2 above one", _series_line_edit(1, "1.5"), "series_psi1.csv:4:"),
+    ("negative shots", _series_line_edit(2, "-1"), "series_psi1.csv:4:"),
+    ("off-grid time", _series_line_edit(0, lambda t: repr(float(t) * 1.01)), "series_psi1.csv:4:"),
+    ("duplicate eta tag", None, "robustness.etas[1]"),
+]
+
+
+@pytest.mark.parametrize("label,edit,where", BAD_INPUT_CASES, ids=[c[0] for c in BAD_INPUT_CASES])
+def test_bad_inputs_exit_2_and_name_their_place(tmp_path, monkeypatch, capsys, label, edit, where):
+    monkeypatch.delenv("ENTMAP_SEED", raising=False)
+    out = tmp_path / "run"
+    if edit is None:
+        cfg_path = write_config(
+            tmp_path / "cfg.json", robustness={"etas": [0.05, 0.05000001], "nt": 64}
+        )
+        assert main(["robustness", "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
+    else:
+        cfg_path = write_config(tmp_path / "cfg.json", mode="sampled")
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+        path = out / "series_psi1.csv"
+        lines = path.read_text().splitlines()
+        lines[3] = ",".join(edit(lines[3].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["spectrum", "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
+    assert where in capsys.readouterr().err

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from entmap.concest import ConcurrencePoint, ConcurrenceSeries
+from entmap.concest import ConcurrenceSeries
 from entmap.qcore import PSI1, PSI3, HamiltonianParams
 from entmap.recon import simulate_series
 from entmap.spectral import (
@@ -14,6 +14,9 @@ from entmap.spectral import (
     NoOscillationError,
     SamplingPlan,
     Spectrum,
+    _grid_argmin,
+    _grid_sse,
+    _profiled_fit,
     dft,
     find_peak,
     plan_observation,
@@ -26,11 +29,7 @@ H_REF = HamiltonianParams(1.2, 0.6, 1.4)
 def cosine_series(nt, dt, amplitude, omega, offset):
     times = dt * np.arange(1, nt + 1)
     values = offset + amplitude * np.cos(omega * times)
-    points = tuple(
-        ConcurrencePoint(time=float(t), c2_estimate=float(v))
-        for t, v in zip(times, values)
-    )
-    return ConcurrenceSeries(dt=dt, points=points)
+    return ConcurrenceSeries(times, values, np.zeros(nt, dtype=int), "zz")
 
 
 def test_plan_observation_reference_step():
@@ -95,10 +94,7 @@ def test_uniform_plan_accounting():
 
 def test_dft_flat_series_has_no_power():
     nt, dt = 64, 0.25
-    points = tuple(
-        ConcurrencePoint(time=float(dt * j), c2_estimate=0.3) for j in range(1, nt + 1)
-    )
-    spectrum = dft(ConcurrenceSeries(dt=dt, points=points))
+    spectrum = dft(cosine_series(nt, dt, 0.0, 1.0, 0.3))
     assert float(spectrum.magnitudes.max()) < 1e-12
     with pytest.raises(NoOscillationError):
         find_peak(spectrum)
@@ -195,3 +191,39 @@ def test_error_scaling_with_endpoint_budget(ne_sweep):
     for med, pred in zip(ne_sweep["medians"], ne_sweep["preds"]):
         assert med <= 10.0 * pred
         assert med >= 0.25 * pred
+
+
+def lstsq_loop_argmin(grid, t, v, weights):
+    """Reference grid scan: one weighted lstsq fit per grid rate."""
+    wt = np.sqrt(weights)
+    return int(np.argmin([_profiled_fit(w, t, v, wt)[0] for w in grid]))
+
+
+def test_closed_form_grid_argmin_equals_lstsq_loop():
+    rng = np.random.default_rng(61)
+    nt, dt = 120, 0.3
+    t = dt * np.arange(1, nt + 1)
+    bin_w = 2.0 * math.pi / (nt * dt)
+    for trial in range(40):
+        w_true = rng.uniform(0.5, 4.0)
+        weights = rng.integers(1, 20, size=nt).astype(float)
+        noise = rng.normal(size=nt) / np.sqrt(weights)
+        v = np.clip(rng.uniform(0.2, 1.0) * np.sin(w_true * t) ** 2 + 0.1 * noise, 0.0, 1.0)
+        grid = np.linspace(w_true - 0.75 * bin_w, w_true + 0.75 * bin_w, 121)
+        want = lstsq_loop_argmin(grid, t, v, weights)
+        sse = _grid_sse(grid, t, v, weights)
+        assert int(np.argmin(sse)) == want
+        assert _grid_argmin(grid, t, v, weights) == want
+        wt = np.sqrt(weights)
+        lstsq_sse = np.array([_profiled_fit(w, t, v, wt)[0] for w in grid])
+        np.testing.assert_allclose(sse, lstsq_sse, rtol=1e-9, atol=1e-12 * float(v @ (weights * v)))
+
+
+def test_grid_argmin_on_flat_and_cosine_series():
+    """The fallback test's cosine and an exactly flat trace pick the lstsq-loop rate too."""
+    nt, dt = 64, 0.5
+    grid = np.linspace(0.3, 1.5, 121)
+    weights = np.full(nt, 10.0)
+    for series in (cosine_series(nt, dt, 0.2, 2.4, 0.3), cosine_series(nt, dt, 0.0, 2.4, 0.3)):
+        t, v = series.times, series.values
+        assert _grid_argmin(grid, t, v, weights) == lstsq_loop_argmin(grid, t, v, weights)
