@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .concest import CHANNEL_FOR_INPUT, ConcurrenceSeries, build_series
-from .measure import BASIS_BY_TAG, PrepSpec, outcome_probs_batch, point_rng, prepare_input
+from .measure import BASIS_BY_TAG, PrepSpec, outcome_probs_batch, prepare_input, sample_counts_batch
 from .qcore import INPUT_IDS, PSI1, PSI5, HamiltonianParams, evolve_batch
 from .spectral import (
     FrequencyEstimate,
@@ -44,6 +44,12 @@ SIGN_CONVENTION = "c2 >= 0"
 AMBIGUITY_SIGMAS = 5.0
 
 MODES = ("sampled", "noiseless")
+
+# Largest coupling magnitude the pipeline is run on.  Quoted sigmas and fit
+# residuals are at most a few times the largest combination, and
+# invert_frequencies squares them; below 1e150 those squares and their sums
+# stay far from the float64 maximum (about 1.8e308).
+MAX_COUPLING = 1e150
 
 
 class InconsistentFrequencyError(RuntimeError):
@@ -236,17 +242,14 @@ def _record(
 ) -> np.ndarray:
     """One input read out in one channel over a plan's grid, as an (nt, 4) table.
 
-    "sampled" draws integer counts, point j from its own seeded stream;
+    "sampled" draws integer counts, point j from its own point_rng stream;
     "noiseless" returns the exact outcome probabilities.
     """
     states = evolve_batch(h, prepare_input(PrepSpec(input_id, eta)), plan.times())
     probs = outcome_probs_batch(states, BASIS_BY_TAG[channel])
     if mode == "noiseless":
         return probs
-    counts = np.empty((plan.nt, 4), dtype=np.int64)
-    for j, p in enumerate(probs):
-        counts[j] = point_rng(seed, input_id, j, channel).multinomial(plan.shots_at(j), p / p.sum())
-    return counts
+    return sample_counts_batch(probs, plan.shots(), seed, input_id, channel)
 
 
 def simulate_series(
@@ -279,11 +282,12 @@ def estimate_combination(
     to the degenerate value 0 with a one-bin absolute uncertainty.
     """
     one_bin_sigma = plan.bin_width / 4.0
+    spectrum = dft(series)
     try:
-        peak = find_peak(dft(series))
+        peak = find_peak(spectrum)
     except NoOscillationError:
         return 0.0, one_bin_sigma, None, True
-    estimate = refine_frequency(series, peak.omega, plan)
+    estimate = refine_frequency(series, spectrum, peak.omega, plan)
     if 4.0 * estimate.omega_hat < plan.bin_width:
         return 0.0, one_bin_sigma, estimate, True
     return estimate.omega_hat, estimate.sigma, estimate, False

@@ -35,6 +35,7 @@ from .qcore import (
     imperfect_prep_concurrence_sq,
 )
 from .recon import (
+    MAX_COUPLING,
     InconsistentFrequencyError,
     characterize,
     default_plans,
@@ -152,11 +153,16 @@ def resolve_config(raw: dict, args=None) -> ExperimentConfig:
     _expect(isinstance(ham_raw, dict), "hamiltonian", "required object {c1, c2, c3} is missing")
     for key in ham_raw:
         _expect(key in ("c1", "c2", "c3"), f"hamiltonian.{key}", "unknown key")
-    h = HamiltonianParams(
-        float(_get_number(ham_raw, "c1", "hamiltonian")),
-        float(_get_number(ham_raw, "c2", "hamiltonian")),
-        float(_get_number(ham_raw, "c3", "hamiltonian")),
-    )
+    couplings = []
+    for key in ("c1", "c2", "c3"):
+        value = float(_get_number(ham_raw, key, "hamiltonian"))
+        _expect(
+            abs(value) <= MAX_COUPLING,
+            f"hamiltonian.{key}",
+            f"magnitude must be <= {MAX_COUPLING:g} so the uncertainty propagation stays finite, got {value!r}",
+        )
+        couplings.append(value)
+    h = HamiltonianParams(*couplings)
 
     plan_raw = raw.get("plan", {})
     _expect(isinstance(plan_raw, dict), "plan", "must be an object")

@@ -67,12 +67,18 @@ class SamplingPlan:
     def observation_time(self) -> float:
         return self.nt * self.dt
 
+    def shots(self) -> np.ndarray:
+        """Shots at each time point, aligned with times()."""
+        if self.strategy == "endpoint":
+            shots = np.full(self.nt, ENDPOINT_INTERIOR_SHOTS, dtype=np.int64)
+            shots[-2:] = self.ne_endpoint
+            return shots
+        return np.full(self.nt, self.ne_per_point, dtype=np.int64)
+
     def shots_at(self, index: int) -> int:
         if not 0 <= index < self.nt:
             raise ValueError(f"time index {index} outside 0..{self.nt - 1}")
-        if self.strategy == "endpoint":
-            return self.ne_endpoint if index >= self.nt - 2 else ENDPOINT_INTERIOR_SHOTS
-        return self.ne_per_point
+        return int(self.shots()[index])
 
     def total_measurements(self) -> int:
         """Budget figure N; the endpoint strategy uses the 2*nt + 2*ne accounting."""
@@ -196,21 +202,19 @@ def find_peak(spectrum: Spectrum) -> PeakLocation:
     return PeakLocation(bin_index=best, omega=float(spectrum.omegas[best]), magnitude=float(mags[best]))
 
 
-def _rival_peaks(series, coarse_peak_omega: float, bin_w: float, limit: int = 2) -> list[float]:
+def _rival_peaks(spectrum: Spectrum, coarse_peak_omega: float, bin_w: float, limit: int = 2) -> list[float]:
     """Strongest spectral local maxima away from the coarse peak.
 
     Supplies alternative fit seeds for refine_frequency; bins within two bins
-    of the coarse peak are its own leakage skirt and are skipped.
+    of the coarse peak are its own leakage skirt and are skipped.  Rivals
+    rank by magnitude, then by omega, both descending.
     """
-    spectrum = dft(series)
     mags = spectrum.magnitudes
-    rivals = []
-    for k in range(2, mags.size - 1):
-        if mags[k] >= mags[k - 1] and mags[k] >= mags[k + 1]:
-            if abs(spectrum.omegas[k] - coarse_peak_omega) > 2.0 * bin_w:
-                rivals.append((float(mags[k]), float(spectrum.omegas[k])))
-    rivals.sort(reverse=True)
-    return [omega for _, omega in rivals[:limit]]
+    omegas = spectrum.omegas[2:-1]
+    mid = mags[2:-1]
+    keep = (mid >= mags[1:-2]) & (mid >= mags[3:]) & (np.abs(omegas - coarse_peak_omega) > 2.0 * bin_w)
+    order = np.lexsort((-omegas[keep], -mid[keep]))
+    return omegas[keep][order[:limit]].tolist()
 
 
 def _endpoint_amplitude(series, shots_end: float) -> float:
@@ -298,7 +302,9 @@ def _endpoint_phase_polish(
     return float(result.x)
 
 
-def refine_frequency(series, coarse_peak_omega: float, plan: SamplingPlan) -> FrequencyEstimate:
+def refine_frequency(
+    series, spectrum: Spectrum, coarse_peak_omega: float, plan: SamplingPlan
+) -> FrequencyEstimate:
     """Least-squares refinement of the coarse spectral peak.
 
     Fits a*sin^2(w t) + b with the amplitude and offset profiled out exactly
@@ -307,10 +313,11 @@ def refine_frequency(series, coarse_peak_omega: float, plan: SamplingPlan) -> Fr
     of a candidate line; residuals are weighted by per-point shot counts.
     The grid is scored in one pass with the closed-form weighted fit, and
     Brent polishes the bracket on the lstsq objective.
-    Candidates are the supplied coarse peak plus the next-strongest spectral
-    local maxima, and the best weighted fit wins: with few shots per point a
-    noise bin occasionally outranks the true line in raw magnitude, but it
-    cannot out-fit it.  For the endpoint strategy the fit uses the interior
+    Candidates are the supplied coarse peak plus the next-strongest local
+    maxima of spectrum, the series' dft that the coarse peak came from; the
+    best weighted fit wins: with few shots per point a noise bin
+    occasionally outranks the true line in raw magnitude, but it cannot
+    out-fit it.  For the endpoint strategy the fit uses the interior
     points only (their uniform shot count keeps the finite-shot amplitude
     shrink homogeneous) and the fitted rate then anchors a phase polish
     against the two high-budget endpoint blocks.  Returns the combination
@@ -355,7 +362,7 @@ def refine_frequency(series, coarse_peak_omega: float, plan: SamplingPlan) -> Fr
         return sse_best, w_best, float(coef_best[0])
 
     candidates = [coarse_peak_omega]
-    candidates.extend(_rival_peaks(series, coarse_peak_omega, bin_w))
+    candidates.extend(_rival_peaks(spectrum, coarse_peak_omega, bin_w))
     fits = sorted(fit_near(c) for c in candidates)
     usable = [f for f in fits if math.isfinite(f[1]) and f[2] > 0.0]
     if not usable:

@@ -15,11 +15,15 @@ from entmap.measure import (
     ProbTable,
     empirical_probs,
     outcome_probs,
+    outcome_probs_batch,
     point_rng,
     prepare_input,
     sample_counts,
+    sample_counts_batch,
+    stream_words,
 )
-from entmap.qcore import PSI1, PSI2, PSI3, PSI4, HamiltonianParams, PureState, evolve
+from entmap.qcore import ALL_INPUTS, PSI1, PSI2, PSI3, PSI4, HamiltonianParams, PureState, evolve, evolve_batch
+from entmap.spectral import plan_observation
 
 H_REF = HamiltonianParams(1.2, 0.6, 1.4)
 
@@ -166,12 +170,82 @@ def test_point_rng_reproducible_and_distinct():
 
 
 def test_point_rng_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown input id 'psi9'"):
         point_rng(1, "psi9", 0, "zz")
     with pytest.raises(ValueError):
         point_rng(1, PSI1, -1, "zz")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown channel 'yy'"):
         point_rng(1, PSI1, 0, "yy")
+    # numpy's SeedSequence refuses a negative entropy the same way.
+    with pytest.raises(ValueError, match="non-negative integer"):
+        np.random.SeedSequence(-1, spawn_key=(0, 0, 0))
+    with pytest.raises(ValueError, match="non-negative integer"):
+        point_rng(-1, PSI1, 0, "zz")
+    with pytest.raises(ValueError):
+        point_rng(1, PSI1, 2**32, "zz")
+
+
+def test_grid_streams_validate_like_point_rng():
+    probs = np.full((3, 4), 0.25)
+    for seed, input_id, channel, message in [
+        (-1, PSI1, "zz", "non-negative integer"),
+        (1, "psi9", "zz", "unknown input id 'psi9'"),
+        (1, PSI1, "yy", "unknown channel 'yy'"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            stream_words(seed, input_id, channel, range(3))
+        with pytest.raises(ValueError, match=message):
+            sample_counts_batch(probs, [1, 1, 1], seed, input_id, channel)
+    with pytest.raises(ValueError, match="one shot count per probability row"):
+        sample_counts_batch(probs, [1, 1], 1, PSI1, "zz")
+
+
+# Entropies on both sides of numpy's uint32-word boundaries, and one that
+# needs more words than the pool holds.
+ENTROPIES = [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, 2**130 + 2**64 + 5]
+
+
+def numpy_seed_sequence(entropy, input_id, time_index, channel):
+    return np.random.SeedSequence(
+        entropy, spawn_key=(ALL_INPUTS.index(input_id), time_index, CHANNELS.index(channel))
+    )
+
+
+@pytest.mark.parametrize("entropy", ENTROPIES)
+def test_stream_words_and_point_rng_equal_numpy_streams(entropy):
+    index = np.array([0, 1, 2, 37, 399, 2**31, 2**32 - 1])
+    for input_id in ALL_INPUTS:
+        for channel in CHANNELS:
+            words = stream_words(entropy, input_id, channel, index)
+            assert words.dtype == np.uint64 and words.shape == (index.size, 4)
+            for row, j in zip(words, index):
+                want = numpy_seed_sequence(entropy, input_id, int(j), channel).generate_state(4, np.uint64)
+                np.testing.assert_array_equal(row, want)
+            got = point_rng(entropy, input_id, 37, channel)
+            want = np.random.Generator(np.random.PCG64(numpy_seed_sequence(entropy, input_id, 37, channel)))
+            np.testing.assert_array_equal(got.random(6), want.random(6))
+            np.testing.assert_array_equal(got.multinomial(9, [0.1, 0.2, 0.3, 0.4]), want.multinomial(9, [0.1, 0.2, 0.3, 0.4]))
+            assert got.bit_generator.state == want.bit_generator.state
+
+
+@pytest.mark.parametrize("entropy", ENTROPIES)
+def test_sample_counts_batch_equals_numpy_streams(entropy):
+    """Endpoint plan (shots vary by point), every input including the fifth, both channels."""
+    plan = plan_observation(0.6, 24, 25, "endpoint")
+    shots = plan.shots()
+    for input_id in ALL_INPUTS:
+        states = evolve_batch(H_REF, prepare_input(PrepSpec(input_id, 0.05)), plan.times())
+        for channel in CHANNELS:
+            probs = outcome_probs_batch(states, BASIS_BY_TAG[channel])
+            counts = sample_counts_batch(probs, shots, entropy, input_id, channel)
+            want = [
+                np.random.Generator(np.random.PCG64(numpy_seed_sequence(entropy, input_id, j, channel))).multinomial(
+                    shots[j], p / p.sum()
+                )
+                for j, p in enumerate(probs)
+            ]
+            np.testing.assert_array_equal(counts, want)
+            np.testing.assert_array_equal(counts.sum(axis=1), shots)
 
 
 def test_basis_pair_validation():

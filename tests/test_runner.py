@@ -15,6 +15,7 @@ from entmap.runner import (
     main,
     resolve_config,
 )
+from entmap.recon import MAX_COUPLING
 
 BASE_CONFIG = {
     "hamiltonian": {"c1": 1.2, "c2": 0.6, "c3": 1.4},
@@ -51,6 +52,13 @@ def test_resolve_config_defaults():
     assert cfg.mode == "sampled"
     assert cfg.eta == 0.0
     assert cfg.strategy == "uniform"
+
+
+def test_resolve_config_bounds_coupling_magnitudes():
+    cfg = resolve_config({"hamiltonian": {"c1": 1.0, "c2": 0.5, "c3": -MAX_COUPLING}})
+    assert cfg.hamiltonian.c3 == -MAX_COUPLING
+    with pytest.raises(ConfigError, match="hamiltonian.c3"):
+        resolve_config({"hamiltonian": {"c1": 1.0, "c2": 0.5, "c3": -np.nextafter(MAX_COUPLING, np.inf)}})
 
 
 def test_resolve_config_rejects_unknown_keys():
@@ -328,19 +336,25 @@ BAD_INPUT_CASES = [
     ("c2 above one", _series_line_edit(1, "1.5"), "series_psi1.csv:4:"),
     ("negative shots", _series_line_edit(2, "-1"), "series_psi1.csv:4:"),
     ("off-grid time", _series_line_edit(0, lambda t: repr(float(t) * 1.01)), "series_psi1.csv:4:"),
-    ("duplicate eta tag", None, "robustness.etas[1]"),
+    ("duplicate eta tag", {"robustness": {"etas": [0.05, 0.05000001], "nt": 64}}, "robustness.etas[1]"),
+    ("c1 1e160", {"hamiltonian": {"c1": 1e160, "c2": 0.6, "c3": 1.4}}, "hamiltonian.c1"),
+    ("c1 1e300", {"hamiltonian": {"c1": 1e300, "c2": 0.6, "c3": 1.4}}, "hamiltonian.c1"),
 ]
+
+# Config overrides are run through the subcommand that reads them; line edits
+# corrupt a simulated series_psi1.csv before spectrum reads it back.
+COMMAND_FOR_CONFIG_KEY = {"robustness": "robustness", "hamiltonian": "characterize"}
 
 
 @pytest.mark.parametrize("label,edit,where", BAD_INPUT_CASES, ids=[c[0] for c in BAD_INPUT_CASES])
 def test_bad_inputs_exit_2_and_name_their_place(tmp_path, monkeypatch, capsys, label, edit, where):
     monkeypatch.delenv("ENTMAP_SEED", raising=False)
     out = tmp_path / "run"
-    if edit is None:
-        cfg_path = write_config(
-            tmp_path / "cfg.json", robustness={"etas": [0.05, 0.05000001], "nt": 64}
-        )
-        assert main(["robustness", "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
+    if isinstance(edit, dict):
+        cfg_path = write_config(tmp_path / "cfg.json", **edit)
+        (command,) = {COMMAND_FOR_CONFIG_KEY[key] for key in edit}
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
     else:
         cfg_path = write_config(tmp_path / "cfg.json", mode="sampled")
         assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == EXIT_OK

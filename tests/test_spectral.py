@@ -17,6 +17,7 @@ from entmap.spectral import (
     _grid_argmin,
     _grid_sse,
     _profiled_fit,
+    _rival_peaks,
     dft,
     find_peak,
     plan_observation,
@@ -59,6 +60,7 @@ def test_plan_observation_endpoint_budget():
     assert plan.shots_at(97) == 2
     assert plan.shots_at(98) == 40
     assert plan.shots_at(99) == 40
+    np.testing.assert_array_equal(plan.shots(), [plan.shots_at(j) for j in range(100)])
     assert plan.total_measurements() == 2 * 100 + 2 * 40
 
 
@@ -86,6 +88,7 @@ def test_uniform_plan_accounting():
     plan = SamplingPlan(nt=50, dt=0.2, strategy="uniform", ne_per_point=6)
     assert plan.total_measurements() == 300
     assert plan.shots_at(17) == 6
+    np.testing.assert_array_equal(plan.shots(), np.full(50, 6))
     assert plan.observation_time == pytest.approx(10.0)
     assert plan.bin_width == pytest.approx(2.0 * math.pi / 10.0)
     with pytest.raises(ValueError):
@@ -128,8 +131,9 @@ def test_spectrum_validation():
 def test_refine_noiseless_uniform_hits_line():
     plan = plan_observation(0.8, 200, 10)
     series = simulate_series(H_REF, PSI3, plan, seed=0, mode="noiseless")
-    peak = find_peak(dft(series))
-    est = refine_frequency(series, peak.omega, plan)
+    spectrum = dft(series)
+    peak = find_peak(spectrum)
+    est = refine_frequency(series, spectrum, peak.omega, plan)
     assert est.omega_hat == pytest.approx(0.8, rel=1e-6)
     assert not est.fallback
     assert est.raw_peak_omega == peak.omega
@@ -138,14 +142,16 @@ def test_refine_noiseless_uniform_hits_line():
 def test_refine_noiseless_endpoint_hits_line():
     plan = plan_observation(0.6, 200, 50, "endpoint")
     series = simulate_series(H_REF, PSI1, plan, seed=0, mode="noiseless")
-    est = refine_frequency(series, find_peak(dft(series)).omega, plan)
+    spectrum = dft(series)
+    est = refine_frequency(series, spectrum, find_peak(spectrum).omega, plan)
     assert est.omega_hat == pytest.approx(0.6, rel=1e-6)
 
 
 def test_refine_reports_resolution_figure():
     plan = plan_observation(0.6, 10, 100, "endpoint")
     series = simulate_series(H_REF, PSI1, plan, seed=3, mode="noiseless")
-    est = refine_frequency(series, find_peak(dft(series)).omega, plan)
+    spectrum = dft(series)
+    est = refine_frequency(series, spectrum, find_peak(spectrum).omega, plan)
     assert est.delta_f_over_f == pytest.approx(4.0 / (10 * math.sqrt(100)), rel=1e-12)
     assert est.sigma == pytest.approx(est.omega_hat * est.delta_f_over_f, rel=1e-12)
 
@@ -155,8 +161,9 @@ def test_refine_falls_back_when_no_sine_squared_fits():
     nt, dt = 64, 0.5
     series = cosine_series(nt, dt, 0.2, 2.4, 0.3)
     plan = SamplingPlan(nt=nt, dt=dt, strategy="uniform", ne_per_point=10)
-    peak = find_peak(dft(series))
-    est = refine_frequency(series, peak.omega, plan)
+    spectrum = dft(series)
+    peak = find_peak(spectrum)
+    est = refine_frequency(series, spectrum, peak.omega, plan)
     assert est.fallback
     assert est.omega_hat == pytest.approx(peak.omega / 4.0)
     assert est.delta_f_over_f == pytest.approx(plan.bin_width / peak.omega)
@@ -166,7 +173,7 @@ def test_refine_validates_coarse_peak():
     plan = plan_observation(0.6, 100, 10)
     series = simulate_series(H_REF, PSI1, plan, seed=0, mode="noiseless")
     with pytest.raises(ValueError):
-        refine_frequency(series, -1.0, plan)
+        refine_frequency(series, dft(series), -1.0, plan)
 
 
 def test_frequency_estimate_sigma_product():
@@ -227,3 +234,29 @@ def test_grid_argmin_on_flat_and_cosine_series():
     for series in (cosine_series(nt, dt, 0.2, 2.4, 0.3), cosine_series(nt, dt, 0.0, 2.4, 0.3)):
         t, v = series.times, series.values
         assert _grid_argmin(grid, t, v, weights) == lstsq_loop_argmin(grid, t, v, weights)
+
+
+def rival_peaks_loop(spectrum, coarse_peak_omega, bin_w, limit=2):
+    """Reference rival search: one comparison per bin, then a tuple sort."""
+    mags = spectrum.magnitudes
+    rivals = []
+    for k in range(2, mags.size - 1):
+        if mags[k] >= mags[k - 1] and mags[k] >= mags[k + 1]:
+            if abs(spectrum.omegas[k] - coarse_peak_omega) > 2.0 * bin_w:
+                rivals.append((float(mags[k]), float(spectrum.omegas[k])))
+    rivals.sort(reverse=True)
+    return [omega for _, omega in rivals[:limit]]
+
+
+def test_rival_peaks_rank_like_the_local_maximum_loop():
+    """Magnitude descending, then omega descending on ties; plateaus and short spectra included."""
+    rng = np.random.default_rng(7)
+    for trial in range(200):
+        size = int(rng.integers(1, 40))
+        omegas = 0.25 * np.arange(size)
+        # Coarse quantisation makes equal magnitudes and flat plateaus common.
+        mags = np.round(rng.uniform(0.0, 3.0, size=size), 0 if trial % 2 else 3)
+        spectrum = Spectrum(omegas, mags)
+        coarse = float(omegas[rng.integers(0, size)])
+        for limit in (1, 2, 5):
+            assert _rival_peaks(spectrum, coarse, 0.25, limit) == rival_peaks_loop(spectrum, coarse, 0.25, limit)
