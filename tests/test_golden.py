@@ -2,8 +2,9 @@
 
 Each pin is the digest of every file one subcommand writes (manifest.json
 excluded: it records library versions), in name order.  The pins were taken
-before the hot path was rewritten on arrays; a change that moves one on
-purpose names the pin and the reason in CHANGES.md.
+before the hot path was rewritten on arrays, and the gate-error pin before
+the CSV writers were merged; a change that moves one on purpose names the
+pin and the reason in CHANGES.md.
 """
 
 import hashlib
@@ -61,6 +62,10 @@ PINS = {
     },
 }
 
+GATE_ERROR_ARGS = ["gate-error", "--nt", "10", "--nt", "100", "--p-target", "1e-4"]
+GATE_ERROR_FILES = ["gate_error_nt10.csv", "gate_error_nt100.csv", "threshold.json"]
+GATE_ERROR_PIN = "4a12a30229b3d0b36993bac75701ef52cde89eb20661cf2b559f30d52b047990"
+
 
 def artifact_digest(directory, names):
     sha = hashlib.sha256()
@@ -94,3 +99,10 @@ def test_artifacts_match_golden_pins(name, tmp_path, monkeypatch):
     digests = run_all(tmp_path, monkeypatch, CONFIGS[name])
     for command, digest in digests.items():
         assert digest == PINS[name][command], f"{name}: {command} artifacts moved"
+
+
+def test_gate_error_artifacts_match_golden_pin(tmp_path):
+    directory = tmp_path / "gate"
+    assert main(GATE_ERROR_ARGS + ["--out", str(directory)]) == EXIT_OK
+    assert sorted(p.name for p in directory.iterdir()) == GATE_ERROR_FILES
+    assert artifact_digest(directory, GATE_ERROR_FILES) == GATE_ERROR_PIN
