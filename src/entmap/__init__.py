@@ -5,121 +5,3 @@ extract oscillation frequencies -> invert couplings -> budget gate errors.
 """
 
 __version__ = "0.1.0"
-
-from .concest import (
-    ConcurrenceSeries,
-    build_series,
-    concurrence_sq_from_probs,
-    concurrence_sq_reduced,
-)
-from .gateerr import (
-    GateErrorReport,
-    budget_curve,
-    effective_error,
-    heisenberg_sqrtswap_perr,
-    ising_cnot_perr,
-    measurements_for_threshold,
-)
-from .measure import (
-    BASIS_XZ,
-    BASIS_ZZ,
-    BasisPair,
-    OutcomeCounts,
-    PrepSpec,
-    ProbTable,
-    empirical_probs,
-    outcome_probs,
-    point_rng,
-    prepare_input,
-    sample_counts,
-)
-from .qcore import (
-    INPUT_IDS,
-    BellSpectrum,
-    HamiltonianParams,
-    PureState,
-    TwoQubitUnitary,
-    analytic_concurrence_sq,
-    bell_spectrum,
-    concurrence_sq_exact,
-    evolve,
-    imperfect_prep_concurrence_sq,
-    negativity_sq,
-    oracle_evolve,
-    propagator,
-)
-from .recon import (
-    CharacterizationReport,
-    FrequencyQuad,
-    InconsistentFrequencyError,
-    ReconstructionResult,
-    characterize,
-    default_plans,
-    invert_frequencies,
-    invert_three_state,
-    simulate_series,
-)
-from .spectral import (
-    FrequencyEstimate,
-    NoOscillationError,
-    SamplingPlan,
-    Spectrum,
-    dft,
-    find_peak,
-    plan_observation,
-    refine_frequency,
-)
-
-__all__ = [
-    "BASIS_XZ",
-    "BASIS_ZZ",
-    "BasisPair",
-    "BellSpectrum",
-    "CharacterizationReport",
-    "ConcurrenceSeries",
-    "FrequencyEstimate",
-    "FrequencyQuad",
-    "GateErrorReport",
-    "HamiltonianParams",
-    "INPUT_IDS",
-    "InconsistentFrequencyError",
-    "NoOscillationError",
-    "OutcomeCounts",
-    "PrepSpec",
-    "ProbTable",
-    "PureState",
-    "ReconstructionResult",
-    "SamplingPlan",
-    "Spectrum",
-    "TwoQubitUnitary",
-    "analytic_concurrence_sq",
-    "bell_spectrum",
-    "budget_curve",
-    "build_series",
-    "characterize",
-    "concurrence_sq_exact",
-    "concurrence_sq_from_probs",
-    "concurrence_sq_reduced",
-    "default_plans",
-    "dft",
-    "effective_error",
-    "empirical_probs",
-    "evolve",
-    "find_peak",
-    "heisenberg_sqrtswap_perr",
-    "imperfect_prep_concurrence_sq",
-    "invert_frequencies",
-    "invert_three_state",
-    "ising_cnot_perr",
-    "measurements_for_threshold",
-    "negativity_sq",
-    "oracle_evolve",
-    "outcome_probs",
-    "plan_observation",
-    "point_rng",
-    "prepare_input",
-    "propagator",
-    "refine_frequency",
-    "sample_counts",
-    "simulate_series",
-]

@@ -9,12 +9,11 @@ concurrence: A between a and c, B between d and b.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import CHANNELS, OutcomeCounts, ProbTable, empirical_probs
+from .measure import CHANNELS
 from .qcore import INPUT_IDS, PSI1, PSI2, PSI3, PSI4
 from .spectral import SamplingPlan
 
@@ -79,41 +78,37 @@ class ConcurrenceSeries:
         return float(self.times[0])
 
 
-def _clamped_cosine(numerator: float, denominator: float) -> float:
+def _clamped_cosine(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
     # Convention for vanishing amplitude pairs: the phase is unobservable, take cos = 0.
-    if denominator <= 0.0:
-        return 0.0
-    return min(1.0, max(-1.0, numerator / denominator))
+    cos = np.divide(numerator, denominator, out=np.zeros_like(numerator), where=denominator > 0.0)
+    return np.clip(cos, -1.0, 1.0)
 
 
-def _cos_angle_sum(cos_a: float, cos_b: float) -> float:
-    # Positive-root convention: both sines taken as +sqrt(1 - cos^2).
-    sin_a = math.sqrt(max(0.0, 1.0 - cos_a * cos_a))
-    sin_b = math.sqrt(max(0.0, 1.0 - cos_b * cos_b))
+def _cos_angle_sum(cos_a: np.ndarray, cos_b: np.ndarray) -> np.ndarray:
+    """cos(A + B) from clamped cosines, both sines taken as +sqrt(1 - cos^2)."""
+    sin_a = np.sqrt(np.maximum(0.0, 1.0 - cos_a * cos_a))
+    sin_b = np.sqrt(np.maximum(0.0, 1.0 - cos_b * cos_b))
     return cos_a * cos_b - sin_a * sin_b
 
 
 def _as_probs(source) -> np.ndarray:
-    """Outcome probabilities of a table, of counts, or of an (n, 4) array of either.
+    """Outcome probabilities of a (4,) or (n, 4) array.
 
     An integer array holds counts and is normalized row by row; a float array
     is taken as exact probabilities.
     """
-    if isinstance(source, ProbTable):
-        return source.probabilities
-    if isinstance(source, OutcomeCounts):
-        return empirical_probs(source).probabilities
-    if isinstance(source, np.ndarray) and source.ndim == 2 and source.shape[1] == 4:
-        if not np.issubdtype(source.dtype, np.integer):
-            return source
-        totals = source.sum(axis=1, keepdims=True)
-        if np.any(totals < 1):
-            raise ValueError("cannot form empirical probabilities from zero shots")
-        return source / totals
-    raise TypeError(f"expected ProbTable, OutcomeCounts or an (n, 4) array, got {type(source).__name__}")
+    p = np.asarray(source)
+    if p.shape[-1:] != (4,) or p.ndim > 2:
+        raise ValueError(f"expected a (4,) or (n, 4) array, got shape {p.shape}")
+    if not np.issubdtype(p.dtype, np.integer):
+        return p
+    totals = p.sum(axis=-1, keepdims=True)
+    if np.any(totals < 1):
+        raise ValueError("cannot form empirical probabilities from zero shots")
+    return p / totals
 
 
-def concurrence_sq_from_probs(p_zz, p_xz) -> float:
+def concurrence_sq_from_probs(p_zz, p_xz):
     """General two-channel estimator of the squared concurrence.
 
     With zz probabilities (P++, P+-, P-+, P--) and xz probabilities giving the
@@ -127,16 +122,19 @@ def concurrence_sq_from_probs(p_zz, p_xz) -> float:
         C^2 = 4*(P-+*P+- + P--*P++ - 2*sqrt(P++*P+-*P-+*P--)*cos(A+B)).
 
     Cosines are clamped to [-1, 1], a vanishing denominator pins the cosine to
-    0, and the result is clamped to [0, 1].
+    0, and the result is clamped to [0, 1].  Takes (4,) rows and returns a
+    float, or (n, 4) arrays and returns the n estimates; integer arrays are
+    counts.
     """
-    pp, pm, mp, mm = _as_probs(p_zz)
+    z = _as_probs(p_zz)
     x = _as_probs(p_xz)
-    xpp, xpm = float(x[0]), float(x[1])
-    cos_a = _clamped_cosine(2.0 * xpp - pp - mp, 2.0 * math.sqrt(pp * mp))
-    cos_b = _clamped_cosine(2.0 * xpm - pm - mm, 2.0 * math.sqrt(pm * mm))
-    cross = math.sqrt(pp * pm * mp * mm) * _cos_angle_sum(cos_a, cos_b)
-    value = 4.0 * (mp * pm + mm * pp - 2.0 * cross)
-    return min(max(value, 0.0), 1.0)
+    pp, pm, mp, mm = np.atleast_2d(z).T
+    xpp, xpm, _, _ = np.atleast_2d(x).T
+    cos_a = _clamped_cosine(2.0 * xpp - pp - mp, 2.0 * np.sqrt(pp * mp))
+    cos_b = _clamped_cosine(2.0 * xpm - pm - mm, 2.0 * np.sqrt(pm * mm))
+    cross = np.sqrt(pp * pm * mp * mm) * _cos_angle_sum(cos_a, cos_b)
+    value = np.clip(4.0 * (mp * pm + mm * pp - 2.0 * cross), 0.0, 1.0)
+    return float(value[0]) if z.ndim == 1 else value
 
 
 def concurrence_sq_reduced(input_id: str, counts_zz=None, counts_xz=None):
@@ -147,9 +145,9 @@ def concurrence_sq_reduced(input_id: str, counts_zz=None, counts_xz=None):
     pin all zz probabilities at 1/4, so only the xz channel is needed:
     cos A = 4*Pxz++ - 1, cos B = 4*Pxz+- - 1 and C^2 = (1 - cos(A+B))/2.
 
-    Accepts ProbTable (exact) or OutcomeCounts (finite shots) per channel and
-    returns a float, or an (n, 4) array of probabilities or integer counts and
-    returns the n estimates.
+    Takes the channel's (4,) row and returns a float, or its (n, 4) array and
+    returns the n estimates; float arrays are exact probabilities, integer
+    arrays counts.
     """
     if input_id not in INPUT_IDS:
         raise ValueError(f"unknown input id {input_id!r}")
@@ -164,12 +162,9 @@ def concurrence_sq_reduced(input_id: str, counts_zz=None, counts_xz=None):
     elif input_id == PSI2:
         value = 4.0 * rows[:, 2] * rows[:, 1]
     else:
-        # Positive-root convention: both sines taken as +sqrt(1 - cos^2).
         cos_a = np.clip(4.0 * rows[:, 0] - 1.0, -1.0, 1.0)
         cos_b = np.clip(4.0 * rows[:, 1] - 1.0, -1.0, 1.0)
-        sin_a = np.sqrt(np.maximum(0.0, 1.0 - cos_a * cos_a))
-        sin_b = np.sqrt(np.maximum(0.0, 1.0 - cos_b * cos_b))
-        value = 0.5 * (1.0 - (cos_a * cos_b - sin_a * sin_b))
+        value = 0.5 * (1.0 - _cos_angle_sum(cos_a, cos_b))
     value = np.clip(value, 0.0, 1.0)
     return float(value[0]) if p.ndim == 1 else value
 

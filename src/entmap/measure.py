@@ -12,9 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import ALL_INPUTS, PSI1, PSI2, PSI3, PSI4, PSI5, PureState, require_normalized, state_vector
-
-OUTCOMES = ("++", "+-", "-+", "--")
+from .qcore import ALL_INPUTS, PSI1, PSI2, PSI3, PSI4, PSI5, PureState, require_normalized
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
@@ -63,46 +61,6 @@ def _checked_prob_rows(p: np.ndarray) -> np.ndarray:
     if np.any(off):
         raise ValueError(f"probabilities sum to {sums[off][0]!r}, expected 1")
     return np.clip(p, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class ProbTable:
-    """Outcome probabilities in the order (++, +-, -+, --); must sum to 1."""
-
-    probabilities: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = _checked_prob_rows(np.array(self.probabilities, dtype=float).reshape(1, 4))[0]
-        p.flags.writeable = False
-        object.__setattr__(self, "probabilities", p)
-
-    def prob(self, outcome: str) -> float:
-        return float(self.probabilities[OUTCOMES.index(outcome)])
-
-
-@dataclass(frozen=True)
-class OutcomeCounts:
-    """Integer outcome counts in the order (++, +-, -+, --)."""
-
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.array(self.counts)
-        if c.shape != (4,) and c.size == 4:
-            c = c.reshape(4)
-        if not np.issubdtype(c.dtype, np.integer):
-            as_int = c.astype(np.int64)
-            if not np.array_equal(as_int, c):
-                raise ValueError("counts must be integers")
-            c = as_int
-        if (c < 0).any():
-            raise ValueError("counts must be nonnegative")
-        c.flags.writeable = False
-        object.__setattr__(self, "counts", c)
-
-    @property
-    def shots(self) -> int:
-        return int(self.counts.sum())
 
 
 @dataclass(frozen=True)
@@ -155,40 +113,14 @@ def prepare_input(spec: PrepSpec) -> PureState:
 def outcome_probs_batch(states, basis: BasisPair) -> np.ndarray:
     """Exact outcome probabilities, one (++, +-, -+, --) row per state row.
 
-    The rotation is a stacked mat-vec so each row matches a lone state's bits.
+    The rotation is a stacked mat-vec, so a row's bits do not depend on the
+    other rows passed with it.
     """
     amps = np.asarray(states, dtype=complex).reshape(-1, 4)
     require_normalized(amps)
     rotated = (basis.rotation() @ amps[:, :, None])[:, :, 0]
     p = np.abs(rotated) ** 2
     return _checked_prob_rows(p / p.sum(axis=1, keepdims=True))
-
-
-def outcome_probs(state, basis: BasisPair) -> ProbTable:
-    """Exact outcome probabilities of measuring a state in the given basis pair."""
-    return ProbTable(outcome_probs_batch(state_vector(state), basis)[0])
-
-
-def sample_counts(table: ProbTable, shots: int, rng) -> OutcomeCounts:
-    """Draw multinomial outcome counts for a finite number of shots.
-
-    rng can be a numpy Generator or anything accepted by default_rng.
-    """
-    if not isinstance(shots, (int, np.integer)) or shots < 1:
-        raise ValueError(f"shots must be a positive integer, got {shots!r}")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    p = table.probabilities
-    counts = rng.multinomial(int(shots), p / p.sum())
-    return OutcomeCounts(counts)
-
-
-def empirical_probs(counts: OutcomeCounts) -> ProbTable:
-    """Relative frequencies from counts; requires at least one shot."""
-    total = counts.shots
-    if total < 1:
-        raise ValueError("cannot form empirical probabilities from zero shots")
-    return ProbTable(counts.counts / total)
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx):
@@ -303,8 +235,8 @@ def _carrier() -> np.random.Generator:
 def sample_counts_batch(probs, shots, master_seed: int, input_id: str, channel: str) -> np.ndarray:
     """Multinomial counts for every row of (n, 4) probabilities; row j from point j's own stream.
 
-    Row j equals sample_counts(ProbTable(probs[j]), shots[j],
-    point_rng(master_seed, input_id, j, channel)).counts.  The stream words
+    Row j equals point_rng(master_seed, input_id, j, channel).multinomial(
+    shots[j], p_j) with p_j the row normalised to sum 1.  The stream words
     of the whole grid come from one stream_words pass, and a single
     generator is reset to each point's seeded state before its draw.
     """

@@ -315,3 +315,16 @@ def imperfect_prep_concurrence_sq(h: HamiltonianParams, eta: float, t):
         - np.cos(4.0 * (c2 + c3) * tt)
     )
     return main + correction
+
+
+def sideband_frequencies(h: HamiltonianParams) -> dict[str, float]:
+    """Spectral positions 4|ci +/- cj| of psi1's main line (w1m2) and its five sidebands."""
+    c1, c2, c3 = h.as_tuple()
+    return {
+        "w1m2": 4.0 * abs(c1 - c2),
+        "w1p2": 4.0 * abs(c1 + c2),
+        "w1m3": 4.0 * abs(c1 - c3),
+        "w1p3": 4.0 * abs(c1 + c3),
+        "w2m3": 4.0 * abs(c2 - c3),
+        "w2p3": 4.0 * abs(c2 + c3),
+    }

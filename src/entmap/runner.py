@@ -33,6 +33,7 @@ from .qcore import (
     concurrence_sq_exact,
     evolve,
     imperfect_prep_concurrence_sq,
+    sideband_frequencies,
 )
 from .recon import (
     MAX_COUPLING,
@@ -42,7 +43,15 @@ from .recon import (
     planning_guesses,
     simulate_series,
 )
-from .spectral import NoOscillationError, SamplingPlan, dft, find_peak, plan_observation
+from .spectral import (
+    NoOscillationError,
+    SamplingPlan,
+    Spectrum,
+    cosine_amplitudes,
+    dft,
+    find_peak,
+    plan_observation,
+)
 
 DEFAULT_NT = 200
 DEFAULT_NE = 10
@@ -92,8 +101,13 @@ class ExperimentConfig:
 
     @property
     def config_hash(self) -> str:
-        blob = json.dumps(self.payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return _payload_hash(self.payload)
+
+
+def _payload_hash(payload: dict) -> str:
+    """SHA-256 of the payload written as compact JSON with sorted keys."""
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _expect(condition: bool, path: str, message: str) -> None:
@@ -325,15 +339,22 @@ def _write_manifest(cfg: ExperimentConfig, command: str, files: list[str]) -> No
     _write_json(cfg.out / "manifest.json", manifest)
 
 
+def _write_csv(path: Path, config_hash: str, header: str, rows) -> None:
+    """Write one CSV artifact: the config_hash line, the column header, then the rows.
+
+    Integer cells are written as they are, every other cell with _fmt.
+    """
+    lines = [f"# config_hash={config_hash}", header]
+    for row in rows:
+        lines.append(",".join(str(x) if isinstance(x, (int, np.integer)) else _fmt(x) for x in row))
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_spectrum_csv(path: Path, config_hash: str, spectrum: Spectrum) -> None:
+    _write_csv(path, config_hash, "omega,magnitude", zip(spectrum.omegas, spectrum.magnitudes))
+
+
 SERIES_HEADER = "t,c2_estimate,shots_zz,shots_xz"
-
-
-def _series_csv(series: ConcurrenceSeries, config_hash: str) -> str:
-    lines = [f"# config_hash={config_hash}", SERIES_HEADER]
-    zz = series.channel == "zz"
-    for t, v, n in zip(series.times, series.values, series.shots):
-        lines.append(f"{_fmt(t)},{_fmt(v)},{n if zz else 0},{0 if zz else n}")
-    return "\n".join(lines) + "\n"
 
 
 def _read_series_csv(path: Path, expected_hash: str, input_id: str) -> ConcurrenceSeries:
@@ -390,7 +411,9 @@ def cmd_simulate(cfg: ExperimentConfig) -> None:
             cfg.hamiltonian, input_id, plans[input_id], cfg.seed, eta=cfg.eta, mode=cfg.mode
         )
         name = f"series_{input_id}.csv"
-        _write_text(cfg.out / name, _series_csv(series, cfg.config_hash))
+        none = np.zeros_like(series.shots)
+        zz, xz = (series.shots, none) if series.channel == "zz" else (none, series.shots)
+        _write_csv(cfg.out / name, cfg.config_hash, SERIES_HEADER, zip(series.times, series.values, zz, xz))
         files.append(name)
     _write_manifest(cfg, "simulate", files)
     for name in files:
@@ -404,10 +427,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> None:
         series = _read_series_csv(cfg.out / f"series_{input_id}.csv", cfg.config_hash, input_id)
         spectrum = dft(series)
         name = f"spectrum_{input_id}.csv"
-        lines = [f"# config_hash={cfg.config_hash}", "omega,magnitude"]
-        for w, m in zip(spectrum.omegas, spectrum.magnitudes):
-            lines.append(f"{_fmt(w)},{_fmt(m)}")
-        _write_text(cfg.out / name, "\n".join(lines) + "\n")
+        _write_spectrum_csv(cfg.out / name, cfg.config_hash, spectrum)
         files.append(name)
         try:
             peak = find_peak(spectrum)
@@ -495,17 +515,14 @@ def cmd_gate_error(args) -> None:
         "nt": sorted(args.nt),
         "p_target": args.p_target,
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    config_hash = hashlib.sha256(blob.encode()).hexdigest()
+    config_hash = _payload_hash(payload)
 
     files = []
     for nt in sorted(args.nt):
         reports = budget_curve(nt, ne_values, gate=args.gate)
         name = f"gate_error_nt{nt}.csv"
-        lines = [f"# config_hash={config_hash}", "n_total,epsilon,p_eff"]
-        for r in reports:
-            lines.append(f"{r.total_measurements},{_fmt(r.epsilon)},{_fmt(r.p_eff)}")
-        _write_text(out / name, "\n".join(lines) + "\n")
+        rows = [(r.total_measurements, r.epsilon, r.p_eff) for r in reports]
+        _write_csv(out / name, config_hash, "n_total,epsilon,p_eff", rows)
         files.append(name)
 
     if args.p_target is not None:
@@ -532,47 +549,6 @@ def cmd_gate_error(args) -> None:
         print(f"wrote {out / name}")
 
 
-def _sideband_frequencies(h: HamiltonianParams) -> dict[str, float]:
-    """Spectral positions 4|ci +/- cj| of the main line and the five sidebands."""
-    c1, c2, c3 = h.as_tuple()
-    return {
-        "w1m2": 4.0 * abs(c1 - c2),
-        "w1p2": 4.0 * abs(c1 + c2),
-        "w1m3": 4.0 * abs(c1 - c3),
-        "w1p3": 4.0 * abs(c1 + c3),
-        "w2m3": 4.0 * abs(c2 - c3),
-        "w2p3": 4.0 * abs(c2 + c3),
-    }
-
-
-def cosine_amplitudes(times: np.ndarray, values: np.ndarray, omegas: dict[str, float]) -> dict[str, float]:
-    """Least-squares amplitudes of cos(omega*t) components at known positions.
-
-    Exact for noiseless traces, immune to DFT leakage.  Frequencies that
-    coincide (within rounding) share one regression column; a frequency at DC is
-    indistinguishable from the constant term and reports amplitude 0.
-    """
-    unique: list[float] = []
-    column_of: dict[str, int | None] = {}
-    for label, w in omegas.items():
-        if w < 1e-9:
-            column_of[label] = None
-            continue
-        for k, u in enumerate(unique):
-            if abs(w - u) < 1e-9 * max(w, u):
-                column_of[label] = k
-                break
-        else:
-            column_of[label] = len(unique)
-            unique.append(w)
-    design = np.column_stack([np.ones_like(times)] + [np.cos(w * times) for w in unique])
-    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-    return {
-        label: (0.0 if col is None else float(abs(coef[col + 1])))
-        for label, col in column_of.items()
-    }
-
-
 def cmd_robustness(cfg: ExperimentConfig) -> None:
     """Sweep preparation error and track what it does to the first input's line.
 
@@ -590,7 +566,7 @@ def cmd_robustness(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"hamiltonian: {exc}") from exc
     plan = plan_observation(guess, cfg.robustness.nt, cfg.robustness.ne, cfg.strategy)
 
-    sidebands = _sideband_frequencies(h)
+    sidebands = sideband_frequencies(h)
     labels = ["w1p2", "w1m3", "w1p3", "w2m3", "w2p3"]
     files = []
     rows = []
@@ -603,18 +579,13 @@ def cmd_robustness(cfg: ExperimentConfig) -> None:
         tag = _eta_tag(eta)
 
         name = f"robustness_spectrum_{tag}.csv"
-        lines = [f"# config_hash={cfg.config_hash}", "omega,magnitude"]
-        for w, m in zip(spectrum.omegas, spectrum.magnitudes):
-            lines.append(f"{_fmt(w)},{_fmt(m)}")
-        _write_text(cfg.out / name, "\n".join(lines) + "\n")
+        _write_spectrum_csv(cfg.out / name, cfg.config_hash, spectrum)
         files.append(name)
 
         expansion = imperfect_prep_concurrence_sq(h, eta, series.times)
         name = f"robustness_curve_{tag}.csv"
-        lines = [f"# config_hash={cfg.config_hash}", "t,c2_exact,c2_first_order"]
-        for t, v, e in zip(series.times, series.values, expansion):
-            lines.append(f"{_fmt(t)},{_fmt(v)},{_fmt(e)}")
-        _write_text(cfg.out / name, "\n".join(lines) + "\n")
+        curve = zip(series.times, series.values, expansion)
+        _write_csv(cfg.out / name, cfg.config_hash, "t,c2_exact,c2_first_order", curve)
         files.append(name)
 
         try:
@@ -622,16 +593,11 @@ def cmd_robustness(cfg: ExperimentConfig) -> None:
         except NoOscillationError:
             peak_omega = 0.0
         amps = cosine_amplitudes(series.times, series.values, sidebands)
-        rows.append((eta, peak_omega, amps))
+        rows.append([eta, peak_omega, amps["w1m2"]] + [amps[label] for label in labels])
 
     name = "robustness.csv"
     header = "eta,main_peak_omega,main_amp," + ",".join(f"amp_{label}" for label in labels)
-    lines = [f"# config_hash={cfg.config_hash}", header]
-    for eta, peak_omega, amps in rows:
-        cells = [_fmt(eta), _fmt(peak_omega), _fmt(amps["w1m2"])]
-        cells += [_fmt(amps[label]) for label in labels]
-        lines.append(",".join(cells))
-    _write_text(cfg.out / name, "\n".join(lines) + "\n")
+    _write_csv(cfg.out / name, cfg.config_hash, header, rows)
     files.append(name)
     _write_manifest(cfg, "robustness", files)
     for name in files:
@@ -717,9 +683,6 @@ def main(argv=None) -> int:
     except InconsistentFrequencyError as exc:
         print(f"inconsistent frequencies: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except FileNotFoundError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

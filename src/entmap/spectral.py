@@ -75,11 +75,6 @@ class SamplingPlan:
             return shots
         return np.full(self.nt, self.ne_per_point, dtype=np.int64)
 
-    def shots_at(self, index: int) -> int:
-        if not 0 <= index < self.nt:
-            raise ValueError(f"time index {index} outside 0..{self.nt - 1}")
-        return int(self.shots()[index])
-
     def total_measurements(self) -> int:
         """Budget figure N; the endpoint strategy uses the 2*nt + 2*ne accounting."""
         if self.strategy == "endpoint":
@@ -384,3 +379,31 @@ def refine_frequency(
         raw_peak_omega=coarse_peak_omega,
         fallback=False,
     )
+
+
+def cosine_amplitudes(times: np.ndarray, values: np.ndarray, omegas: dict[str, float]) -> dict[str, float]:
+    """Least-squares amplitudes of cos(omega*t) components at known positions.
+
+    Exact for noiseless traces, immune to DFT leakage.  Frequencies that
+    coincide (within rounding) share one regression column; a frequency at DC is
+    indistinguishable from the constant term and reports amplitude 0.
+    """
+    unique: list[float] = []
+    column_of: dict[str, int | None] = {}
+    for label, w in omegas.items():
+        if w < 1e-9:
+            column_of[label] = None
+            continue
+        for k, u in enumerate(unique):
+            if abs(w - u) < 1e-9 * max(w, u):
+                column_of[label] = k
+                break
+        else:
+            column_of[label] = len(unique)
+            unique.append(w)
+    design = np.column_stack([np.ones_like(times)] + [np.cos(w * times) for w in unique])
+    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
+    return {
+        label: (0.0 if col is None else float(abs(coef[col + 1])))
+        for label, col in column_of.items()
+    }

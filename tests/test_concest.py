@@ -10,17 +10,7 @@ from entmap.concest import (
     concurrence_sq_from_probs,
     concurrence_sq_reduced,
 )
-from entmap.measure import (
-    BASIS_XZ,
-    BASIS_ZZ,
-    OutcomeCounts,
-    PrepSpec,
-    ProbTable,
-    empirical_probs,
-    outcome_probs,
-    prepare_input,
-    sample_counts,
-)
+from entmap.measure import BASIS_XZ, BASIS_ZZ, PrepSpec, outcome_probs_batch, prepare_input
 from entmap.qcore import (
     INPUT_IDS,
     PSI1,
@@ -31,6 +21,7 @@ from entmap.qcore import (
     analytic_concurrence_sq,
     concurrence_sq_exact,
     evolve,
+    state_vector,
 )
 from entmap.spectral import SamplingPlan
 
@@ -38,19 +29,25 @@ H_REF = HamiltonianParams(1.2, 0.6, 1.4)
 
 
 def exact_tables(input_id, h, t):
-    state = evolve(h, prepare_input(PrepSpec(input_id)), t)
-    return outcome_probs(state, BASIS_ZZ), outcome_probs(state, BASIS_XZ)
+    """Exact (4,) zz and xz outcome probabilities of one evolved input."""
+    state = state_vector(evolve(h, prepare_input(PrepSpec(input_id)), t))
+    return outcome_probs_batch(state, BASIS_ZZ)[0], outcome_probs_batch(state, BASIS_XZ)[0]
+
+
+def draw(rng, p, shots):
+    """Multinomial counts of one (4,) probability row."""
+    return rng.multinomial(shots, p / p.sum())
 
 
 def test_from_probs_product_state():
-    p_zz = ProbTable(np.array([1.0, 0.0, 0.0, 0.0]))
-    p_xz = ProbTable(np.array([0.5, 0.0, 0.5, 0.0]))
+    p_zz = np.array([1.0, 0.0, 0.0, 0.0])
+    p_xz = np.array([0.5, 0.0, 0.5, 0.0])
     assert concurrence_sq_from_probs(p_zz, p_xz) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_from_probs_maximally_entangled_zz():
-    p_zz = ProbTable(np.array([0.0, 0.5, 0.5, 0.0]))
-    p_xz = ProbTable(np.full(4, 0.25))
+    p_zz = np.array([0.0, 0.5, 0.5, 0.0])
+    p_xz = np.full(4, 0.25)
     assert concurrence_sq_from_probs(p_zz, p_xz) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -68,7 +65,9 @@ def test_from_probs_tracks_protocol_dynamics():
 
 
 def test_reduced_matches_full_on_exact_tables():
+    """Row by row and on stacked (n, 4) tables, which give the same bits as single rows."""
     rng = np.random.default_rng(32)
+    rows = {input_id: [] for input_id in INPUT_IDS}
     for _ in range(8):
         h = HamiltonianParams(*rng.uniform(-2, 2, size=3))
         for input_id in INPUT_IDS:
@@ -77,6 +76,11 @@ def test_reduced_matches_full_on_exact_tables():
             full = concurrence_sq_from_probs(p_zz, p_xz)
             reduced = concurrence_sq_reduced(input_id, counts_zz=p_zz, counts_xz=p_xz)
             assert reduced == pytest.approx(full, abs=1e-12)
+            rows[input_id].append((p_zz, p_xz, full, reduced))
+    for input_id, entries in rows.items():
+        p_zz, p_xz, full, reduced = (np.array(column) for column in zip(*entries))
+        np.testing.assert_array_equal(concurrence_sq_from_probs(p_zz, p_xz), full)
+        np.testing.assert_array_equal(concurrence_sq_reduced(input_id, counts_zz=p_zz, counts_xz=p_xz), reduced)
 
 
 def test_reduced_estimators_converge_to_exact():
@@ -93,14 +97,26 @@ def test_reduced_estimators_converge_to_exact():
 
 
 def test_reduced_psi1_from_counts():
-    counts = OutcomeCounts(np.array([5, 0, 0, 5]))
-    assert concurrence_sq_reduced(PSI1, counts_zz=counts) == pytest.approx(1.0)
-    counts = OutcomeCounts(np.array([10, 0, 0, 0]))
-    assert concurrence_sq_reduced(PSI1, counts_zz=counts) == 0.0
+    assert concurrence_sq_reduced(PSI1, counts_zz=np.array([5, 0, 0, 5])) == pytest.approx(1.0)
+    assert concurrence_sq_reduced(PSI1, counts_zz=np.array([10, 0, 0, 0])) == 0.0
+
+
+def test_counts_normalise_to_empirical_probs():
+    """Integer rows are counts, normalised row by row; a row without shots has no probabilities."""
+    counts = np.array([[5, 0, 0, 5], [4, 0, 0, 6], [10, 0, 0, 0]])
+    np.testing.assert_allclose(
+        concurrence_sq_reduced(PSI1, counts_zz=counts), [1.0, 4.0 * 0.4 * 0.6, 0.0], atol=1e-15
+    )
+    with pytest.raises(ValueError, match="zero shots"):
+        concurrence_sq_reduced(PSI1, counts_zz=np.zeros(4, dtype=int))
+    with pytest.raises(ValueError, match="zero shots"):
+        concurrence_sq_from_probs(np.array([[1, 0, 0, 0], [0, 0, 0, 0]]), np.array([[1, 0, 1, 0]] * 2))
+    with pytest.raises(ValueError, match="shape"):
+        concurrence_sq_reduced(PSI1, counts_zz=np.array([1, 0, 0]))
 
 
 def test_reduced_requires_the_right_channel():
-    counts = OutcomeCounts(np.array([5, 0, 0, 5]))
+    counts = np.array([5, 0, 0, 5])
     with pytest.raises(ValueError):
         concurrence_sq_reduced(PSI1, counts_xz=counts)
     with pytest.raises(ValueError):
@@ -118,9 +134,9 @@ def test_estimators_stay_in_range_on_noisy_counts():
         t = float(rng.uniform(0.05, 6.0))
         p_zz, p_xz = exact_tables(input_id, h, t)
         shots = int(rng.integers(1, 30))
-        c_zz = sample_counts(p_zz, shots, rng)
-        c_xz = sample_counts(p_xz, shots, rng)
-        full = concurrence_sq_from_probs(empirical_probs(c_zz), empirical_probs(c_xz))
+        c_zz = draw(rng, p_zz, shots)
+        c_xz = draw(rng, p_xz, shots)
+        full = concurrence_sq_from_probs(c_zz, c_xz)
         reduced = concurrence_sq_reduced(input_id, counts_zz=c_zz, counts_xz=c_xz)
         assert 0.0 <= full <= 1.0
         assert 0.0 <= reduced <= 1.0
@@ -131,7 +147,7 @@ def test_single_shot_psi1_estimates_are_zero():
     rng = np.random.default_rng(35)
     for t in np.linspace(0.2, 3.0, 10):
         p_zz, _ = exact_tables(PSI1, H_REF, float(t))
-        counts = sample_counts(p_zz, 1, rng)
+        counts = draw(rng, p_zz, 1)
         assert concurrence_sq_reduced(PSI1, counts_zz=counts) == 0.0
 
 
@@ -140,8 +156,8 @@ def test_single_shot_psi3_estimates_are_binary():
     seen = set()
     for t in np.linspace(0.2, 3.0, 20):
         p_zz, p_xz = exact_tables(PSI3, H_REF, float(t))
-        c_zz = sample_counts(p_zz, 1, rng)
-        c_xz = sample_counts(p_xz, 1, rng)
+        c_zz = draw(rng, p_zz, 1)
+        c_xz = draw(rng, p_xz, 1)
         value = concurrence_sq_reduced(PSI3, counts_zz=c_zz, counts_xz=c_xz)
         seen.add(round(value, 12))
     assert seen <= {0.0, 1.0}
@@ -199,7 +215,7 @@ def test_concurrence_series_requires_uniform_grid():
 
 def test_build_series_noiseless_matches_closed_form():
     plan = SamplingPlan(nt=32, dt=0.3, strategy="uniform", ne_per_point=5)
-    tables = np.array([exact_tables(PSI2, H_REF, float(t))[0].probabilities for t in plan.times()])
+    tables = np.array([exact_tables(PSI2, H_REF, float(t))[0] for t in plan.times()])
     series = build_series(PSI2, plan, counts_zz=tables)
     np.testing.assert_allclose(
         series.values, np.sin(3.6 * series.times) ** 2, atol=1e-10
@@ -212,10 +228,7 @@ def test_build_series_noiseless_matches_closed_form():
 def test_build_series_records_shots():
     rng = np.random.default_rng(37)
     plan = SamplingPlan(nt=16, dt=0.3, strategy="uniform", ne_per_point=7)
-    counts = np.array([
-        sample_counts(exact_tables(PSI1, H_REF, float(t))[0], 7, rng).counts
-        for t in plan.times()
-    ])
+    counts = np.array([draw(rng, exact_tables(PSI1, H_REF, float(t))[0], 7) for t in plan.times()])
     series = build_series(PSI1, plan, counts_zz=counts)
     assert np.all(series.shots == 7)
     assert np.all(series.values >= 0.0) and np.all(series.values <= 1.0)
@@ -224,7 +237,7 @@ def test_build_series_records_shots():
 
 def test_build_series_rejects_incomplete_data():
     plan = SamplingPlan(nt=8, dt=0.3)
-    tables = np.array([exact_tables(PSI1, H_REF, float(t))[0].probabilities for t in plan.times()])
+    tables = np.array([exact_tables(PSI1, H_REF, float(t))[0] for t in plan.times()])
     with pytest.raises(ValueError):
         build_series(PSI1, plan, counts_xz=tables)
     with pytest.raises(ValueError):

@@ -8,21 +8,15 @@ from entmap.measure import (
     BASIS_XZ,
     BASIS_ZZ,
     CHANNELS,
-    OUTCOMES,
     BasisPair,
-    OutcomeCounts,
     PrepSpec,
-    ProbTable,
-    empirical_probs,
-    outcome_probs,
     outcome_probs_batch,
     point_rng,
     prepare_input,
-    sample_counts,
     sample_counts_batch,
     stream_words,
 )
-from entmap.qcore import ALL_INPUTS, PSI1, PSI2, PSI3, PSI4, HamiltonianParams, PureState, evolve, evolve_batch
+from entmap.qcore import ALL_INPUTS, PSI1, PSI2, PSI3, PSI4, HamiltonianParams, PureState, evolve_batch
 from entmap.spectral import plan_observation
 
 H_REF = HamiltonianParams(1.2, 0.6, 1.4)
@@ -70,14 +64,14 @@ def test_basis_rotation_shapes():
 
 
 def test_outcome_probs_computational_state():
-    table = outcome_probs(PureState.computational("01"), BASIS_ZZ)
-    np.testing.assert_allclose(table.probabilities, [0.0, 1.0, 0.0, 0.0], atol=1e-15)
+    p = outcome_probs_batch(PureState.computational("01").amplitudes, BASIS_ZZ)
+    np.testing.assert_allclose(p, [[0.0, 1.0, 0.0, 0.0]], atol=1e-15)
 
 
 def test_outcome_probs_x_measurement_of_z_eigenstate():
     """|00> is undetermined along x on qubit one, definite along z on qubit two."""
-    table = outcome_probs(PureState.computational("00"), BASIS_XZ)
-    np.testing.assert_allclose(table.probabilities, [0.5, 0.0, 0.5, 0.0], atol=1e-15)
+    p = outcome_probs_batch(PureState.computational("00").amplitudes, BASIS_XZ)
+    np.testing.assert_allclose(p, [[0.5, 0.0, 0.5, 0.0]], atol=1e-15)
 
 
 def test_outcome_probs_protocol_selection_rules():
@@ -86,74 +80,49 @@ def test_outcome_probs_protocol_selection_rules():
     for _ in range(10):
         h = HamiltonianParams(*rng.uniform(-2, 2, size=3))
         t = float(rng.uniform(0.0, 6.0))
-        p1 = outcome_probs(evolve(h, prepare_input(PrepSpec(PSI1)), t), BASIS_ZZ)
-        assert p1.prob("+-") == pytest.approx(0.0, abs=1e-12)
-        assert p1.prob("-+") == pytest.approx(0.0, abs=1e-12)
-        p2 = outcome_probs(evolve(h, prepare_input(PrepSpec(PSI2)), t), BASIS_ZZ)
-        assert p2.prob("++") == pytest.approx(0.0, abs=1e-12)
-        assert p2.prob("--") == pytest.approx(0.0, abs=1e-12)
+        states = {i: evolve_batch(h, prepare_input(PrepSpec(i)), [t]) for i in (PSI1, PSI2, PSI3, PSI4)}
+        zz = {i: outcome_probs_batch(s, BASIS_ZZ)[0] for i, s in states.items()}
+        # Columns are (++, +-, -+, --).
+        np.testing.assert_allclose(zz[PSI1][[1, 2]], 0.0, atol=1e-12)
+        np.testing.assert_allclose(zz[PSI2][[0, 3]], 0.0, atol=1e-12)
         for input_id in (PSI3, PSI4):
-            pz = outcome_probs(evolve(h, prepare_input(PrepSpec(input_id)), t), BASIS_ZZ)
-            np.testing.assert_allclose(pz.probabilities, 0.25, atol=1e-12)
+            np.testing.assert_allclose(zz[input_id], 0.25, atol=1e-12)
 
 
-def test_prob_table_validation():
-    with pytest.raises(ValueError):
-        ProbTable(np.array([0.5, 0.5, 0.5, -0.5]))
-    with pytest.raises(ValueError):
-        ProbTable(np.array([0.3, 0.3, 0.3, 0.3]))
-    table = ProbTable(np.array([0.4, 0.3, 0.2, 0.1]))
-    assert table.prob("++") == 0.4
-    with pytest.raises(ValueError):
-        table.prob("xx")
+def test_outcome_probs_validation():
+    with pytest.raises(ValueError, match="normalized"):
+        outcome_probs_batch([1.0, 1.0, 0.0, 0.0], BASIS_ZZ)
+    with pytest.raises(ValueError, match="finite"):
+        outcome_probs_batch([np.nan, 0.0, 0.0, 0.0], BASIS_XZ)
+    states = evolve_batch(H_REF, prepare_input(PrepSpec(PSI3)), [0.3, 0.7, 1.1])
+    p = outcome_probs_batch(states, BASIS_XZ)
+    assert p.shape == (3, 4)
+    assert np.all((p >= 0.0) & (p <= 1.0))
+    np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-15)
 
 
 def test_sample_counts_totals_and_support():
-    rng = np.random.default_rng(22)
-    table = ProbTable(np.array([0.0, 1.0, 0.0, 0.0]))
-    counts = sample_counts(table, 17, rng)
-    assert counts.shots == 17
-    np.testing.assert_array_equal(counts.counts, [0, 17, 0, 0])
-    with pytest.raises(ValueError):
-        sample_counts(table, 0, rng)
+    probs = np.tile([0.0, 1.0, 0.0, 0.0], (3, 1))
+    counts = sample_counts_batch(probs, [17, 1, 0], 22, PSI1, "zz")
+    assert counts.dtype == np.int64
+    np.testing.assert_array_equal(counts, [[0, 17, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]])
 
 
 def test_sample_counts_is_unbiased():
-    """Empirical frequencies average to the table over many seeded draws."""
+    """Empirical frequencies average to the table over many independent point streams."""
     p = np.array([0.4, 0.3, 0.2, 0.1])
-    table = ProbTable(p)
     shots = 100
-    n_seeds = 1000
-    acc = np.zeros(4)
-    for seed in range(n_seeds):
-        counts = sample_counts(table, shots, np.random.default_rng(seed))
-        acc += empirical_probs(counts).probabilities
-    mean = acc / n_seeds
-    se = np.sqrt(p * (1.0 - p) / (shots * n_seeds))
+    n_points = 1000
+    counts = sample_counts_batch(np.tile(p, (n_points, 1)), np.full(n_points, shots), 22, PSI1, "zz")
+    mean = (counts / shots).mean(axis=0)
+    se = np.sqrt(p * (1.0 - p) / (shots * n_points))
     assert np.all(np.abs(mean - p) <= 5.0 * se)
 
 
 def test_sample_counts_concentration_at_large_shots():
-    table = ProbTable(np.full(4, 0.25))
-    counts = sample_counts(table, 1_000_000, np.random.default_rng(23))
+    counts = sample_counts_batch(np.full((1, 4), 0.25), [1_000_000], 23, PSI1, "zz")
     sigma = np.sqrt(1_000_000 * 0.25 * 0.75)
-    assert np.all(np.abs(counts.counts - 250_000) <= 5.0 * sigma)
-
-
-def test_empirical_probs_round_trip():
-    counts = OutcomeCounts(np.array([4, 0, 0, 6]))
-    np.testing.assert_allclose(
-        empirical_probs(counts).probabilities, [0.4, 0.0, 0.0, 0.6], atol=1e-15
-    )
-    with pytest.raises(ValueError):
-        empirical_probs(OutcomeCounts(np.zeros(4, dtype=int)))
-
-
-def test_outcome_counts_validation():
-    with pytest.raises(ValueError):
-        OutcomeCounts(np.array([1, -1, 0, 0]))
-    with pytest.raises(ValueError):
-        OutcomeCounts(np.array([1.5, 0.0, 0.0, 0.0]))
+    assert np.all(np.abs(counts - 250_000) <= 5.0 * sigma)
 
 
 def test_point_rng_reproducible_and_distinct():

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from entmap.concest import CHANNEL_FOR_INPUT, concurrence_sq_reduced
-from entmap.measure import BASIS_BY_TAG, PrepSpec, outcome_probs, point_rng, prepare_input, sample_counts
+from entmap.measure import BASIS_BY_TAG, CHANNELS, PrepSpec, prepare_input
 from entmap.qcore import (
+    ALL_INPUTS,
     BELL_BASIS,
     INPUT_IDS,
     PSI1,
@@ -256,30 +257,31 @@ def test_characterize_reported_sigma_scales_with_budget():
 
 
 def reference_series_data(h, input_id, plan, seed, eta, mode):
-    """The per-point path: evolve -> outcome_probs -> point_rng -> sample_counts -> estimator.
+    """The per-point path: evolve -> outcome probabilities -> one numpy stream per point -> estimator.
 
     The state and probabilities of each point are also rebuilt from the
-    per-vector arithmetic (Bell map mat-vec, np.linalg.norm, basis mat-vec).
+    per-vector arithmetic (Bell map mat-vec, np.linalg.norm, basis mat-vec),
+    and point j draws from numpy's own Generator(PCG64(SeedSequence)) on the
+    spawn key (input, j, channel).
     """
     channel = CHANNEL_FOR_INPUT[input_id]
     basis = BASIS_BY_TAG[channel]
     psi0 = prepare_input(PrepSpec(input_id, eta))
+    shots = plan.shots()
     rows, values = [], []
     for j, t in enumerate(plan.times()):
         state = evolve(h, psi0, float(t))
         phases = np.exp(-1j * bell_spectrum(h).as_array() * float(t))
         vec = BELL_BASIS @ (phases * (BELL_BASIS.T @ psi0.amplitudes))
         np.testing.assert_array_equal(state.amplitudes, vec / np.linalg.norm(vec))
-        table = outcome_probs(state, basis)
         p = np.abs(basis.rotation() @ state.amplitudes) ** 2
-        np.testing.assert_array_equal(table.probabilities, np.clip(p / p.sum(), 0.0, 1.0))
-        if mode == "noiseless":
-            data, row = table, table.probabilities
-        else:
-            data = sample_counts(table, plan.shots_at(j), point_rng(seed, input_id, j, channel))
-            row = data.counts
+        row = np.clip(p / p.sum(), 0.0, 1.0)
+        if mode == "sampled":
+            key = (ALL_INPUTS.index(input_id), j, CHANNELS.index(channel))
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+            row = rng.multinomial(int(shots[j]), row / row.sum())
         rows.append(row)
-        values.append(concurrence_sq_reduced(input_id, **{f"counts_{channel}": data}))
+        values.append(concurrence_sq_reduced(input_id, **{f"counts_{channel}": row}))
     return np.array(rows), np.array(values)
 
 
@@ -294,7 +296,7 @@ def test_simulate_series_matches_the_per_point_reference(strategy, eta, mode):
         np.testing.assert_array_equal(series.counts, rows)
         np.testing.assert_array_equal(series.values, values)
         np.testing.assert_array_equal(series.times, plan.times())
-        expected_shots = [plan.shots_at(j) if mode == "sampled" else 0 for j in range(plan.nt)]
+        expected_shots = plan.shots() if mode == "sampled" else np.zeros(plan.nt, dtype=np.int64)
         np.testing.assert_array_equal(series.shots, expected_shots)
         assert series.channel == CHANNEL_FOR_INPUT[input_id]
 

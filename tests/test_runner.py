@@ -11,7 +11,6 @@ from entmap.runner import (
     EXIT_IO,
     EXIT_OK,
     ConfigError,
-    cosine_amplitudes,
     main,
     resolve_config,
 )
@@ -300,22 +299,6 @@ def test_missing_config_file_is_a_config_error(tmp_path):
 def test_unknown_subcommand_is_usage_error():
     assert main(["frobnicate"]) == EXIT_CONFIG
 
-
-def test_cosine_amplitudes_recovers_known_mixture():
-    times = 0.3 * np.arange(1, 129)
-    values = 0.4 + 0.25 * np.cos(1.1 * times) + 0.07 * np.cos(2.9 * times)
-    amps = cosine_amplitudes(times, values, {"a": 1.1, "b": 2.9, "dc": 0.0})
-    assert amps["a"] == pytest.approx(0.25, abs=1e-12)
-    assert amps["b"] == pytest.approx(0.07, abs=1e-12)
-    assert amps["dc"] == 0.0
-
-
-def test_cosine_amplitudes_merges_coincident_lines():
-    times = 0.3 * np.arange(1, 65)
-    values = 0.5 + 0.2 * np.cos(1.7 * times)
-    amps = cosine_amplitudes(times, values, {"a": 1.7, "b": 1.7})
-    assert amps["a"] == pytest.approx(0.2, abs=1e-12)
-    assert amps["b"] == pytest.approx(0.2, abs=1e-12)
 
 def _series_line_edit(field, value):
     def edit(fields):

@@ -18,6 +18,7 @@ from entmap.spectral import (
     _grid_sse,
     _profiled_fit,
     _rival_peaks,
+    cosine_amplitudes,
     dft,
     find_peak,
     plan_observation,
@@ -56,11 +57,9 @@ def test_plan_observation_endpoint_budget():
     plan = plan_observation(0.6, 100, 40, "endpoint")
     assert plan.strategy == "endpoint"
     assert plan.ne == 40
-    assert plan.shots_at(0) == 2
-    assert plan.shots_at(97) == 2
-    assert plan.shots_at(98) == 40
-    assert plan.shots_at(99) == 40
-    np.testing.assert_array_equal(plan.shots(), [plan.shots_at(j) for j in range(100)])
+    shots = plan.shots()
+    assert shots.dtype == np.int64
+    np.testing.assert_array_equal(shots, [2] * 98 + [40, 40])
     assert plan.total_measurements() == 2 * 100 + 2 * 40
 
 
@@ -87,12 +86,9 @@ def test_sampling_plan_validation():
 def test_uniform_plan_accounting():
     plan = SamplingPlan(nt=50, dt=0.2, strategy="uniform", ne_per_point=6)
     assert plan.total_measurements() == 300
-    assert plan.shots_at(17) == 6
     np.testing.assert_array_equal(plan.shots(), np.full(50, 6))
     assert plan.observation_time == pytest.approx(10.0)
     assert plan.bin_width == pytest.approx(2.0 * math.pi / 10.0)
-    with pytest.raises(ValueError):
-        plan.shots_at(50)
 
 
 def test_dft_flat_series_has_no_power():
@@ -260,3 +256,20 @@ def test_rival_peaks_rank_like_the_local_maximum_loop():
         coarse = float(omegas[rng.integers(0, size)])
         for limit in (1, 2, 5):
             assert _rival_peaks(spectrum, coarse, 0.25, limit) == rival_peaks_loop(spectrum, coarse, 0.25, limit)
+
+
+def test_cosine_amplitudes_recovers_known_mixture():
+    times = 0.3 * np.arange(1, 129)
+    values = 0.4 + 0.25 * np.cos(1.1 * times) + 0.07 * np.cos(2.9 * times)
+    amps = cosine_amplitudes(times, values, {"a": 1.1, "b": 2.9, "dc": 0.0})
+    assert amps["a"] == pytest.approx(0.25, abs=1e-12)
+    assert amps["b"] == pytest.approx(0.07, abs=1e-12)
+    assert amps["dc"] == 0.0
+
+
+def test_cosine_amplitudes_merges_coincident_lines():
+    times = 0.3 * np.arange(1, 65)
+    values = 0.5 + 0.2 * np.cos(1.7 * times)
+    amps = cosine_amplitudes(times, values, {"a": 1.7, "b": 1.7})
+    assert amps["a"] == pytest.approx(0.2, abs=1e-12)
+    assert amps["b"] == pytest.approx(0.2, abs=1e-12)
