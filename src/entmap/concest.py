@@ -137,7 +137,7 @@ def concurrence_sq_from_probs(p_zz, p_xz):
     return float(value[0]) if z.ndim == 1 else value
 
 
-def concurrence_sq_reduced(input_id: str, counts_zz=None, counts_xz=None):
+def concurrence_sq_reduced(input_id: str, table):
     """Single-channel estimator specialized to one protocol input.
 
     psi1 and psi2 keep two zz outcomes pinned at zero, so only the zz channel
@@ -145,17 +145,13 @@ def concurrence_sq_reduced(input_id: str, counts_zz=None, counts_xz=None):
     pin all zz probabilities at 1/4, so only the xz channel is needed:
     cos A = 4*Pxz++ - 1, cos B = 4*Pxz+- - 1 and C^2 = (1 - cos(A+B))/2.
 
-    Takes the channel's (4,) row and returns a float, or its (n, 4) array and
-    returns the n estimates; float arrays are exact probabilities, integer
-    arrays counts.
+    table is the input's CHANNEL_FOR_INPUT channel: a (4,) row, giving a
+    float, or an (n, 4) array, giving the n estimates; float arrays are exact
+    probabilities, integer arrays counts.
     """
     if input_id not in INPUT_IDS:
         raise ValueError(f"unknown input id {input_id!r}")
-    channel = CHANNEL_FOR_INPUT[input_id]
-    source = counts_zz if channel == "zz" else counts_xz
-    if source is None:
-        raise ValueError(f"{input_id} estimation needs the {channel} channel")
-    p = _as_probs(source)
+    p = _as_probs(table)
     rows = np.atleast_2d(p)
     if input_id == PSI1:
         value = 4.0 * rows[:, 3] * rows[:, 0]
@@ -169,24 +165,20 @@ def concurrence_sq_reduced(input_id: str, counts_zz=None, counts_xz=None):
     return float(value[0]) if p.ndim == 1 else value
 
 
-def build_series(input_id: str, plan: SamplingPlan, counts_zz=None, counts_xz=None) -> ConcurrenceSeries:
+def build_series(input_id: str, plan: SamplingPlan, table) -> ConcurrenceSeries:
     """Assemble a ConcurrenceSeries from the measured channel's data on a plan's grid.
 
-    counts_zz / counts_xz are (nt, 4) arrays aligned with plan.times(): integer
-    outcome counts, or exact outcome probabilities.  Whichever channel the
-    input needs must be present and complete.
+    table is an (nt, 4) array of the input's CHANNEL_FOR_INPUT channel,
+    aligned with plan.times(): integer outcome counts, or exact outcome
+    probabilities.
     """
     if input_id not in INPUT_IDS:
         raise ValueError(f"unknown input id {input_id!r}")
     channel = CHANNEL_FOR_INPUT[input_id]
-    source = counts_zz if channel == "zz" else counts_xz
-    if source is None or len(source) != plan.nt:
-        raise ValueError(
-            f"{input_id} needs {plan.nt} points of {channel} data, got "
-            f"{0 if source is None else len(source)}"
-        )
-    table = np.asarray(source)
-    values = concurrence_sq_reduced(input_id, **{f"counts_{channel}": table})
+    table = np.asarray(table)
+    if table.shape != (plan.nt, 4):
+        raise ValueError(f"{input_id} needs {plan.nt} points of {channel} data, got shape {table.shape}")
+    values = concurrence_sq_reduced(input_id, table)
     if np.issubdtype(table.dtype, np.integer):
         shots = table.sum(axis=1)
     else:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import HamiltonianParams, TwoQubitUnitary, propagator
+from .qcore import HamiltonianParams, propagator
 
 GATE_ISING_CNOT = "ising_cnot"
 GATE_SQRTSWAP = "heisenberg_sqrtswap"
@@ -33,8 +33,7 @@ class GateErrorReport:
 
 
 def _as_matrix(u) -> np.ndarray:
-    if isinstance(u, TwoQubitUnitary):
-        return u.matrix
+    """The (4, 4) complex matrix of u; raises unless it is unitary to 1e-9."""
     m = np.asarray(u, dtype=complex).reshape(4, 4)
     deviation = float(np.abs(m.conj().T @ m - np.eye(4)).max())
     if deviation > 1e-9:
@@ -42,10 +41,11 @@ def _as_matrix(u) -> np.ndarray:
     return m
 
 
-def effective_error(u_im: TwoQubitUnitary | np.ndarray, u: TwoQubitUnitary | np.ndarray) -> float:
+def effective_error(u_im: np.ndarray, u: np.ndarray) -> float:
     """p_eff = 1 - |Tr(U_im U^dag)/4|^2, clamped to [0, 1].
 
-    Invariant under global phases of either argument.
+    Invariant under global phases of either argument.  Both arguments must be
+    (4, 4) unitaries to 1e-9.
     """
     a = _as_matrix(u_im)
     b = _as_matrix(u)
@@ -68,7 +68,7 @@ def heisenberg_sqrtswap_perr(epsilon: float) -> float:
 CLOSED_FORMS = {GATE_ISING_CNOT: ising_cnot_perr, GATE_SQRTSWAP: heisenberg_sqrtswap_perr}
 
 
-def ising_cnot_pulse(j_coupling: float, time_scale: float = 1.0) -> TwoQubitUnitary:
+def ising_cnot_pulse(j_coupling: float, time_scale: float = 1.0) -> np.ndarray:
     """Entangling pulse exp(-i J ZZ t) at the CNOT time pi/(4J), optionally stretched.
 
     time_scale = 1 + epsilon models a calibration based on a coupling estimate
@@ -80,7 +80,7 @@ def ising_cnot_pulse(j_coupling: float, time_scale: float = 1.0) -> TwoQubitUnit
     return propagator(h, time_scale * math.pi / (4.0 * j_coupling))
 
 
-def sqrtswap_pulse(d_coupling: float, time_scale: float = 1.0) -> TwoQubitUnitary:
+def sqrtswap_pulse(d_coupling: float, time_scale: float = 1.0) -> np.ndarray:
     """Isotropic exchange pulse exp(-i d (XX+YY+ZZ) t) at the sqrt-SWAP time pi/(8d)."""
     if d_coupling <= 0:
         raise ValueError(f"coupling must be positive, got {d_coupling!r}")

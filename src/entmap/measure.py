@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import ALL_INPUTS, PSI1, PSI2, PSI3, PSI4, PSI5, PureState, require_normalized
+from .qcore import ALL_INPUTS, PSI1, PSI2, PSI3, PSI4, PSI5, require_normalized
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
@@ -100,14 +100,13 @@ _CONTAMINANT_AMPLITUDES = {
 }
 
 
-def prepare_input(spec: PrepSpec) -> PureState:
-    """Build the (possibly contaminated) protocol input state."""
+def prepare_input(spec: PrepSpec) -> np.ndarray:
+    """Amplitudes of the (possibly contaminated) protocol input state."""
     base = _BASE_AMPLITUDES[spec.input_id]
     if spec.eta == 0.0:
-        return PureState(base.copy())
+        return base.copy()
     partner = _CONTAMINANT_AMPLITUDES[spec.input_id]
-    amps = (base + math.sqrt(spec.eta) * partner) / math.sqrt(1.0 + spec.eta)
-    return PureState(amps)
+    return (base + math.sqrt(spec.eta) * partner) / math.sqrt(1.0 + spec.eta)
 
 
 def outcome_probs_batch(states, basis: BasisPair) -> np.ndarray:

@@ -71,95 +71,23 @@ class HamiltonianParams:
         )
 
 
-@dataclass(frozen=True)
-class BellSpectrum:
-    """Eigenvalues of the coupling attached to (Phi+, Phi-, Psi+, Psi-)."""
-
-    phi_plus: float
-    phi_minus: float
-    psi_plus: float
-    psi_minus: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.phi_plus, self.phi_minus, self.psi_plus, self.psi_minus])
-
-
-@dataclass(frozen=True)
-class PureState:
-    """Normalized two-qubit pure state over (|00>, |01>, |10>, |11>)."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex).reshape(4)
-        norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(
-                f"squared norm deviates from 1 by {abs(norm_sq - 1.0):.3e}"
-            )
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def computational(cls, bits: str) -> "PureState":
-        index = {"00": 0, "01": 1, "10": 2, "11": 3}.get(bits)
-        if index is None:
-            raise ValueError(f"bits must be one of 00/01/10/11, got {bits!r}")
-        amps = np.zeros(4, dtype=complex)
-        amps[index] = 1.0
-        return cls(amps)
-
-    @classmethod
-    def normalized(cls, amplitudes) -> "PureState":
-        amps = np.asarray(amplitudes, dtype=complex).reshape(4)
-        norm = float(np.linalg.norm(amps))
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(amps / norm)
-
-
-@dataclass(frozen=True)
-class TwoQubitUnitary:
-    """4x4 unitary; construction rejects matrices that are not unitary to 1e-12."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex).reshape(4, 4)
-        deviation = float(np.abs(m.conj().T @ m - np.eye(4)).max())
-        if deviation > NORM_TOL:
-            raise ValueError(f"matrix is not unitary (deviation {deviation:.3e})")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-
-def state_vector(state) -> np.ndarray:
-    """Amplitudes of a PureState or of any 4-element array-like."""
-    if isinstance(state, PureState):
-        return state.amplitudes
-    return np.asarray(state, dtype=complex).reshape(4)
-
-
 def require_normalized(amps: np.ndarray, tol: float = 1e-9) -> None:
-    """Raise unless the state (or every row of a stack of states) has unit norm to tol."""
+    """Raise unless the state (or every row of a stack of states) is finite with unit norm to tol."""
+    if not np.all(np.isfinite(amps)):
+        raise ValueError("state amplitudes must be finite")
     deviation = float(np.abs((np.abs(amps) ** 2).sum(axis=-1) - 1.0).max(initial=0.0))
     if deviation > tol:
         raise ValueError(f"state must be normalized, |norm^2 - 1| = {deviation:.3e}")
 
 
-def bell_spectrum(h: HamiltonianParams) -> BellSpectrum:
-    """Closed-form eigenvalues of the coupling in the Bell basis.
+def bell_spectrum(h: HamiltonianParams) -> np.ndarray:
+    """Closed-form eigenvalues of the coupling in the Bell basis, as (Phi+, Phi-, Psi+, Psi-).
 
     Phi+ and Phi- pick up c3 +/- (c1 - c2); Psi+ and Psi- pick up
     -c3 +/- (c1 + c2).  The four eigenvalues always sum to zero.
     """
     c1, c2, c3 = h.as_tuple()
-    return BellSpectrum(
-        phi_plus=c1 - c2 + c3,
-        phi_minus=-c1 + c2 + c3,
-        psi_plus=c1 + c2 - c3,
-        psi_minus=-c1 - c2 - c3,
-    )
+    return np.array([c1 - c2 + c3, -c1 + c2 + c3, c1 + c2 - c3, -c1 - c2 - c3])
 
 
 def evolve_batch(h: HamiltonianParams, psi0, times) -> np.ndarray:
@@ -172,10 +100,10 @@ def evolve_batch(h: HamiltonianParams, psi0, times) -> np.ndarray:
     times = np.asarray(times, dtype=float).reshape(-1)
     if not np.all(np.isfinite(times)):
         raise ValueError(f"times must be finite, got {float(times[~np.isfinite(times)][0])!r}")
-    amps = state_vector(psi0)
+    amps = np.asarray(psi0, dtype=complex).reshape(4)
     require_normalized(amps)
     coeffs = BELL_BASIS.T @ amps
-    phases = np.exp(-1j * bell_spectrum(h).as_array() * times[:, None])
+    phases = np.exp(-1j * bell_spectrum(h) * times[:, None])
     out = (BELL_BASIS @ (phases * coeffs)[:, :, None])[:, :, 0]
     # Rotation is exactly norm-preserving up to rounding; renormalize the dust away.
     re2 = out.real * out.real
@@ -188,17 +116,12 @@ def evolve_batch(h: HamiltonianParams, psi0, times) -> np.ndarray:
     return out
 
 
-def evolve(h: HamiltonianParams, psi0, t: float) -> PureState:
-    """Exact state at time t under exp(-i H t), via Bell-basis phase rotation."""
-    return PureState(evolve_batch(h, psi0, [t])[0])
-
-
-def propagator(h: HamiltonianParams, t: float) -> TwoQubitUnitary:
+def propagator(h: HamiltonianParams, t: float) -> np.ndarray:
     """exp(-i H t) as an explicit unitary matrix."""
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
-    phases = np.exp(-1j * bell_spectrum(h).as_array() * t)
-    return TwoQubitUnitary(BELL_BASIS @ (phases[:, None] * BELL_BASIS.T))
+    phases = np.exp(-1j * bell_spectrum(h) * t)
+    return BELL_BASIS @ (phases[:, None] * BELL_BASIS.T)
 
 
 def series_propagator(h: HamiltonianParams, t: float) -> np.ndarray:
@@ -229,29 +152,40 @@ def series_propagator(h: HamiltonianParams, t: float) -> np.ndarray:
     return total
 
 
-def oracle_evolve(h: HamiltonianParams, psi0, t: float) -> PureState:
+def oracle_evolve(h: HamiltonianParams, psi0, t: float) -> np.ndarray:
     """Reference evolution through the power-series propagator.
 
     Raises if the series result drifts from unit norm by more than 1e-10, which
     would indicate the oracle itself is out of its validated range.
     """
-    raw = series_propagator(h, t) @ state_vector(psi0)
+    amps = np.asarray(psi0, dtype=complex).reshape(4)
+    require_normalized(amps)
+    raw = series_propagator(h, t) @ amps
     norm = float(np.linalg.norm(raw))
     if abs(norm - 1.0) > 1e-10:
         raise RuntimeError(f"series propagator lost normalization: |norm - 1| = {abs(norm - 1.0):.3e}")
-    return PureState(raw / norm)
+    return raw / norm
 
 
-def concurrence_sq_exact(state) -> float:
-    """Squared concurrence |<psi*| Y(x)Y |psi>|^2 of a normalized pure state.
+def concurrence_sq_exact(states):
+    """Squared concurrence |<psi*| Y(x)Y |psi>|^2 of normalized pure states.
 
-    For amplitudes (a, b, c, d) this equals 4|ad - bc|^2.  The result is clamped
-    to [0, 1] to absorb rounding.
+    For amplitudes (a, b, c, d) this equals 4|ad - bc|^2.  Takes a (4,) state
+    and returns a float, or an (n, 4) stack and returns the n values; each
+    is clamped to [0, 1] to absorb rounding.
     """
-    amps = state_vector(state)
+    amps = np.asarray(states, dtype=complex)
+    if amps.shape[-1:] != (4,) or amps.ndim > 2:
+        raise ValueError(f"expected a (4,) or (n, 4) array of states, got shape {amps.shape}")
     require_normalized(amps)
-    value = float(abs(amps @ (_YY @ amps)) ** 2)
-    return min(max(value, 0.0), 1.0)
+    rows = amps.reshape(-1, 4)
+    # Y(x)Y's entries are 0 and +/-1, so the stacked product is exact.
+    flipped = (_YY @ rows[:, :, None])[:, :, 0]
+    # The 4-term complex dot stays a per-row a @ w (BLAS zdotu): a stacked
+    # (1x4)@(4x1) matmul, einsum or vecdot sums in another order and moves
+    # the last bit of many values.
+    value = np.clip([abs(a @ w) ** 2 for a, w in zip(rows, flipped)], 0.0, 1.0)
+    return float(value[0]) if amps.ndim == 1 else value
 
 
 def negativity_sq(state) -> float:
@@ -260,7 +194,7 @@ def negativity_sq(state) -> float:
     For two qubits 4 * negativity_sq equals the squared concurrence, which makes
     this a convenient independent check on concurrence_sq_exact.
     """
-    amps = state_vector(state)
+    amps = np.asarray(state, dtype=complex).reshape(4)
     require_normalized(amps)
     rho = np.outer(amps, amps.conj())
     # Partial transpose on qubit 2: swap the second-qubit row/column indices.

@@ -269,7 +269,7 @@ def simulate_series(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     channel = CHANNEL_FOR_INPUT[input_id]
     table = _record(h, input_id, channel, plan, seed, eta, mode)
-    return build_series(input_id, plan, **{f"counts_{channel}": table})
+    return build_series(input_id, plan, table)
 
 
 def estimate_combination(

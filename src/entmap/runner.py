@@ -31,7 +31,7 @@ from .qcore import (
     PSI1,
     HamiltonianParams,
     concurrence_sq_exact,
-    evolve,
+    evolve_batch,
     imperfect_prep_concurrence_sq,
     sideband_frequencies,
 )
@@ -297,14 +297,7 @@ def build_plans(cfg: ExperimentConfig) -> dict[str, SamplingPlan]:
     guesses = planning_guesses(cfg.hamiltonian)
     for input_id, entry in cfg.plan_overrides.items():
         if "dt" in entry:
-            kwargs = (
-                {"ne_endpoint": entry["ne"]}
-                if entry["strategy"] == "endpoint"
-                else {"ne_per_point": entry["ne"]}
-            )
-            plans[input_id] = SamplingPlan(
-                nt=entry["nt"], dt=entry["dt"], strategy=entry["strategy"], **kwargs
-            )
+            plans[input_id] = SamplingPlan(entry["nt"], entry["dt"], entry["strategy"], entry["ne"])
         else:
             plans[input_id] = plan_observation(
                 guesses[input_id], entry["nt"], entry["ne"], entry["strategy"]
@@ -571,9 +564,8 @@ def cmd_robustness(cfg: ExperimentConfig) -> None:
     files = []
     rows = []
     for eta in cfg.robustness.etas:
-        psi0 = prepare_input(PrepSpec(PSI1, eta))
         times = plan.times()
-        exact = [concurrence_sq_exact(evolve(h, psi0, float(t))) for t in times]
+        exact = concurrence_sq_exact(evolve_batch(h, prepare_input(PrepSpec(PSI1, eta)), times))
         series = ConcurrenceSeries(times, exact, np.zeros(plan.nt, dtype=np.int64), "zz")
         spectrum = dft(series)
         tag = _eta_tag(eta)

@@ -29,19 +29,18 @@ class NoOscillationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SamplingPlan:
-    """Time grid t_j = j*dt for j = 1..nt, plus the shot budget per point.
+    """Time grid t_j = j*dt for j = 1..nt, plus the shot budget ne.
 
-    uniform: ne_per_point shots at every time point.
-    endpoint: ENDPOINT_INTERIOR_SHOTS shots at interior points and ne_endpoint
-    at each of the final two, concentrating statistics where the phase lever arm
-    is longest.
+    uniform: ne shots at every time point.
+    endpoint: ENDPOINT_INTERIOR_SHOTS shots at interior points and ne at each
+    of the final two, concentrating statistics where the phase lever arm is
+    longest.  Either way ne is the budget figure of the resolution formula.
     """
 
     nt: int
     dt: float
     strategy: str = "uniform"
-    ne_per_point: int = 1
-    ne_endpoint: int = 0
+    ne: int = 1
 
     def __post_init__(self) -> None:
         if not isinstance(self.nt, (int, np.integer)) or self.nt < 4:
@@ -50,15 +49,8 @@ class SamplingPlan:
             raise ValueError(f"dt must be a positive finite number, got {self.dt!r}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        if self.strategy == "uniform" and self.ne_per_point < 1:
-            raise ValueError("uniform strategy needs ne_per_point >= 1")
-        if self.strategy == "endpoint" and self.ne_endpoint < 1:
-            raise ValueError("endpoint strategy needs ne_endpoint >= 1")
-
-    @property
-    def ne(self) -> int:
-        """Per-point budget figure entering the resolution formula."""
-        return self.ne_endpoint if self.strategy == "endpoint" else self.ne_per_point
+        if not isinstance(self.ne, (int, np.integer)) or self.ne < 1:
+            raise ValueError(f"ne must be an integer >= 1, got {self.ne!r}")
 
     def times(self) -> np.ndarray:
         return self.dt * np.arange(1, self.nt + 1)
@@ -71,15 +63,15 @@ class SamplingPlan:
         """Shots at each time point, aligned with times()."""
         if self.strategy == "endpoint":
             shots = np.full(self.nt, ENDPOINT_INTERIOR_SHOTS, dtype=np.int64)
-            shots[-2:] = self.ne_endpoint
+            shots[-2:] = self.ne
             return shots
-        return np.full(self.nt, self.ne_per_point, dtype=np.int64)
+        return np.full(self.nt, self.ne, dtype=np.int64)
 
     def total_measurements(self) -> int:
         """Budget figure N; the endpoint strategy uses the 2*nt + 2*ne accounting."""
         if self.strategy == "endpoint":
-            return 2 * self.nt + 2 * self.ne_endpoint
-        return self.nt * self.ne_per_point
+            return 2 * self.nt + 2 * self.ne
+        return self.nt * self.ne
 
     @property
     def bin_width(self) -> float:
@@ -145,37 +137,18 @@ def plan_observation(omega_guess: float, nt: int, ne: int, strategy: str = "unif
             f"omega_guess must be positive and finite, got {omega_guess!r}; "
             "degenerate (zero) combinations take the DC path in the reconstruction layer"
         )
-    if ne < 1:
-        raise ValueError(f"ne must be >= 1, got {ne!r}")
     dt = 2.0 * math.pi / (2.0 * NYQUIST_MARGIN * 4.0 * omega_guess)
-    if strategy == "endpoint":
-        return SamplingPlan(nt=nt, dt=dt, strategy="endpoint", ne_endpoint=ne)
-    if strategy == "uniform":
-        return SamplingPlan(nt=nt, dt=dt, strategy="uniform", ne_per_point=ne)
-    raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-
-
-def _series_arrays(series) -> tuple[np.ndarray, np.ndarray, float]:
-    times = np.asarray(series.times, dtype=float)
-    values = np.asarray(series.values, dtype=float)
-    if times.size != values.size or times.size < 4:
-        raise ValueError("series needs at least 4 aligned time points")
-    steps = np.diff(times)
-    dt = float(series.dt)
-    if float(np.abs(steps - dt).max()) > 1e-9 * dt:
-        raise ValueError("series time grid is not uniform")
-    return times, values, dt
+    return SamplingPlan(nt, dt, strategy, ne)
 
 
 def dft(series) -> Spectrum:
-    """Magnitude of the one-sided DFT of the mean-subtracted series.
+    """Magnitude of the one-sided DFT of a ConcurrenceSeries' mean-subtracted values.
 
     The frequency grid is 2*pi*k/(nt*dt) for k = 0..nt//2.
     """
-    _, values, dt = _series_arrays(series)
-    centered = values - values.mean()
+    centered = series.values - series.values.mean()
     magnitudes = np.abs(np.fft.rfft(centered))
-    omegas = 2.0 * math.pi * np.fft.rfftfreq(values.size, d=dt)
+    omegas = 2.0 * math.pi * np.fft.rfftfreq(series.values.size, d=series.dt)
     return Spectrum(omegas, magnitudes)
 
 
@@ -322,7 +295,7 @@ def refine_frequency(
     """
     if not (math.isfinite(coarse_peak_omega) and coarse_peak_omega > 0):
         raise ValueError(f"coarse_peak_omega must be positive, got {coarse_peak_omega!r}")
-    times, values, _ = _series_arrays(series)
+    times, values = series.times, series.values
     shots = np.asarray(series.shots, dtype=float)
     weights = np.maximum(shots, 1.0)
 

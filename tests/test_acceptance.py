@@ -24,10 +24,9 @@ from entmap.gateerr import (
 from entmap.qcore import (
     INPUT_IDS,
     HamiltonianParams,
-    PureState,
     analytic_concurrence_sq,
     concurrence_sq_exact,
-    evolve,
+    evolve_batch,
     oracle_evolve,
 )
 from entmap.recon import (
@@ -51,16 +50,16 @@ def test_acceptance_1_closed_form_dynamics(acceptance_line):
     rng = np.random.default_rng(101)
     worst = 0.0
     inputs = {
-        "psi1": PureState(np.array([1, 0, 0, 0], dtype=complex)),
-        "psi2": PureState(np.array([0, 1, 0, 0], dtype=complex)),
-        "psi3": PureState(np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)),
-        "psi4": PureState(np.array([0.5, -0.5, 0.5, -0.5], dtype=complex)),
+        "psi1": np.array([1, 0, 0, 0], dtype=complex),
+        "psi2": np.array([0, 1, 0, 0], dtype=complex),
+        "psi3": np.array([0.5, 0.5, 0.5, 0.5], dtype=complex),
+        "psi4": np.array([0.5, -0.5, 0.5, -0.5], dtype=complex),
     }
     for _ in range(50):
         h = HamiltonianParams(*rng.uniform(-2.0, 2.0, size=3))
         for t in rng.uniform(-10.0, 10.0, size=20):
             for input_id in INPUT_IDS:
-                got = concurrence_sq_exact(evolve(h, inputs[input_id], float(t)))
+                got = concurrence_sq_exact(evolve_batch(h, inputs[input_id], [float(t)])[0])
                 want = analytic_concurrence_sq(input_id, h, float(t))
                 worst = max(worst, abs(got - want))
     elapsed = time.perf_counter() - t0
@@ -82,10 +81,10 @@ def test_acceptance_2_oracle_equivalence(acceptance_line):
     for _ in range(100):
         h = HamiltonianParams(*rng.uniform(-2.0, 2.0, size=3))
         amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-        psi0 = PureState.normalized(amps)
+        psi0 = amps / np.linalg.norm(amps)
         t = float(rng.uniform(-50.0, 50.0))
-        fast = evolve(h, psi0, t).amplitudes
-        slow = oracle_evolve(h, psi0, t).amplitudes
+        fast = evolve_batch(h, psi0, [t])[0]
+        slow = oracle_evolve(h, psi0, t)
         worst = max(worst, float(np.abs(fast - slow).max()))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 5.0

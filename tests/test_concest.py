@@ -20,8 +20,7 @@ from entmap.qcore import (
     HamiltonianParams,
     analytic_concurrence_sq,
     concurrence_sq_exact,
-    evolve,
-    state_vector,
+    evolve_batch,
 )
 from entmap.spectral import SamplingPlan
 
@@ -30,8 +29,13 @@ H_REF = HamiltonianParams(1.2, 0.6, 1.4)
 
 def exact_tables(input_id, h, t):
     """Exact (4,) zz and xz outcome probabilities of one evolved input."""
-    state = state_vector(evolve(h, prepare_input(PrepSpec(input_id)), t))
+    state = evolve_batch(h, prepare_input(PrepSpec(input_id)), [t])
     return outcome_probs_batch(state, BASIS_ZZ)[0], outcome_probs_batch(state, BASIS_XZ)[0]
+
+
+def channel_table(input_id, p_zz, p_xz):
+    """The table of the channel the input is read out in."""
+    return p_zz if CHANNEL_FOR_INPUT[input_id] == "zz" else p_xz
 
 
 def draw(rng, p, shots):
@@ -74,13 +78,13 @@ def test_reduced_matches_full_on_exact_tables():
             t = float(rng.uniform(0.05, 6.0))
             p_zz, p_xz = exact_tables(input_id, h, t)
             full = concurrence_sq_from_probs(p_zz, p_xz)
-            reduced = concurrence_sq_reduced(input_id, counts_zz=p_zz, counts_xz=p_xz)
+            reduced = concurrence_sq_reduced(input_id, channel_table(input_id, p_zz, p_xz))
             assert reduced == pytest.approx(full, abs=1e-12)
             rows[input_id].append((p_zz, p_xz, full, reduced))
     for input_id, entries in rows.items():
         p_zz, p_xz, full, reduced = (np.array(column) for column in zip(*entries))
         np.testing.assert_array_equal(concurrence_sq_from_probs(p_zz, p_xz), full)
-        np.testing.assert_array_equal(concurrence_sq_reduced(input_id, counts_zz=p_zz, counts_xz=p_xz), reduced)
+        np.testing.assert_array_equal(concurrence_sq_reduced(input_id, channel_table(input_id, p_zz, p_xz)), reduced)
 
 
 def test_reduced_estimators_converge_to_exact():
@@ -90,39 +94,34 @@ def test_reduced_estimators_converge_to_exact():
         h = HamiltonianParams(*rng.uniform(-2, 2, size=3))
         t = float(rng.uniform(0.05, 6.0))
         for input_id in INPUT_IDS:
-            state = evolve(h, prepare_input(PrepSpec(input_id)), t)
+            state = evolve_batch(h, prepare_input(PrepSpec(input_id)), [t])[0]
             p_zz, p_xz = exact_tables(input_id, h, t)
-            got = concurrence_sq_reduced(input_id, counts_zz=p_zz, counts_xz=p_xz)
+            got = concurrence_sq_reduced(input_id, channel_table(input_id, p_zz, p_xz))
             assert got == pytest.approx(concurrence_sq_exact(state), abs=1e-10)
 
 
 def test_reduced_psi1_from_counts():
-    assert concurrence_sq_reduced(PSI1, counts_zz=np.array([5, 0, 0, 5])) == pytest.approx(1.0)
-    assert concurrence_sq_reduced(PSI1, counts_zz=np.array([10, 0, 0, 0])) == 0.0
+    assert concurrence_sq_reduced(PSI1, np.array([5, 0, 0, 5])) == pytest.approx(1.0)
+    assert concurrence_sq_reduced(PSI1, np.array([10, 0, 0, 0])) == 0.0
 
 
 def test_counts_normalise_to_empirical_probs():
     """Integer rows are counts, normalised row by row; a row without shots has no probabilities."""
     counts = np.array([[5, 0, 0, 5], [4, 0, 0, 6], [10, 0, 0, 0]])
     np.testing.assert_allclose(
-        concurrence_sq_reduced(PSI1, counts_zz=counts), [1.0, 4.0 * 0.4 * 0.6, 0.0], atol=1e-15
+        concurrence_sq_reduced(PSI1, counts), [1.0, 4.0 * 0.4 * 0.6, 0.0], atol=1e-15
     )
     with pytest.raises(ValueError, match="zero shots"):
-        concurrence_sq_reduced(PSI1, counts_zz=np.zeros(4, dtype=int))
+        concurrence_sq_reduced(PSI1, np.zeros(4, dtype=int))
     with pytest.raises(ValueError, match="zero shots"):
         concurrence_sq_from_probs(np.array([[1, 0, 0, 0], [0, 0, 0, 0]]), np.array([[1, 0, 1, 0]] * 2))
     with pytest.raises(ValueError, match="shape"):
-        concurrence_sq_reduced(PSI1, counts_zz=np.array([1, 0, 0]))
+        concurrence_sq_reduced(PSI1, np.array([1, 0, 0]))
 
 
-def test_reduced_requires_the_right_channel():
-    counts = np.array([5, 0, 0, 5])
-    with pytest.raises(ValueError):
-        concurrence_sq_reduced(PSI1, counts_xz=counts)
-    with pytest.raises(ValueError):
-        concurrence_sq_reduced(PSI3, counts_zz=counts)
-    with pytest.raises(ValueError):
-        concurrence_sq_reduced("psi9", counts_zz=counts)
+def test_reduced_rejects_unknown_input():
+    with pytest.raises(ValueError, match="unknown input"):
+        concurrence_sq_reduced("psi9", np.array([5, 0, 0, 5]))
 
 
 def test_estimators_stay_in_range_on_noisy_counts():
@@ -137,7 +136,7 @@ def test_estimators_stay_in_range_on_noisy_counts():
         c_zz = draw(rng, p_zz, shots)
         c_xz = draw(rng, p_xz, shots)
         full = concurrence_sq_from_probs(c_zz, c_xz)
-        reduced = concurrence_sq_reduced(input_id, counts_zz=c_zz, counts_xz=c_xz)
+        reduced = concurrence_sq_reduced(input_id, channel_table(input_id, c_zz, c_xz))
         assert 0.0 <= full <= 1.0
         assert 0.0 <= reduced <= 1.0
 
@@ -148,7 +147,7 @@ def test_single_shot_psi1_estimates_are_zero():
     for t in np.linspace(0.2, 3.0, 10):
         p_zz, _ = exact_tables(PSI1, H_REF, float(t))
         counts = draw(rng, p_zz, 1)
-        assert concurrence_sq_reduced(PSI1, counts_zz=counts) == 0.0
+        assert concurrence_sq_reduced(PSI1, counts) == 0.0
 
 
 def test_single_shot_psi3_estimates_are_binary():
@@ -158,7 +157,7 @@ def test_single_shot_psi3_estimates_are_binary():
         p_zz, p_xz = exact_tables(PSI3, H_REF, float(t))
         c_zz = draw(rng, p_zz, 1)
         c_xz = draw(rng, p_xz, 1)
-        value = concurrence_sq_reduced(PSI3, counts_zz=c_zz, counts_xz=c_xz)
+        value = concurrence_sq_reduced(PSI3, c_xz)
         seen.add(round(value, 12))
     assert seen <= {0.0, 1.0}
 
@@ -214,9 +213,9 @@ def test_concurrence_series_requires_uniform_grid():
 
 
 def test_build_series_noiseless_matches_closed_form():
-    plan = SamplingPlan(nt=32, dt=0.3, strategy="uniform", ne_per_point=5)
+    plan = SamplingPlan(nt=32, dt=0.3, strategy="uniform", ne=5)
     tables = np.array([exact_tables(PSI2, H_REF, float(t))[0] for t in plan.times()])
-    series = build_series(PSI2, plan, counts_zz=tables)
+    series = build_series(PSI2, plan, tables)
     np.testing.assert_allclose(
         series.values, np.sin(3.6 * series.times) ** 2, atol=1e-10
     )
@@ -227,9 +226,9 @@ def test_build_series_noiseless_matches_closed_form():
 
 def test_build_series_records_shots():
     rng = np.random.default_rng(37)
-    plan = SamplingPlan(nt=16, dt=0.3, strategy="uniform", ne_per_point=7)
+    plan = SamplingPlan(nt=16, dt=0.3, strategy="uniform", ne=7)
     counts = np.array([draw(rng, exact_tables(PSI1, H_REF, float(t))[0], 7) for t in plan.times()])
-    series = build_series(PSI1, plan, counts_zz=counts)
+    series = build_series(PSI1, plan, counts)
     assert np.all(series.shots == 7)
     assert np.all(series.values >= 0.0) and np.all(series.values <= 1.0)
     np.testing.assert_array_equal(series.counts, counts)
@@ -239,8 +238,8 @@ def test_build_series_rejects_incomplete_data():
     plan = SamplingPlan(nt=8, dt=0.3)
     tables = np.array([exact_tables(PSI1, H_REF, float(t))[0] for t in plan.times()])
     with pytest.raises(ValueError):
-        build_series(PSI1, plan, counts_xz=tables)
+        build_series(PSI1, plan, tables[:-1])
+    with pytest.raises(ValueError, match="shape"):
+        build_series(PSI1, plan, tables[:, :3])
     with pytest.raises(ValueError):
-        build_series(PSI1, plan, counts_zz=tables[:-1])
-    with pytest.raises(ValueError):
-        build_series("psi9", plan, counts_zz=tables)
+        build_series("psi9", plan, tables)

@@ -50,6 +50,8 @@ def test_effective_error_basis_invariance():
 def test_effective_error_rejects_non_unitary():
     with pytest.raises(ValueError):
         effective_error(np.eye(4) * 1.2, np.eye(4))
+    with pytest.raises(ValueError, match="not unitary"):
+        effective_error(np.eye(4), np.eye(4) * 1.5)
 
 
 def test_ising_trace_formula_matches_closed_form():

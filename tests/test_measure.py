@@ -16,7 +16,7 @@ from entmap.measure import (
     sample_counts_batch,
     stream_words,
 )
-from entmap.qcore import ALL_INPUTS, PSI1, PSI2, PSI3, PSI4, HamiltonianParams, PureState, evolve_batch
+from entmap.qcore import ALL_INPUTS, PSI1, PSI2, PSI3, PSI4, HamiltonianParams, evolve_batch
 from entmap.spectral import plan_observation
 
 H_REF = HamiltonianParams(1.2, 0.6, 1.4)
@@ -24,23 +24,23 @@ H_REF = HamiltonianParams(1.2, 0.6, 1.4)
 
 def test_ideal_preparations():
     np.testing.assert_allclose(
-        prepare_input(PrepSpec(PSI1)).amplitudes, [1, 0, 0, 0], atol=1e-15
+        prepare_input(PrepSpec(PSI1)), [1, 0, 0, 0], atol=1e-15
     )
     np.testing.assert_allclose(
-        prepare_input(PrepSpec(PSI3)).amplitudes, [0.5, 0.5, 0.5, 0.5], atol=1e-15
+        prepare_input(PrepSpec(PSI3)), [0.5, 0.5, 0.5, 0.5], atol=1e-15
     )
     np.testing.assert_allclose(
-        prepare_input(PrepSpec(PSI4)).amplitudes, [0.5, -0.5, 0.5, -0.5], atol=1e-15
+        prepare_input(PrepSpec(PSI4)), [0.5, -0.5, 0.5, -0.5], atol=1e-15
     )
 
 
 def test_contaminated_preparation_mixes_the_partner():
     eta = 0.04
     norm = 1.0 / np.sqrt(1.0 + eta)
-    got = prepare_input(PrepSpec(PSI1, eta)).amplitudes
+    got = prepare_input(PrepSpec(PSI1, eta))
     np.testing.assert_allclose(got, [norm, np.sqrt(eta) * norm, 0.0, 0.0], atol=1e-12)
 
-    got34 = prepare_input(PrepSpec(PSI3, eta)).amplitudes
+    got34 = prepare_input(PrepSpec(PSI3, eta))
     base = np.array([0.5, 0.5, 0.5, 0.5])
     partner = np.array([0.5, -0.5, 0.5, -0.5])
     np.testing.assert_allclose(got34, norm * (base + np.sqrt(eta) * partner), atol=1e-12)
@@ -64,13 +64,13 @@ def test_basis_rotation_shapes():
 
 
 def test_outcome_probs_computational_state():
-    p = outcome_probs_batch(PureState.computational("01").amplitudes, BASIS_ZZ)
+    p = outcome_probs_batch([0.0, 1.0, 0.0, 0.0], BASIS_ZZ)
     np.testing.assert_allclose(p, [[0.0, 1.0, 0.0, 0.0]], atol=1e-15)
 
 
 def test_outcome_probs_x_measurement_of_z_eigenstate():
     """|00> is undetermined along x on qubit one, definite along z on qubit two."""
-    p = outcome_probs_batch(PureState.computational("00").amplitudes, BASIS_XZ)
+    p = outcome_probs_batch([1.0, 0.0, 0.0, 0.0], BASIS_XZ)
     np.testing.assert_allclose(p, [[0.5, 0.0, 0.5, 0.0]], atol=1e-15)
 
 

@@ -3,27 +3,26 @@
 import numpy as np
 import pytest
 
-from entmap.measure import PrepSpec, prepare_input
+from entmap.measure import BASIS_ZZ, PrepSpec, outcome_probs_batch, prepare_input
 from entmap.qcore import (
+    ALL_INPUTS,
     INPUT_IDS,
+    PAULI_Y,
     PSI1,
     PSI2,
     PSI3,
     PSI4,
     HamiltonianParams,
-    PureState,
-    TwoQubitUnitary,
     analytic_concurrence_sq,
     bell_spectrum,
     concurrence_sq_exact,
-    evolve,
+    evolve_batch,
     imperfect_prep_concurrence_sq,
     input_combination,
     negativity_sq,
     oracle_evolve,
     propagator,
     series_propagator,
-    state_vector,
 )
 
 H_REF = HamiltonianParams(1.2, 0.6, 1.4)
@@ -36,19 +35,25 @@ def random_hamiltonian(rng, scale=2.0):
 
 def random_state(rng):
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-    return PureState.normalized(amps)
+    return amps / np.linalg.norm(amps)
+
+
+def basis_state(index):
+    amps = np.zeros(4, dtype=complex)
+    amps[index] = 1.0
+    return amps
 
 
 def test_bell_spectrum_reference_values():
     spec = bell_spectrum(H_REF)
-    np.testing.assert_allclose(spec.as_array(), [2.0, 0.8, 0.4, -3.2], atol=1e-14)
+    np.testing.assert_allclose(spec, [2.0, 0.8, 0.4, -3.2], atol=1e-14)
 
 
 def test_bell_spectrum_is_traceless():
     rng = np.random.default_rng(3)
     for _ in range(25):
         h = random_hamiltonian(rng)
-        assert abs(bell_spectrum(h).as_array().sum()) < 1e-12
+        assert abs(bell_spectrum(h).sum()) < 1e-12
 
 
 def test_hamiltonian_matrix_matches_spectrum():
@@ -57,7 +62,7 @@ def test_hamiltonian_matrix_matches_spectrum():
     for _ in range(10):
         h = random_hamiltonian(rng)
         eigs = np.sort(np.linalg.eigvalsh(h.matrix()))
-        np.testing.assert_allclose(eigs, np.sort(bell_spectrum(h).as_array()), atol=1e-12)
+        np.testing.assert_allclose(eigs, np.sort(bell_spectrum(h)), atol=1e-12)
 
 
 def test_hamiltonian_params_rejects_non_finite():
@@ -67,29 +72,52 @@ def test_hamiltonian_params_rejects_non_finite():
         HamiltonianParams(0.0, np.inf, 0.0)
 
 
-def test_pure_state_requires_normalization():
-    with pytest.raises(ValueError):
-        PureState(np.array([1.0, 1.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        PureState.normalized(np.zeros(4))
+def test_consumers_require_normalized_states():
+    for state in (np.array([1.0, 1.0, 0.0, 0.0]), np.zeros(4)):
+        with pytest.raises(ValueError, match="normalized"):
+            evolve_batch(H_REF, state, [0.5])
+        with pytest.raises(ValueError, match="normalized"):
+            concurrence_sq_exact(state)
+        with pytest.raises(ValueError, match="normalized"):
+            negativity_sq(state)
+        with pytest.raises(ValueError, match="normalized"):
+            oracle_evolve(H_REF, state, 0.5)
 
 
-def test_computational_labels():
-    np.testing.assert_array_equal(
-        state_vector(PureState.computational("10")), [0.0, 0.0, 1.0, 0.0]
-    )
-    with pytest.raises(ValueError):
-        PureState.computational("2")
+def test_consumers_reject_nan_states():
+    nan_state = np.array([np.nan, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        evolve_batch(H_REF, nan_state, [0.5])
+    with pytest.raises(ValueError, match="finite"):
+        concurrence_sq_exact(nan_state)
+    with pytest.raises(ValueError, match="finite"):
+        negativity_sq(nan_state)
+    with pytest.raises(ValueError, match="finite"):
+        oracle_evolve(H_REF, nan_state, 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        outcome_probs_batch(nan_state, BASIS_ZZ)
 
 
-def test_unitary_construction_rejects_non_unitary():
-    with pytest.raises(ValueError):
-        TwoQubitUnitary(np.eye(4) * 1.5)
+def test_batched_concurrence_is_bit_identical_to_the_per_row_dot():
+    """Stacked C^2 of evolved states equals abs(a @ (YY @ a))**2 row by row, clamped."""
+    yy = np.kron(PAULI_Y, PAULI_Y)
+    rng = np.random.default_rng(12)
+    times = np.linspace(0.05, 40.0, 400)
+    for _ in range(8):
+        h = random_hamiltonian(rng)
+        for input_id in ALL_INPUTS:
+            for eta in (0.0, 0.05):
+                states = evolve_batch(h, prepare_input(PrepSpec(input_id, eta)), times)
+                want = [min(max(float(abs(a @ (yy @ a)) ** 2), 0.0), 1.0) for a in states]
+                got = concurrence_sq_exact(states)
+                assert got.shape == (times.size,)
+                np.testing.assert_array_equal(got, want)
+                assert concurrence_sq_exact(states[7]) == want[7]
 
 
 def test_propagator_identity_at_t0():
     u = propagator(H_REF, 0.0)
-    np.testing.assert_allclose(u.matrix, np.eye(4), atol=1e-14)
+    np.testing.assert_allclose(u, np.eye(4), atol=1e-14)
 
 
 def test_propagator_is_unitary_and_composes():
@@ -97,8 +125,8 @@ def test_propagator_is_unitary_and_composes():
     for _ in range(10):
         h = random_hamiltonian(rng)
         t1, t2 = rng.uniform(-5, 5, size=2)
-        u12 = propagator(h, float(t1 + t2)).matrix
-        u1u2 = propagator(h, float(t1)).matrix @ propagator(h, float(t2)).matrix
+        u12 = propagator(h, float(t1 + t2))
+        u1u2 = propagator(h, float(t1)) @ propagator(h, float(t2))
         np.testing.assert_allclose(u12, u1u2, atol=1e-12)
 
 
@@ -106,7 +134,7 @@ def test_evolve_psi1_closed_form():
     """|00> mixes only with |11>, at the rate set by c1 - c2."""
     w = 1.2 - 0.6
     for t in np.linspace(-4.0, 4.0, 17):
-        got = state_vector(evolve(H_REF, PureState.computational("00"), float(t)))
+        got = evolve_batch(H_REF, basis_state(0), [float(t)])[0]
         phase = np.exp(-1j * 1.4 * t)
         want = phase * np.array([np.cos(w * t), 0.0, 0.0, -1j * np.sin(w * t)])
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -132,20 +160,20 @@ def test_evolve_matches_series_oracle():
         h = random_hamiltonian(rng)
         psi0 = random_state(rng)
         t = float(rng.uniform(-50, 50))
-        fast = state_vector(evolve(h, psi0, t))
-        slow = state_vector(oracle_evolve(h, psi0, t))
+        fast = evolve_batch(h, psi0, [t])[0]
+        slow = oracle_evolve(h, psi0, t)
         np.testing.assert_allclose(fast, slow, atol=1e-9)
 
 
 def test_concurrence_product_states_zero():
-    assert concurrence_sq_exact(PureState.computational("00")) == 0.0
-    assert concurrence_sq_exact(PureState.computational("01")) == 0.0
-    plus_plus = PureState.normalized([1.0, 1.0, 1.0, 1.0])
+    assert concurrence_sq_exact(basis_state(0)) == 0.0
+    assert concurrence_sq_exact(basis_state(1)) == 0.0
+    plus_plus = np.full(4, 0.5)
     assert concurrence_sq_exact(plus_plus) < 1e-15
 
 
 def test_concurrence_bell_state_is_one():
-    bell = PureState.normalized([0.0, 1.0, 1.0, 0.0])
+    bell = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)
     assert concurrence_sq_exact(bell) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -155,7 +183,7 @@ def test_concurrence_range_and_phase_invariance():
         psi = random_state(rng)
         c2 = concurrence_sq_exact(psi)
         assert 0.0 <= c2 <= 1.0
-        rotated = PureState(np.exp(1j * rng.uniform(0, 2 * np.pi)) * psi.amplitudes)
+        rotated = np.exp(1j * rng.uniform(0, 2 * np.pi)) * psi
         assert concurrence_sq_exact(rotated) == pytest.approx(c2, abs=1e-12)
 
 
@@ -193,7 +221,7 @@ def test_analytic_matches_exact_dynamics():
         for input_id in INPUT_IDS:
             for t in rng.uniform(0.0, 8.0, size=5):
                 psi0 = _ideal_input(input_id)
-                got = concurrence_sq_exact(evolve(h, psi0, float(t)))
+                got = concurrence_sq_exact(evolve_batch(h, psi0, [float(t)])[0])
                 want = analytic_concurrence_sq(input_id, h, float(t))
                 assert got == pytest.approx(want, abs=1e-10)
 
@@ -205,7 +233,7 @@ def _ideal_input(input_id):
         PSI3: [0.5, 0.5, 0.5, 0.5],
         PSI4: [0.5, -0.5, 0.5, -0.5],
     }
-    return PureState(np.array(table[input_id], dtype=complex))
+    return np.array(table[input_id], dtype=complex)
 
 
 def test_imperfect_prep_reduces_to_ideal_at_eta_zero():
@@ -225,9 +253,7 @@ def test_imperfect_prep_first_order_error_scales_as_eta_sq():
         worst = {}
         for eta in (0.02, 0.04):
             psi0 = prepare_input(PrepSpec(PSI1, eta))
-            exact = np.array(
-                [concurrence_sq_exact(evolve(h, psi0, float(tt))) for tt in t]
-            )
+            exact = concurrence_sq_exact(evolve_batch(h, psi0, t))
             curve = imperfect_prep_concurrence_sq(h, eta, t)
             worst[eta] = float(np.abs(exact - curve).max())
         # doubling eta should roughly quadruple the truncation error
@@ -244,4 +270,4 @@ def test_imperfect_prep_rejects_bad_eta():
 
 def test_evolve_rejects_non_finite_time():
     with pytest.raises(ValueError):
-        evolve(H_REF, PureState.computational("00"), np.nan)
+        evolve_batch(H_REF, basis_state(0), [np.nan])

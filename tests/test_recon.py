@@ -17,7 +17,7 @@ from entmap.qcore import (
     PSI4,
     HamiltonianParams,
     bell_spectrum,
-    evolve,
+    evolve_batch,
 )
 from entmap.recon import (
     SIGN_CONVENTION,
@@ -270,18 +270,18 @@ def reference_series_data(h, input_id, plan, seed, eta, mode):
     shots = plan.shots()
     rows, values = [], []
     for j, t in enumerate(plan.times()):
-        state = evolve(h, psi0, float(t))
-        phases = np.exp(-1j * bell_spectrum(h).as_array() * float(t))
-        vec = BELL_BASIS @ (phases * (BELL_BASIS.T @ psi0.amplitudes))
-        np.testing.assert_array_equal(state.amplitudes, vec / np.linalg.norm(vec))
-        p = np.abs(basis.rotation() @ state.amplitudes) ** 2
+        state = evolve_batch(h, psi0, [float(t)])[0]
+        phases = np.exp(-1j * bell_spectrum(h) * float(t))
+        vec = BELL_BASIS @ (phases * (BELL_BASIS.T @ psi0))
+        np.testing.assert_array_equal(state, vec / np.linalg.norm(vec))
+        p = np.abs(basis.rotation() @ state) ** 2
         row = np.clip(p / p.sum(), 0.0, 1.0)
         if mode == "sampled":
             key = (ALL_INPUTS.index(input_id), j, CHANNELS.index(channel))
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
             row = rng.multinomial(int(shots[j]), row / row.sum())
         rows.append(row)
-        values.append(concurrence_sq_reduced(input_id, **{f"counts_{channel}": row}))
+        values.append(concurrence_sq_reduced(input_id, row))
     return np.array(rows), np.array(values)
 
 

@@ -38,7 +38,7 @@ def test_plan_observation_reference_step():
     plan = plan_observation(0.6, 200, 10)
     assert plan.dt == pytest.approx(math.pi / 3.0, rel=1e-15)
     assert plan.nt == 200
-    assert plan.ne_per_point == 10
+    assert plan.ne == 10
     assert plan.strategy == "uniform"
 
 
@@ -70,6 +70,8 @@ def test_plan_observation_validation():
         plan_observation(0.6, 100, 0)
     with pytest.raises(ValueError):
         plan_observation(0.6, 3, 10)
+    with pytest.raises(ValueError, match="strategy"):
+        plan_observation(0.6, 100, 10, "adaptive")
 
 
 def test_sampling_plan_validation():
@@ -78,13 +80,15 @@ def test_sampling_plan_validation():
     with pytest.raises(ValueError):
         SamplingPlan(nt=100, dt=0.1, strategy="adaptive")
     with pytest.raises(ValueError):
-        SamplingPlan(nt=100, dt=0.1, strategy="uniform", ne_per_point=0)
+        SamplingPlan(nt=100, dt=0.1, strategy="uniform", ne=0)
     with pytest.raises(ValueError):
-        SamplingPlan(nt=100, dt=0.1, strategy="endpoint", ne_endpoint=0)
+        SamplingPlan(nt=100, dt=0.1, strategy="endpoint", ne=0)
+    with pytest.raises(ValueError, match="integer"):
+        SamplingPlan(nt=100, dt=0.1, strategy="uniform", ne=2.5)
 
 
 def test_uniform_plan_accounting():
-    plan = SamplingPlan(nt=50, dt=0.2, strategy="uniform", ne_per_point=6)
+    plan = SamplingPlan(nt=50, dt=0.2, strategy="uniform", ne=6)
     assert plan.total_measurements() == 300
     np.testing.assert_array_equal(plan.shots(), np.full(50, 6))
     assert plan.observation_time == pytest.approx(10.0)
@@ -156,7 +160,7 @@ def test_refine_falls_back_when_no_sine_squared_fits():
     """A pure positive cosine needs a negative amplitude, which is rejected."""
     nt, dt = 64, 0.5
     series = cosine_series(nt, dt, 0.2, 2.4, 0.3)
-    plan = SamplingPlan(nt=nt, dt=dt, strategy="uniform", ne_per_point=10)
+    plan = SamplingPlan(nt=nt, dt=dt, strategy="uniform", ne=10)
     spectrum = dft(series)
     peak = find_peak(spectrum)
     est = refine_frequency(series, spectrum, peak.omega, plan)
