@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from entmap.gateerr import effective_error
 from entmap.measure import BASIS_ZZ, PrepSpec, outcome_probs_batch, prepare_input
 from entmap.qcore import (
     ALL_INPUTS,
@@ -113,6 +114,14 @@ def test_batched_concurrence_is_bit_identical_to_the_per_row_dot():
                 assert got.shape == (times.size,)
                 np.testing.assert_array_equal(got, want)
                 assert concurrence_sq_exact(states[7]) == want[7]
+
+
+def test_unitary_construction_rejects_non_unitary():
+    # Unitaries are plain (4, 4) arrays; the unitarity check lives where they are consumed.
+    u = propagator(H_REF, 0.3)
+    assert effective_error(u, u) == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(ValueError, match="not unitary"):
+        effective_error(np.eye(4) * 1.5, u)
 
 
 def test_propagator_identity_at_t0():
