@@ -80,6 +80,13 @@ def require_normalized(amps: np.ndarray, tol: float = 1e-9) -> None:
         raise ValueError(f"state must be normalized, |norm^2 - 1| = {deviation:.3e}")
 
 
+def _as_state(psi) -> np.ndarray:
+    """psi as a (4,) complex array, checked by require_normalized."""
+    amps = np.asarray(psi, dtype=complex).reshape(4)
+    require_normalized(amps)
+    return amps
+
+
 def bell_spectrum(h: HamiltonianParams) -> np.ndarray:
     """Closed-form eigenvalues of the coupling in the Bell basis, as (Phi+, Phi-, Psi+, Psi-).
 
@@ -100,8 +107,7 @@ def evolve_batch(h: HamiltonianParams, psi0, times) -> np.ndarray:
     times = np.asarray(times, dtype=float).reshape(-1)
     if not np.all(np.isfinite(times)):
         raise ValueError(f"times must be finite, got {float(times[~np.isfinite(times)][0])!r}")
-    amps = np.asarray(psi0, dtype=complex).reshape(4)
-    require_normalized(amps)
+    amps = _as_state(psi0)
     coeffs = BELL_BASIS.T @ amps
     phases = np.exp(-1j * bell_spectrum(h) * times[:, None])
     out = (BELL_BASIS @ (phases * coeffs)[:, :, None])[:, :, 0]
@@ -158,8 +164,7 @@ def oracle_evolve(h: HamiltonianParams, psi0, t: float) -> np.ndarray:
     Raises if the series result drifts from unit norm by more than 1e-10, which
     would indicate the oracle itself is out of its validated range.
     """
-    amps = np.asarray(psi0, dtype=complex).reshape(4)
-    require_normalized(amps)
+    amps = _as_state(psi0)
     raw = series_propagator(h, t) @ amps
     norm = float(np.linalg.norm(raw))
     if abs(norm - 1.0) > 1e-10:
@@ -194,8 +199,7 @@ def negativity_sq(state) -> float:
     For two qubits 4 * negativity_sq equals the squared concurrence, which makes
     this a convenient independent check on concurrence_sq_exact.
     """
-    amps = np.asarray(state, dtype=complex).reshape(4)
-    require_normalized(amps)
+    amps = _as_state(state)
     rho = np.outer(amps, amps.conj())
     # Partial transpose on qubit 2: swap the second-qubit row/column indices.
     pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)

@@ -95,6 +95,11 @@ def test_closed_form_reference_points():
         )
 
 
+def test_pulses_are_unitary():
+    for u in (ising_cnot_pulse(0.7), ising_cnot_pulse(0.7, 1.1), sqrtswap_pulse(1.3), sqrtswap_pulse(1.3, 0.9)):
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
+
+
 def test_pulse_validation():
     with pytest.raises(ValueError):
         ising_cnot_pulse(0.0)

@@ -134,9 +134,10 @@ def test_propagator_is_unitary_and_composes():
     for _ in range(10):
         h = random_hamiltonian(rng)
         t1, t2 = rng.uniform(-5, 5, size=2)
-        u12 = propagator(h, float(t1 + t2))
-        u1u2 = propagator(h, float(t1)) @ propagator(h, float(t2))
-        np.testing.assert_allclose(u12, u1u2, atol=1e-12)
+        u1, u2, u12 = (propagator(h, float(t)) for t in (t1, t2, t1 + t2))
+        for u in (u1, u2, u12):
+            np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(u12, u1 @ u2, atol=1e-12)
 
 
 def test_evolve_psi1_closed_form():
