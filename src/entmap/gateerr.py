@@ -141,12 +141,4 @@ def measurements_for_threshold(p_target: float, nt: int, gate: str = GATE_ISING_
             ne += 1
         while ne > 1 and perr(resolution_epsilon(nt, ne - 1)) <= p_target:
             ne -= 1
-    epsilon = resolution_epsilon(nt, ne)
-    return GateErrorReport(
-        gate=gate,
-        epsilon=epsilon,
-        p_eff=perr(epsilon),
-        nt=int(nt),
-        ne=int(ne),
-        total_measurements=2 * int(nt) + 2 * int(ne),
-    )
+    return budget_curve(nt, [ne], gate=gate)[0]

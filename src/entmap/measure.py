@@ -8,7 +8,6 @@ means rotating it by a Hadamard and reading out in Z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,35 +17,11 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
 PROB_TOL = 1e-12
 
-# Seed-stream tags for the two measurement channels.
-CHANNELS = ("zz", "xz")
-
-
-@dataclass(frozen=True)
-class BasisPair:
-    """Single-qubit measurement axes for the two qubits; each axis is X or Z."""
-
-    axis1: str
-    axis2: str
-
-    def __post_init__(self) -> None:
-        for axis in (self.axis1, self.axis2):
-            if axis not in ("X", "Z"):
-                raise ValueError(f"measurement axis must be X or Z, got {axis!r}")
-
-    def rotation(self) -> np.ndarray:
-        u1 = HADAMARD if self.axis1 == "X" else np.eye(2, dtype=complex)
-        u2 = HADAMARD if self.axis2 == "X" else np.eye(2, dtype=complex)
-        return np.kron(u1, u2)
-
-    def tag(self) -> str:
-        return (self.axis1 + self.axis2).lower()
-
-
-BASIS_ZZ = BasisPair("Z", "Z")
-BASIS_XZ = BasisPair("X", "Z")
-
-BASIS_BY_TAG = {"zz": BASIS_ZZ, "xz": BASIS_XZ}
+# Readout rotation of each measurement channel, keyed by the channel's name:
+# zz reads both qubits in Z, xz turns qubit 1 by a Hadamard to read it in X.
+# The key order fixes each channel's seed-stream tag.
+READOUT_ROTATIONS = {"zz": np.eye(4, dtype=complex), "xz": np.kron(HADAMARD, np.eye(2, dtype=complex))}
+CHANNELS = tuple(READOUT_ROTATIONS)
 
 
 def _checked_prob_rows(p: np.ndarray) -> np.ndarray:
@@ -61,26 +36,6 @@ def _checked_prob_rows(p: np.ndarray) -> np.ndarray:
     if np.any(off):
         raise ValueError(f"probabilities sum to {sums[off][0]!r}, expected 1")
     return np.clip(p, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class PrepSpec:
-    """Which protocol input to prepare, and how imperfectly.
-
-    eta is the weight of an orthogonal contaminant mixed coherently into the
-    target: psi = (target + sqrt(eta) * partner) / sqrt(1 + eta).  The partner
-    flips the second qubit within its own preparation basis, so psi1 <-> psi2,
-    psi3 <-> psi4, and the tie-breaking |0>|+> takes |0>|->.
-    """
-
-    input_id: str
-    eta: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.input_id not in ALL_INPUTS:
-            raise ValueError(f"unknown input id {self.input_id!r}")
-        if not (isinstance(self.eta, (int, float)) and 0.0 <= self.eta < 1.0):
-            raise ValueError(f"eta must lie in [0, 1), got {self.eta!r}")
 
 
 _BASE_AMPLITUDES = {
@@ -100,24 +55,35 @@ _CONTAMINANT_AMPLITUDES = {
 }
 
 
-def prepare_input(spec: PrepSpec) -> np.ndarray:
-    """Amplitudes of the (possibly contaminated) protocol input state."""
-    base = _BASE_AMPLITUDES[spec.input_id]
-    if spec.eta == 0.0:
+def prepare_input(input_id: str, eta: float = 0.0) -> np.ndarray:
+    """Amplitudes of a protocol input, optionally contaminated with weight eta.
+
+    psi = (target + sqrt(eta) * partner) / sqrt(1 + eta), with eta in [0, 1).
+    The partner flips the second qubit within its own preparation basis, so
+    psi1 <-> psi2, psi3 <-> psi4, and the tie-breaking |0>|+> takes |0>|->.
+    """
+    if input_id not in ALL_INPUTS:
+        raise ValueError(f"unknown input id {input_id!r}")
+    if not (isinstance(eta, (int, float)) and 0.0 <= eta < 1.0):
+        raise ValueError(f"eta must lie in [0, 1), got {eta!r}")
+    base = _BASE_AMPLITUDES[input_id]
+    if eta == 0.0:
         return base.copy()
-    partner = _CONTAMINANT_AMPLITUDES[spec.input_id]
-    return (base + math.sqrt(spec.eta) * partner) / math.sqrt(1.0 + spec.eta)
+    partner = _CONTAMINANT_AMPLITUDES[input_id]
+    return (base + math.sqrt(eta) * partner) / math.sqrt(1.0 + eta)
 
 
-def outcome_probs_batch(states, basis: BasisPair) -> np.ndarray:
-    """Exact outcome probabilities, one (++, +-, -+, --) row per state row.
+def outcome_probs_batch(states, channel: str) -> np.ndarray:
+    """Exact outcome probabilities in one channel, one (++, +-, -+, --) row per state row.
 
     The rotation is a stacked mat-vec, so a row's bits do not depend on the
     other rows passed with it.
     """
+    if channel not in READOUT_ROTATIONS:
+        raise ValueError(f"unknown channel {channel!r}")
     amps = np.asarray(states, dtype=complex).reshape(-1, 4)
     require_normalized(amps)
-    rotated = (basis.rotation() @ amps[:, :, None])[:, :, 0]
+    rotated = (READOUT_ROTATIONS[channel] @ amps[:, :, None])[:, :, 0]
     p = np.abs(rotated) ** 2
     return _checked_prob_rows(p / p.sum(axis=1, keepdims=True))
 

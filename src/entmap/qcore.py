@@ -44,6 +44,17 @@ BELL_BASIS = np.array(
     ]
 ) / math.sqrt(2.0)
 
+# Rows map (c1, c2, c3) to the signed combination each input of INPUT_IDS
+# oscillates at: (c1-c2, c1+c2, c2-c3, c2+c3).
+COMBINATION_MATRIX = np.array(
+    [
+        [1.0, -1.0, 0.0],
+        [1.0, 1.0, 0.0],
+        [0.0, 1.0, -1.0],
+        [0.0, 1.0, 1.0],
+    ]
+)
+
 
 @dataclass(frozen=True)
 class HamiltonianParams:
@@ -208,29 +219,19 @@ def negativity_sq(state) -> float:
     return negative_sum * negative_sum
 
 
-def input_combination(input_id: str, h: HamiltonianParams) -> float:
-    """Signed coupling combination whose magnitude sets the oscillation of an input.
-
-    psi1 -> c1 - c2, psi2 -> c1 + c2, psi3 -> c2 - c3, psi4 -> c2 + c3.
-    """
-    c1, c2, c3 = h.as_tuple()
-    table = {
-        PSI1: c1 - c2,
-        PSI2: c1 + c2,
-        PSI3: c2 - c3,
-        PSI4: c2 + c3,
-    }
-    if input_id not in table:
-        raise ValueError(f"unknown input id {input_id!r}")
-    return table[input_id]
+def combinations(h: HamiltonianParams) -> np.ndarray:
+    """Signed combinations (c1-c2, c1+c2, c2-c3, c2+c3), one per protocol input."""
+    return COMBINATION_MATRIX @ np.array(h.as_tuple())
 
 
 def analytic_concurrence_sq(input_id: str, h: HamiltonianParams, t):
-    """Closed-form C^2(t) = sin^2(2 w t) for a protocol input, w = input_combination.
+    """Closed-form C^2(t) = sin^2(2 w t) for a protocol input, w its row of combinations(h).
 
     Accepts scalar or array t.
     """
-    w = input_combination(input_id, h)
+    if input_id not in INPUT_IDS:
+        raise ValueError(f"unknown input id {input_id!r}")
+    w = combinations(h)[INPUT_IDS.index(input_id)]
     return np.sin(2.0 * w * np.asarray(t, dtype=float)) ** 2
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .concest import CHANNEL_FOR_INPUT, ConcurrenceSeries, build_series
-from .measure import BASIS_BY_TAG, PrepSpec, outcome_probs_batch, prepare_input, sample_counts_batch
-from .qcore import INPUT_IDS, PSI1, PSI5, HamiltonianParams, evolve_batch
+from .measure import outcome_probs_batch, prepare_input, sample_counts_batch
+from .qcore import COMBINATION_MATRIX, INPUT_IDS, PSI1, PSI5, HamiltonianParams, combinations, evolve_batch
 from .spectral import (
     FrequencyEstimate,
     NoOscillationError,
@@ -25,16 +25,6 @@ from .spectral import (
     find_peak,
     plan_observation,
     refine_frequency,
-)
-
-# Rows map (c1, c2, c3) to the signed combinations (c1-c2, c1+c2, c2-c3, c2+c3).
-COMBINATION_MATRIX = np.array(
-    [
-        [1.0, -1.0, 0.0],
-        [1.0, 1.0, 0.0],
-        [0.0, 1.0, -1.0],
-        [0.0, 1.0, 1.0],
-    ]
 )
 
 SIGN_CONVENTION = "c2 >= 0"
@@ -111,14 +101,6 @@ class CharacterizationReport:
     quad: FrequencyQuad
     estimates: dict[str, FrequencyEstimate]
     degenerate: dict[str, bool]
-    seed: int
-    mode: str
-    eta: float
-
-
-def combinations(h: HamiltonianParams) -> np.ndarray:
-    """Signed combinations (c1-c2, c1+c2, c2-c3, c2+c3)."""
-    return COMBINATION_MATRIX @ np.array(h.as_tuple())
 
 
 def quad_from_params(h: HamiltonianParams, fractional: float = 0.0) -> FrequencyQuad:
@@ -245,8 +227,8 @@ def _record(
     "sampled" draws integer counts, point j from its own point_rng stream;
     "noiseless" returns the exact outcome probabilities.
     """
-    states = evolve_batch(h, prepare_input(PrepSpec(input_id, eta)), plan.times())
-    probs = outcome_probs_batch(states, BASIS_BY_TAG[channel])
+    states = evolve_batch(h, prepare_input(input_id, eta), plan.times())
+    probs = outcome_probs_batch(states, channel)
     if mode == "noiseless":
         return probs
     return sample_counts_batch(probs, plan.shots(), seed, input_id, channel)
@@ -323,9 +305,6 @@ def characterize(
         quad=quad,
         estimates=estimates,
         degenerate=degenerate,
-        seed=int(seed),
-        mode=mode,
-        eta=float(eta),
     )
 
 
@@ -350,10 +329,10 @@ def _resolve_with_fifth_input(
     guess = max(abs(r.c_hat.c1) + abs(r.c_hat.c3) for r in options)
     plan = plan_observation(guess, plan_like.nt, plan_like.ne, plan_like.strategy)
     record = _record(h_true, PSI5, "xz", plan, seed, eta, mode)
-    psi0 = prepare_input(PrepSpec(PSI5))
+    psi0 = prepare_input(PSI5)
     scores = []
     for option in options:
-        probs = outcome_probs_batch(evolve_batch(option.c_hat, psi0, plan.times()), BASIS_BY_TAG["xz"])
+        probs = outcome_probs_batch(evolve_batch(option.c_hat, psi0, plan.times()), "xz")
         scores.append(float(np.sum(record * np.log(np.maximum(probs, 1e-300)))))
     k = int(np.argmax(scores))
     return replace(

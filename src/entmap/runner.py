@@ -25,7 +25,7 @@ import scipy
 from . import __version__
 from .concest import CHANNEL_FOR_INPUT, ConcurrenceSeries
 from .gateerr import GATE_ISING_CNOT, GATES, budget_curve, measurements_for_threshold
-from .measure import PrepSpec, prepare_input
+from .measure import prepare_input
 from .qcore import (
     INPUT_IDS,
     PSI1,
@@ -37,6 +37,7 @@ from .qcore import (
 )
 from .recon import (
     MAX_COUPLING,
+    MODES,
     InconsistentFrequencyError,
     characterize,
     default_plans,
@@ -44,6 +45,7 @@ from .recon import (
     simulate_series,
 )
 from .spectral import (
+    STRATEGIES,
     NoOscillationError,
     SamplingPlan,
     Spectrum,
@@ -56,6 +58,10 @@ from .spectral import (
 DEFAULT_NT = 200
 DEFAULT_NE = 10
 DEFAULT_OUT = "runs/run"
+# Largest nt and ne the pipeline's types carry: stream_words indexes time
+# points with 32 bits, and shot counts are int64.
+MAX_NT = 2**32
+MAX_NE = 2**63 - 1
 SEED_ENV_VAR = "ENTMAP_SEED"
 
 EXIT_OK = 0
@@ -120,21 +126,40 @@ def _get_number(raw: dict, key: str, path: str, default=None):
         _expect(default is not None, f"{path}.{key}", "required key is missing")
         return default
     value = raw[key]
+    # Comparing against the largest float rejects inf, nan, and integers too
+    # large to convert, without converting them.
     _expect(
-        isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value),
+        isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max,
         f"{path}.{key}",
         f"expected a finite number, got {value!r}",
     )
     return value
 
 
-def _get_int(raw: dict, key: str, path: str, default=None, minimum=None):
+def _get_int(raw: dict, key: str, path: str, default=None, minimum=None, maximum=None):
     value = _get_number(raw, key, path, default)
     _expect(float(value).is_integer(), f"{path}.{key}", f"expected an integer, got {value!r}")
     value = int(value)
     if minimum is not None:
         _expect(value >= minimum, f"{path}.{key}", f"must be >= {minimum}, got {value}")
+    if maximum is not None:
+        _expect(value <= maximum, f"{path}.{key}", f"must be <= {maximum}, got {value}")
     return value
+
+
+def _plan_entry(raw, path: str, keys, nt: int, ne: int, strategy: str | None = None) -> dict:
+    """Validated {nt, ne[, strategy]} of one plan-shaped object; missing keys take the given defaults."""
+    _expect(isinstance(raw, dict), path, "must be an object")
+    for key in raw:
+        _expect(key in keys, f"{path}.{key}", "unknown key")
+    entry = {
+        "nt": _get_int(raw, "nt", path, default=nt, minimum=4, maximum=MAX_NT),
+        "ne": _get_int(raw, "ne", path, default=ne, minimum=1, maximum=MAX_NE),
+    }
+    if strategy is not None:
+        entry["strategy"] = choice = raw.get("strategy", strategy)
+        _expect(choice in STRATEGIES, f"{path}.strategy", f"must be {' or '.join(STRATEGIES)}, got {choice!r}")
+    return entry
 
 
 def load_config(path: str) -> dict:
@@ -146,6 +171,8 @@ def load_config(path: str) -> dict:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # past Python's integer-digit or nesting limit
+        raise ConfigError(f"{path}: {exc}") from exc
     _expect(isinstance(raw, dict), path, "top level must be a JSON object")
     return raw
 
@@ -178,33 +205,15 @@ def resolve_config(raw: dict, args=None) -> ExperimentConfig:
         couplings.append(value)
     h = HamiltonianParams(*couplings)
 
-    plan_raw = raw.get("plan", {})
-    _expect(isinstance(plan_raw, dict), "plan", "must be an object")
-    for key in plan_raw:
-        _expect(key in _PLAN_KEYS, f"plan.{key}", "unknown key")
-    nt = _get_int(plan_raw, "nt", "plan", default=DEFAULT_NT, minimum=4)
-    ne = _get_int(plan_raw, "ne", "plan", default=DEFAULT_NE, minimum=1)
-    strategy = plan_raw.get("strategy", "uniform")
-    _expect(strategy in ("uniform", "endpoint"), "plan.strategy", f"must be uniform or endpoint, got {strategy!r}")
+    plan = _plan_entry(raw.get("plan", {}), "plan", _PLAN_KEYS, DEFAULT_NT, DEFAULT_NE, "uniform")
+    nt, ne, strategy = plan["nt"], plan["ne"], plan["strategy"]
 
     overrides_raw = raw.get("plans", {})
     _expect(isinstance(overrides_raw, dict), "plans", "must be an object keyed by input id")
     plan_overrides: dict = {}
     for input_id, override in overrides_raw.items():
         _expect(input_id in INPUT_IDS, f"plans.{input_id}", f"unknown input id (known: {list(INPUT_IDS)})")
-        _expect(isinstance(override, dict), f"plans.{input_id}", "must be an object")
-        for key in override:
-            _expect(key in _OVERRIDE_KEYS, f"plans.{input_id}.{key}", "unknown key")
-        entry = {
-            "nt": _get_int(override, "nt", f"plans.{input_id}", default=nt, minimum=4),
-            "ne": _get_int(override, "ne", f"plans.{input_id}", default=ne, minimum=1),
-            "strategy": override.get("strategy", strategy),
-        }
-        _expect(
-            entry["strategy"] in ("uniform", "endpoint"),
-            f"plans.{input_id}.strategy",
-            f"must be uniform or endpoint, got {entry['strategy']!r}",
-        )
+        entry = _plan_entry(override, f"plans.{input_id}", _OVERRIDE_KEYS, nt, ne, strategy)
         if "dt" in override:
             dt = _get_number(override, "dt", f"plans.{input_id}")
             _expect(dt > 0, f"plans.{input_id}.dt", f"must be positive, got {dt!r}")
@@ -228,7 +237,7 @@ def resolve_config(raw: dict, args=None) -> ExperimentConfig:
     mode = raw.get("mode", "sampled")
     if args is not None and getattr(args, "mode", None) is not None:
         mode = args.mode
-    _expect(mode in ("sampled", "noiseless"), "mode", f"must be sampled or noiseless, got {mode!r}")
+    _expect(mode in MODES, "mode", f"must be {' or '.join(MODES)}, got {mode!r}")
 
     out = raw.get("out", DEFAULT_OUT)
     if args is not None and getattr(args, "out", None) is not None:
@@ -236,9 +245,7 @@ def resolve_config(raw: dict, args=None) -> ExperimentConfig:
     _expect(isinstance(out, str) and out, "out", "must be a nonempty path string")
 
     rob_raw = raw.get("robustness", {})
-    _expect(isinstance(rob_raw, dict), "robustness", "must be an object")
-    for key in rob_raw:
-        _expect(key in ("etas", "nt", "ne"), f"robustness.{key}", "unknown key")
+    rob_plan = _plan_entry(rob_raw, "robustness", ("etas", "nt", "ne"), nt, ne)
     etas_raw = rob_raw.get("etas", [0.0, 0.05])
     _expect(
         isinstance(etas_raw, list) and len(etas_raw) > 0,
@@ -258,11 +265,7 @@ def resolve_config(raw: dict, args=None) -> ExperimentConfig:
             f"{value!r} shares the file tag {_eta_tag(float(value))!r} with an earlier eta",
         )
         etas.append(float(value))
-    rob = RobustnessConfig(
-        etas=tuple(etas),
-        nt=_get_int(rob_raw, "nt", "robustness", default=nt, minimum=4),
-        ne=_get_int(rob_raw, "ne", "robustness", default=ne, minimum=1),
-    )
+    rob = RobustnessConfig(etas=tuple(etas), **rob_plan)
 
     # Canonical payload for hashing: physics and seeding, not output placement.
     payload = {
@@ -565,7 +568,7 @@ def cmd_robustness(cfg: ExperimentConfig) -> None:
     rows = []
     for eta in cfg.robustness.etas:
         times = plan.times()
-        exact = concurrence_sq_exact(evolve_batch(h, prepare_input(PrepSpec(PSI1, eta)), times))
+        exact = concurrence_sq_exact(evolve_batch(h, prepare_input(PSI1, eta), times))
         series = ConcurrenceSeries(times, exact, np.zeros(plan.nt, dtype=np.int64), "zz")
         spectrum = dft(series)
         tag = _eta_tag(eta)
@@ -601,7 +604,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, config_required: bool = T
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="override the output directory")
     parser.add_argument(
-        "--mode", choices=("sampled", "noiseless"), default=None, help="override the run mode"
+        "--mode", choices=MODES, default=None, help="override the run mode"
     )
 
 

@@ -55,10 +55,6 @@ class SamplingPlan:
     def times(self) -> np.ndarray:
         return self.dt * np.arange(1, self.nt + 1)
 
-    @property
-    def observation_time(self) -> float:
-        return self.nt * self.dt
-
     def shots(self) -> np.ndarray:
         """Shots at each time point, aligned with times()."""
         if self.strategy == "endpoint":
@@ -93,10 +89,6 @@ class Spectrum:
             raise ValueError("omegas and magnitudes must be 1-d arrays of equal length")
         object.__setattr__(self, "omegas", w)
         object.__setattr__(self, "magnitudes", m)
-
-    @property
-    def bin_width(self) -> float:
-        return float(self.omegas[1] - self.omegas[0])
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from entmap.concest import (
     concurrence_sq_from_probs,
     concurrence_sq_reduced,
 )
-from entmap.measure import BASIS_XZ, BASIS_ZZ, PrepSpec, outcome_probs_batch, prepare_input
+from entmap.measure import outcome_probs_batch, prepare_input
 from entmap.qcore import (
     INPUT_IDS,
     PSI1,
@@ -29,8 +29,8 @@ H_REF = HamiltonianParams(1.2, 0.6, 1.4)
 
 def exact_tables(input_id, h, t):
     """Exact (4,) zz and xz outcome probabilities of one evolved input."""
-    state = evolve_batch(h, prepare_input(PrepSpec(input_id)), [t])
-    return outcome_probs_batch(state, BASIS_ZZ)[0], outcome_probs_batch(state, BASIS_XZ)[0]
+    state = evolve_batch(h, prepare_input(input_id), [t])
+    return outcome_probs_batch(state, "zz")[0], outcome_probs_batch(state, "xz")[0]
 
 
 def channel_table(input_id, p_zz, p_xz):
@@ -94,7 +94,7 @@ def test_reduced_estimators_converge_to_exact():
         h = HamiltonianParams(*rng.uniform(-2, 2, size=3))
         t = float(rng.uniform(0.05, 6.0))
         for input_id in INPUT_IDS:
-            state = evolve_batch(h, prepare_input(PrepSpec(input_id)), [t])[0]
+            state = evolve_batch(h, prepare_input(input_id), [t])[0]
             p_zz, p_xz = exact_tables(input_id, h, t)
             got = concurrence_sq_reduced(input_id, channel_table(input_id, p_zz, p_xz))
             assert got == pytest.approx(concurrence_sq_exact(state), abs=1e-10)

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from entmap.measure import (
-    BASIS_BY_TAG,
-    BASIS_XZ,
-    BASIS_ZZ,
     CHANNELS,
-    BasisPair,
-    PrepSpec,
+    READOUT_ROTATIONS,
     outcome_probs_batch,
     point_rng,
     prepare_input,
@@ -24,53 +20,52 @@ H_REF = HamiltonianParams(1.2, 0.6, 1.4)
 
 def test_ideal_preparations():
     np.testing.assert_allclose(
-        prepare_input(PrepSpec(PSI1)), [1, 0, 0, 0], atol=1e-15
+        prepare_input(PSI1), [1, 0, 0, 0], atol=1e-15
     )
     np.testing.assert_allclose(
-        prepare_input(PrepSpec(PSI3)), [0.5, 0.5, 0.5, 0.5], atol=1e-15
+        prepare_input(PSI3), [0.5, 0.5, 0.5, 0.5], atol=1e-15
     )
     np.testing.assert_allclose(
-        prepare_input(PrepSpec(PSI4)), [0.5, -0.5, 0.5, -0.5], atol=1e-15
+        prepare_input(PSI4), [0.5, -0.5, 0.5, -0.5], atol=1e-15
     )
 
 
 def test_contaminated_preparation_mixes_the_partner():
     eta = 0.04
     norm = 1.0 / np.sqrt(1.0 + eta)
-    got = prepare_input(PrepSpec(PSI1, eta))
+    got = prepare_input(PSI1, eta)
     np.testing.assert_allclose(got, [norm, np.sqrt(eta) * norm, 0.0, 0.0], atol=1e-12)
 
-    got34 = prepare_input(PrepSpec(PSI3, eta))
+    got34 = prepare_input(PSI3, eta)
     base = np.array([0.5, 0.5, 0.5, 0.5])
     partner = np.array([0.5, -0.5, 0.5, -0.5])
     np.testing.assert_allclose(got34, norm * (base + np.sqrt(eta) * partner), atol=1e-12)
 
 
-def test_prep_spec_validation():
+def test_prepare_input_validation():
     with pytest.raises(ValueError):
-        PrepSpec("psi9")
+        prepare_input("psi9")
     with pytest.raises(ValueError):
-        PrepSpec(PSI1, eta=-0.1)
+        prepare_input(PSI1, eta=-0.1)
     with pytest.raises(ValueError):
-        PrepSpec(PSI1, eta=1.0)
+        prepare_input(PSI1, eta=1.0)
 
 
 def test_basis_rotation_shapes():
-    assert BASIS_ZZ.tag() == "zz"
-    assert BASIS_XZ.tag() == "xz"
-    for tag in CHANNELS:
-        r = BASIS_BY_TAG[tag].rotation()
+    assert CHANNELS == ("zz", "xz")
+    for channel in CHANNELS:
+        r = READOUT_ROTATIONS[channel]
         np.testing.assert_allclose(r.conj().T @ r, np.eye(4), atol=1e-12)
 
 
 def test_outcome_probs_computational_state():
-    p = outcome_probs_batch([0.0, 1.0, 0.0, 0.0], BASIS_ZZ)
+    p = outcome_probs_batch([0.0, 1.0, 0.0, 0.0], "zz")
     np.testing.assert_allclose(p, [[0.0, 1.0, 0.0, 0.0]], atol=1e-15)
 
 
 def test_outcome_probs_x_measurement_of_z_eigenstate():
     """|00> is undetermined along x on qubit one, definite along z on qubit two."""
-    p = outcome_probs_batch([1.0, 0.0, 0.0, 0.0], BASIS_XZ)
+    p = outcome_probs_batch([1.0, 0.0, 0.0, 0.0], "xz")
     np.testing.assert_allclose(p, [[0.5, 0.0, 0.5, 0.0]], atol=1e-15)
 
 
@@ -80,8 +75,8 @@ def test_outcome_probs_protocol_selection_rules():
     for _ in range(10):
         h = HamiltonianParams(*rng.uniform(-2, 2, size=3))
         t = float(rng.uniform(0.0, 6.0))
-        states = {i: evolve_batch(h, prepare_input(PrepSpec(i)), [t]) for i in (PSI1, PSI2, PSI3, PSI4)}
-        zz = {i: outcome_probs_batch(s, BASIS_ZZ)[0] for i, s in states.items()}
+        states = {i: evolve_batch(h, prepare_input(i), [t]) for i in (PSI1, PSI2, PSI3, PSI4)}
+        zz = {i: outcome_probs_batch(s, "zz")[0] for i, s in states.items()}
         # Columns are (++, +-, -+, --).
         np.testing.assert_allclose(zz[PSI1][[1, 2]], 0.0, atol=1e-12)
         np.testing.assert_allclose(zz[PSI2][[0, 3]], 0.0, atol=1e-12)
@@ -91,11 +86,11 @@ def test_outcome_probs_protocol_selection_rules():
 
 def test_outcome_probs_validation():
     with pytest.raises(ValueError, match="normalized"):
-        outcome_probs_batch([1.0, 1.0, 0.0, 0.0], BASIS_ZZ)
+        outcome_probs_batch([1.0, 1.0, 0.0, 0.0], "zz")
     with pytest.raises(ValueError, match="finite"):
-        outcome_probs_batch([np.nan, 0.0, 0.0, 0.0], BASIS_XZ)
-    states = evolve_batch(H_REF, prepare_input(PrepSpec(PSI3)), [0.3, 0.7, 1.1])
-    p = outcome_probs_batch(states, BASIS_XZ)
+        outcome_probs_batch([np.nan, 0.0, 0.0, 0.0], "xz")
+    states = evolve_batch(H_REF, prepare_input(PSI3), [0.3, 0.7, 1.1])
+    p = outcome_probs_batch(states, "xz")
     assert p.shape == (3, 4)
     assert np.all((p >= 0.0) & (p <= 1.0))
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-15)
@@ -204,9 +199,9 @@ def test_sample_counts_batch_equals_numpy_streams(entropy):
     plan = plan_observation(0.6, 24, 25, "endpoint")
     shots = plan.shots()
     for input_id in ALL_INPUTS:
-        states = evolve_batch(H_REF, prepare_input(PrepSpec(input_id, 0.05)), plan.times())
+        states = evolve_batch(H_REF, prepare_input(input_id, 0.05), plan.times())
         for channel in CHANNELS:
-            probs = outcome_probs_batch(states, BASIS_BY_TAG[channel])
+            probs = outcome_probs_batch(states, channel)
             counts = sample_counts_batch(probs, shots, entropy, input_id, channel)
             want = [
                 np.random.Generator(np.random.PCG64(numpy_seed_sequence(entropy, input_id, j, channel))).multinomial(
@@ -218,6 +213,6 @@ def test_sample_counts_batch_equals_numpy_streams(entropy):
             np.testing.assert_array_equal(counts.sum(axis=1), shots)
 
 
-def test_basis_pair_validation():
-    with pytest.raises(ValueError):
-        BasisPair("q", "z")
+def test_unknown_channel_is_rejected():
+    with pytest.raises(ValueError, match="unknown channel 'zx'"):
+        outcome_probs_batch([1.0, 0.0, 0.0, 0.0], "zx")

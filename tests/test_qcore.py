@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from entmap.gateerr import effective_error
-from entmap.measure import BASIS_ZZ, PrepSpec, outcome_probs_batch, prepare_input
+from entmap.measure import outcome_probs_batch, prepare_input
 from entmap.qcore import (
     ALL_INPUTS,
     INPUT_IDS,
@@ -16,10 +16,10 @@ from entmap.qcore import (
     HamiltonianParams,
     analytic_concurrence_sq,
     bell_spectrum,
+    combinations,
     concurrence_sq_exact,
     evolve_batch,
     imperfect_prep_concurrence_sq,
-    input_combination,
     negativity_sq,
     oracle_evolve,
     propagator,
@@ -96,7 +96,7 @@ def test_consumers_reject_nan_states():
     with pytest.raises(ValueError, match="finite"):
         oracle_evolve(H_REF, nan_state, 0.5)
     with pytest.raises(ValueError, match="finite"):
-        outcome_probs_batch(nan_state, BASIS_ZZ)
+        outcome_probs_batch(nan_state, "zz")
 
 
 def test_batched_concurrence_is_bit_identical_to_the_per_row_dot():
@@ -108,7 +108,7 @@ def test_batched_concurrence_is_bit_identical_to_the_per_row_dot():
         h = random_hamiltonian(rng)
         for input_id in ALL_INPUTS:
             for eta in (0.0, 0.05):
-                states = evolve_batch(h, prepare_input(PrepSpec(input_id, eta)), times)
+                states = evolve_batch(h, prepare_input(input_id, eta), times)
                 want = [min(max(float(abs(a @ (yy @ a)) ** 2), 0.0), 1.0) for a in states]
                 got = concurrence_sq_exact(states)
                 assert got.shape == (times.size,)
@@ -207,13 +207,14 @@ def test_negativity_relation_for_pure_states():
         )
 
 
-def test_input_combination_reference_values():
-    assert input_combination(PSI1, H_REF) == pytest.approx(0.6)
-    assert input_combination(PSI2, H_REF) == pytest.approx(1.8)
-    assert input_combination(PSI3, H_REF) == pytest.approx(-0.8)
-    assert input_combination(PSI4, H_REF) == pytest.approx(2.0)
+def test_combination_rows_reference_values():
+    w = dict(zip(INPUT_IDS, combinations(H_REF)))
+    assert w[PSI1] == pytest.approx(0.6)
+    assert w[PSI2] == pytest.approx(1.8)
+    assert w[PSI3] == pytest.approx(-0.8)
+    assert w[PSI4] == pytest.approx(2.0)
     with pytest.raises(ValueError):
-        input_combination("psi5", H_REF)
+        analytic_concurrence_sq("psi5", H_REF, 1.0)
 
 
 def test_analytic_concurrence_psi2_rate():
@@ -262,7 +263,7 @@ def test_imperfect_prep_first_order_error_scales_as_eta_sq():
         h = random_hamiltonian(rng)
         worst = {}
         for eta in (0.02, 0.04):
-            psi0 = prepare_input(PrepSpec(PSI1, eta))
+            psi0 = prepare_input(PSI1, eta)
             exact = concurrence_sq_exact(evolve_batch(h, psi0, t))
             curve = imperfect_prep_concurrence_sq(h, eta, t)
             worst[eta] = float(np.abs(exact - curve).max())

@@ -322,11 +322,26 @@ BAD_INPUT_CASES = [
     ("duplicate eta tag", {"robustness": {"etas": [0.05, 0.05000001], "nt": 64}}, "robustness.etas[1]"),
     ("c1 1e160", {"hamiltonian": {"c1": 1e160, "c2": 0.6, "c3": 1.4}}, "hamiltonian.c1"),
     ("c1 1e300", {"hamiltonian": {"c1": 1e300, "c2": 0.6, "c3": 1.4}}, "hamiltonian.c1"),
+    ("c1 400 digits", {"hamiltonian": {"c1": 10**400, "c2": 0.6, "c3": 1.4}}, "hamiltonian.c1"),
+    ("seed 400 digits", {"seed": 10**400}, "config.seed"),
+    ("nt 400 digits", {"plan": {"nt": 10**400}}, "plan.nt"),
+    ("dt 400 digits", {"plans": {"psi1": {"dt": 10**400}}}, "plans.psi1.dt"),
+    ("nt 1e300", {"plan": {"nt": 1e300}}, "plan.nt"),
+    ("nt past 2**32", {"plan": {"nt": 2**32 + 1}}, "plan.nt"),
+    ("ne 2**63", {"plan": {"nt": 64, "ne": 2**63}}, "plan.ne"),
+    ("psi1 ne 2**63", {"plans": {"psi1": {"ne": 2**63}}}, "plans.psi1.ne"),
+    ("robustness ne 2**63", {"robustness": {"ne": 2**63}}, "robustness.ne"),
 ]
 
 # Config overrides are run through the subcommand that reads them; line edits
 # corrupt a simulated series_psi1.csv before spectrum reads it back.
-COMMAND_FOR_CONFIG_KEY = {"robustness": "robustness", "hamiltonian": "characterize"}
+COMMAND_FOR_CONFIG_KEY = {
+    "robustness": "robustness",
+    "hamiltonian": "characterize",
+    "seed": "simulate",
+    "plan": "simulate",
+    "plans": "characterize",
+}
 
 
 @pytest.mark.parametrize("label,edit,where", BAD_INPUT_CASES, ids=[c[0] for c in BAD_INPUT_CASES])
@@ -348,3 +363,17 @@ def test_bad_inputs_exit_2_and_name_their_place(tmp_path, monkeypatch, capsys, l
         capsys.readouterr()
         assert main(["spectrum", "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
     assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"hamiltonian": {"c1": 1.2, "c2": 0.6, "c3": 1.4}, "seed": ' + "9" * 5000 + "}", "[" * 200000],
+    ids=["integer past the digit limit", "nesting past the recursion limit"],
+)
+def test_config_json_past_python_limits_exits_2(tmp_path, capsys, text):
+    """JSON that Python's parser refuses without a JSONDecodeError is a config error, not a crash."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    assert "cfg.json" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()

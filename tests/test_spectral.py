@@ -91,7 +91,6 @@ def test_uniform_plan_accounting():
     plan = SamplingPlan(nt=50, dt=0.2, strategy="uniform", ne=6)
     assert plan.total_measurements() == 300
     np.testing.assert_array_equal(plan.shots(), np.full(50, 6))
-    assert plan.observation_time == pytest.approx(10.0)
     assert plan.bin_width == pytest.approx(2.0 * math.pi / 10.0)
 
 
