@@ -10,6 +10,7 @@ reproducible for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -58,9 +59,9 @@ from .spectral import (
 DEFAULT_NT = 200
 DEFAULT_NE = 10
 DEFAULT_OUT = "runs/run"
-# Largest nt and ne the pipeline's types carry: stream_words indexes time
-# points with 32 bits, and shot counts are int64.
-MAX_NT = 2**32
+# Largest nt and ne: characterize peaks near 0.8 kB of traced memory per time
+# point, so 2**20 points stay under 1 GB; shot counts are int64.
+MAX_NT = 2**20
 MAX_NE = 2**63 - 1
 SEED_ENV_VAR = "ENTMAP_SEED"
 
@@ -608,6 +609,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, config_required: bool = T
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entmap",

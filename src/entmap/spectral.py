@@ -3,11 +3,13 @@
 A concurrence trace C^2(t) = sin^2(2 w t) oscillates at angular frequency 4w, so
 planning targets 4w when picking the sampling step and estimates are mapped back
 down at the end: the refined fit works at 2w (the sin^2 argument rate) and
-reports w itself.
+reports w itself.  Its grid rates sit on a 1/40-bin lattice of the DFT, so one
+zero-padded FFT per series scores every grid; series must lie on plan.times().
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -187,51 +189,57 @@ def _endpoint_amplitude(series, shots_end: float) -> float:
     return 1.0 - 1.0 / shots_end if series.channel == "zz" else 1.0
 
 
-def _profiled_fit(w: float, t_fit: np.ndarray, v_fit: np.ndarray, wt_fit: np.ndarray):
-    """SSE and coefficients (a, b) of the lstsq fit of a*sin^2(w t) + b, rows weighted by wt_fit."""
-    design = np.column_stack([np.sin(w * t_fit) ** 2, np.ones_like(t_fit)])
-    design *= wt_fit[:, None]
-    coef, _, _, _ = np.linalg.lstsq(design, v_fit * wt_fit, rcond=None)
-    r = design @ coef - v_fit * wt_fit
+def _profiled_fit(w: float, t_fit: np.ndarray, vw_fit: np.ndarray, wt_fit: np.ndarray):
+    """SSE and coefficients (a, b) of the lstsq fit of a*sin^2(w t) + b, rows weighted; vw_fit = v * wt_fit."""
+    design = np.empty((t_fit.size, 2))
+    design[:, 0] = np.sin(w * t_fit) ** 2 * wt_fit
+    design[:, 1] = wt_fit
+    coef, _, _, _ = np.linalg.lstsq(design, vw_fit, rcond=None)
+    r = design @ coef - vw_fit
     return float(r @ r), coef
 
 
-def _grid_sse(grid: np.ndarray, t_fit: np.ndarray, v_fit: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted SSE of the best a*sin^2(w t) + b at every w of the grid, in closed form.
+_GRID_PAD = 40  # refine_frequency's grid steps the sin^2 argument rate 2w by 1/_GRID_PAD of a DFT bin
 
-    With weighted means removed, the profiled SSE is Svv - Ssv^2 / Sss; a grid
-    rate whose sin^2 column is constant leaves only the offset, SSE = Svv.
+
+def _grid_scorer(v_fit: np.ndarray, weights: np.ndarray, nt: int):
+    """Scorer k -> weighted SSE of the best a*sin^2(w t) + b at each rate of candidate bin k's grid.
+
+    That grid spans 2w = (_GRID_PAD*k - 60 .. _GRID_PAD*k + 60)/_GRID_PAD bins.  With C_a(x) =
+    sum_j a_j cos(x j dt) over the fitted t_j = j*dt and s = sin^2(w t): sum w s = (W - C_w(2w))/2,
+    sum w s^2 = (3W - 4 C_w(2w) + C_w(4w))/8 and sum w dv s = -C_wdv(2w)/2.  One rfft of length
+    _GRID_PAD*nt over the rows (w, w*dv) holds every C_a needed, at indices folded into its range.
+    The profiled SSE is Svv - Ssv^2/Sss with weighted means removed, and Svv where Sss = 0.
     """
-    # One (grid, time) buffer holds sin^2, then its centred and squared forms,
-    # so the scan never holds more than one grid-sized array.
-    s = np.outer(grid, t_fit)
-    np.sin(s, out=s)
-    s *= s
     total = weights.sum()
-    s -= (s @ weights / total)[:, None]
     dv = v_fit - (v_fit @ weights) / total
-    s_sv = s @ (weights * dv)
-    s *= s
-    s_ss = s @ weights
     s_vv = dv @ (weights * dv)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(s_ss > 0.0, s_vv - s_sv * s_sv / s_ss, s_vv)
+    rows = np.zeros((2, v_fit.size + 1))
+    rows[:, 1:] = weights, weights * dv
+    size = _GRID_PAD * nt
+    cos_sums = np.fft.rfft(rows, n=size).real
+
+    def grid_sse(k: int) -> np.ndarray:
+        m = np.outer((1, 2), _GRID_PAD * k + np.arange(-60, 61)) % size
+        m = np.minimum(m, size - m)
+        (c_w2, c_wdv2), c_w4 = cos_sums[:, m[0]], cos_sums[0, m[1]]
+        s_ss = (3.0 * total - 4.0 * c_w2 + c_w4) / 8.0 - (total - c_w2) ** 2 / (4.0 * total)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(s_ss > 0.0, s_vv - c_wdv2 * c_wdv2 / (4.0 * s_ss), s_vv)
+
+    return grid_sse
 
 
-def _grid_argmin(grid: np.ndarray, t_fit: np.ndarray, v_fit: np.ndarray, weights: np.ndarray) -> int:
-    """Index of the grid rate with the least weighted SSE, exactly as an lstsq scan picks it.
+def _grid_argmin(sse: np.ndarray, grid: np.ndarray, profiled, scale: float) -> int:
+    """Index of the least sse on grid, exactly as an lstsq scan picks it.
 
-    The grid is scored in closed form.  Both that and lstsq round at the
-    scale of the uncentered sum of weighted squares, so every rate within
-    1e-9 of that scale of the minimum is ranked again by the lstsq
-    objective, first index on ties.
+    sse and lstsq both round at scale, the uncentered sum of weighted squares, so rates within 1e-9
+    of scale of the minimum are ranked again by the lstsq objective profiled(w), first index on ties.
     """
-    sse = _grid_sse(grid, t_fit, v_fit, weights)
-    near = np.flatnonzero(sse <= sse.min() + 1e-9 * float(v_fit @ (weights * v_fit)))
+    near = np.flatnonzero(sse <= sse.min() + 1e-9 * scale)
     if near.size == 1:
         return int(near[0])
-    wt_fit = np.sqrt(weights)
-    return int(near[np.argmin([_profiled_fit(grid[i], t_fit, v_fit, wt_fit)[0] for i in near])])
+    return int(near[np.argmin([profiled(grid[i])[0] for i in near])])
 
 
 def _endpoint_phase_polish(
@@ -271,8 +279,9 @@ def refine_frequency(
     (they enter linearly), locating w by a deterministic grid-plus-Brent
     search of the one-dimensional profiled objective within 1.5 spectral bins
     of a candidate line; residuals are weighted by per-point shot counts.
-    The grid is scored in one pass with the closed-form weighted fit, and
-    Brent polishes the bracket on the lstsq objective.
+    The grid is scored in closed form from one zero-padded FFT per series, so
+    series.times must equal plan.times() and each candidate sit on a DFT bin
+    k >= 2 (ValueError otherwise); Brent polishes on the lstsq objective.
     Candidates are the supplied coarse peak plus the next-strongest local
     maxima of spectrum, the series' dft that the coarse peak came from; the
     best weighted fit wins: with few shots per point a noise bin
@@ -288,42 +297,41 @@ def refine_frequency(
     if not (math.isfinite(coarse_peak_omega) and coarse_peak_omega > 0):
         raise ValueError(f"coarse_peak_omega must be positive, got {coarse_peak_omega!r}")
     times, values = series.times, series.values
+    if not np.array_equal(times, plan.times()):
+        raise ValueError("series.times must equal plan.times(): the grid scan needs t_j = j*dt exactly")
+    bin_w = plan.bin_width
+    candidates = [coarse_peak_omega, *_rival_peaks(spectrum, coarse_peak_omega, bin_w)]
+    bins = [round(c / bin_w) for c in candidates]
+    if any(k < 2 or abs(c / bin_w - k) > 1e-9 for c, k in zip(candidates, bins)):
+        raise ValueError(f"candidate lines {candidates} must sit on DFT bins k >= 2 of width {bin_w!r}")
     shots = np.asarray(series.shots, dtype=float)
     weights = np.maximum(shots, 1.0)
 
-    fit_sel = slice(None)
-    if plan.strategy == "endpoint" and times.size >= 8:
-        fit_sel = slice(0, times.size - 2)
-    t_fit = times[fit_sel]
-    v_fit = values[fit_sel]
-    weights_fit = weights[fit_sel]
+    fit_sel = slice(0, times.size - 2) if plan.strategy == "endpoint" and times.size >= 8 else slice(None)
+    t_fit, v_fit, weights_fit = times[fit_sel], values[fit_sel], weights[fit_sel]
     wt_fit = np.sqrt(weights_fit)
+    scale = float(v_fit @ (weights_fit * v_fit))
+    grid_sse = _grid_scorer(v_fit, weights_fit, plan.nt)
+    profiled = functools.partial(_profiled_fit, t_fit=t_fit, vw_fit=v_fit * wt_fit, wt_fit=wt_fit)
 
-    def profiled(w: float):
-        return _profiled_fit(w, t_fit, v_fit, wt_fit)
-
-    bin_w = plan.bin_width
-
-    def fit_near(center_omega: float):
+    def fit_near(center_omega: float, k: int):
         w_lo = max((center_omega - 1.5 * bin_w) / 2.0, 0.25 * bin_w)
-        w_hi = (center_omega + 1.5 * bin_w) / 2.0
-        grid = np.linspace(w_lo, w_hi, 121)
-        k = _grid_argmin(grid, t_fit, v_fit, weights_fit)
-        bracket_lo = float(grid[max(k - 1, 0)])
-        bracket_hi = float(grid[min(k + 1, grid.size - 1)])
-        best = minimize_scalar(
-            lambda w: profiled(w)[0],
-            bounds=(bracket_lo, bracket_hi),
-            method="bounded",
-            options={"xatol": 1e-13},
-        )
-        w_best = float(best.x)
-        sse_best, coef_best = profiled(w_best)
-        return sse_best, w_best, float(coef_best[0])
+        grid = np.linspace(w_lo, (center_omega + 1.5 * bin_w) / 2.0, 121)
+        i = _grid_argmin(grid_sse(k), grid, profiled, scale)
+        memo = []  # (w, sse, coef) of Brent's answer: the least SSE it evaluated, later ties winning
 
-    candidates = [coarse_peak_omega]
-    candidates.extend(_rival_peaks(spectrum, coarse_peak_omega, bin_w))
-    fits = sorted(fit_near(c) for c in candidates)
+        def objective(w: float) -> float:
+            sse, coef = profiled(w)
+            if not memo or sse <= memo[1]:
+                memo[:] = w, sse, coef
+            return sse
+
+        bracket = (float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)]))
+        minimize_scalar(objective, bounds=bracket, method="bounded", options={"xatol": 1e-13})
+        w_best, sse_best, coef_best = memo
+        return sse_best, float(w_best), float(coef_best[0])
+
+    fits = sorted(fit_near(c, k) for c, k in zip(candidates, bins))
     usable = [f for f in fits if math.isfinite(f[1]) and f[2] > 0.0]
     if not usable:
         return FrequencyEstimate(
@@ -342,7 +350,6 @@ def refine_frequency(
         omega_hat=w_fit / 2.0,
         delta_f_over_f=4.0 / (plan.nt * math.sqrt(plan.ne)),
         raw_peak_omega=coarse_peak_omega,
-        fallback=False,
     )
 
 

@@ -253,6 +253,17 @@ def test_gate_error_curves_and_threshold(tmp_path):
     assert entry["n_total"] == 2 * 10 + 2 * entry["ne"]
 
 
+def test_gate_error_flags_do_not_carry_over_between_calls(tmp_path):
+    """main reuses one parser per process; each call starts from the flag defaults."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["gate-error", "--nt", "10", "--nt", "20", "--ne-range", "1", "8", "2", "--out", str(first)]) == EXIT_OK
+    assert main(["gate-error", "--nt", "12", "--out", str(second)]) == EXIT_OK
+    assert sorted(p.name for p in first.glob("gate_error_nt*.csv")) == ["gate_error_nt10.csv", "gate_error_nt20.csv"]
+    assert [p.name for p in second.glob("gate_error_nt*.csv")] == ["gate_error_nt12.csv"]
+    # The default --ne-range 1 8192 27 rounds to 26 distinct budgets, not the first call's 2.
+    assert read_csv(second / "gate_error_nt12.csv", ["n_total"]).shape[0] == 26
+
+
 def test_gate_error_rejects_bad_ranges(tmp_path):
     assert main(["gate-error", "--ne-range", "0", "10", "5"]) == EXIT_CONFIG
     assert main(["gate-error", "--ne-range", "10", "5", "3"]) == EXIT_CONFIG
@@ -328,6 +339,8 @@ BAD_INPUT_CASES = [
     ("dt 400 digits", {"plans": {"psi1": {"dt": 10**400}}}, "plans.psi1.dt"),
     ("nt 1e300", {"plan": {"nt": 1e300}}, "plan.nt"),
     ("nt past 2**32", {"plan": {"nt": 2**32 + 1}}, "plan.nt"),
+    ("nt past 2**20", {"plan": {"nt": 2**20 + 1}}, "plan.nt"),
+    ("robustness nt past 2**20", {"robustness": {"nt": 2**20 + 1}}, "robustness.nt"),
     ("ne 2**63", {"plan": {"nt": 64, "ne": 2**63}}, "plan.ne"),
     ("psi1 ne 2**63", {"plans": {"psi1": {"ne": 2**63}}}, "plans.psi1.ne"),
     ("robustness ne 2**63", {"robustness": {"ne": 2**63}}, "robustness.ne"),

@@ -1,5 +1,6 @@
 """Unit tests for observation planning, DFT peaks, and frequency refinement."""
 
+import functools
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from entmap.spectral import (
     SamplingPlan,
     Spectrum,
     _grid_argmin,
-    _grid_sse,
+    _grid_scorer,
     _profiled_fit,
     _rival_peaks,
     cosine_amplitudes,
@@ -202,37 +203,94 @@ def test_error_scaling_with_endpoint_budget(ne_sweep):
 def lstsq_loop_argmin(grid, t, v, weights):
     """Reference grid scan: one weighted lstsq fit per grid rate."""
     wt = np.sqrt(weights)
-    return int(np.argmin([_profiled_fit(w, t, v, wt)[0] for w in grid]))
+    return int(np.argmin([_profiled_fit(w, t, v * wt, wt)[0] for w in grid]))
+
+
+def direct_grid_sse(grid, t, v, weights):
+    """Reference closed-form scan: sin^2 at every (grid rate, time), centred, then Svv - Ssv^2 / Sss."""
+    s = np.sin(np.outer(grid, t)) ** 2
+    total = weights.sum()
+    s -= (s @ weights / total)[:, None]
+    dv = v - (v @ weights) / total
+    s_sv = s @ (weights * dv)
+    s_ss = (s * s) @ weights
+    s_vv = dv @ (weights * dv)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(s_ss > 0.0, s_vv - s_sv * s_sv / s_ss, s_vv)
+
+
+def bin_grid(k, bin_w):
+    """refine_frequency's 121-rate grid around a candidate line on DFT bin k."""
+    center = k * bin_w
+    return np.linspace(max((center - 1.5 * bin_w) / 2.0, 0.25 * bin_w), (center + 1.5 * bin_w) / 2.0, 121)
+
+
+def check_grid_scan(nt, dt, k, v, weights):
+    """FFT grid scores of the first v.size points agree with the direct scan and pick the lstsq loop's rate.
+
+    Returns the scores and the lstsq loop's index.
+    """
+    t = dt * np.arange(1, v.size + 1)
+    grid = bin_grid(k, 2.0 * math.pi / (nt * dt))
+    scale = float(v @ (weights * v))
+    sse = _grid_scorer(v, weights, nt)(k)
+    assert np.abs(sse - direct_grid_sse(grid, t, v, weights)).max() <= 1e-12 * scale
+    wt = np.sqrt(weights)
+    lstsq_sse = np.array([_profiled_fit(w, t, v * wt, wt)[0] for w in grid])
+    np.testing.assert_allclose(sse, lstsq_sse, rtol=1e-9, atol=1e-12 * scale)
+    profiled = functools.partial(_profiled_fit, t_fit=t, vw_fit=v * wt, wt_fit=wt)
+    want = lstsq_loop_argmin(grid, t, v, weights)
+    assert _grid_argmin(sse, grid, profiled, scale) == want
+    return sse, want
 
 
 def test_closed_form_grid_argmin_equals_lstsq_loop():
+    """Random weighted series on bin-anchored grids, all points or the endpoint fit's first nt - 2."""
     rng = np.random.default_rng(61)
-    nt, dt = 120, 0.3
-    t = dt * np.arange(1, nt + 1)
-    bin_w = 2.0 * math.pi / (nt * dt)
     for trial in range(40):
-        w_true = rng.uniform(0.5, 4.0)
-        weights = rng.integers(1, 20, size=nt).astype(float)
-        noise = rng.normal(size=nt) / np.sqrt(weights)
+        nt = int(rng.choice([63, 120]))
+        dt = rng.uniform(0.2, 0.5)
+        bin_w = 2.0 * math.pi / (nt * dt)
+        k = int(rng.integers(2, nt // 2 + 1))
+        w_true = (k + rng.uniform(-0.5, 0.5)) * bin_w / 2.0
+        n_fit = nt - 2 if trial % 2 else nt
+        t = dt * np.arange(1, n_fit + 1)
+        weights = rng.integers(1, 20, size=n_fit).astype(float)
+        noise = rng.normal(size=n_fit) / np.sqrt(weights)
         v = np.clip(rng.uniform(0.2, 1.0) * np.sin(w_true * t) ** 2 + 0.1 * noise, 0.0, 1.0)
-        grid = np.linspace(w_true - 0.75 * bin_w, w_true + 0.75 * bin_w, 121)
-        want = lstsq_loop_argmin(grid, t, v, weights)
-        sse = _grid_sse(grid, t, v, weights)
+        sse, want = check_grid_scan(nt, dt, k, v, weights)
         assert int(np.argmin(sse)) == want
-        assert _grid_argmin(grid, t, v, weights) == want
-        wt = np.sqrt(weights)
-        lstsq_sse = np.array([_profiled_fit(w, t, v, wt)[0] for w in grid])
-        np.testing.assert_allclose(sse, lstsq_sse, rtol=1e-9, atol=1e-12 * float(v @ (weights * v)))
 
 
 def test_grid_argmin_on_flat_and_cosine_series():
-    """The fallback test's cosine and an exactly flat trace pick the lstsq-loop rate too."""
+    """The fallback test's cosine, an exactly flat and a noiseless trace, at k = 2, their peak and Nyquist."""
     nt, dt = 64, 0.5
-    grid = np.linspace(0.3, 1.5, 121)
-    weights = np.full(nt, 10.0)
-    for series in (cosine_series(nt, dt, 0.2, 2.4, 0.3), cosine_series(nt, dt, 0.0, 2.4, 0.3)):
-        t, v = series.times, series.values
-        assert _grid_argmin(grid, t, v, weights) == lstsq_loop_argmin(grid, t, v, weights)
+    plan = plan_observation(0.6, nt, 10)
+    noiseless = simulate_series(H_REF, PSI1, plan, seed=0, mode="noiseless")
+    cases = [
+        (dt, cosine_series(nt, dt, 0.2, 2.4, 0.3)),
+        (dt, cosine_series(nt, dt, 0.0, 2.4, 0.3)),
+        (plan.dt, noiseless),
+    ]
+    for step, series in cases:
+        spectrum = dft(series)
+        peak = int(np.argmax(spectrum.magnitudes[2:])) + 2
+        for k in (2, peak, nt // 2):
+            check_grid_scan(nt, step, k, series.values, np.full(nt, 10.0))
+
+
+def test_refine_requires_the_plan_grid_and_on_bin_candidates():
+    plan = plan_observation(0.6, 100, 10)
+    series = simulate_series(H_REF, PSI1, plan, seed=0, mode="noiseless")
+    spectrum = dft(series)
+    peak = find_peak(spectrum)
+    for coarse in (peak.omega + 0.3 * plan.bin_width, plan.bin_width):
+        with pytest.raises(ValueError, match="DFT bin"):
+            refine_frequency(series, spectrum, coarse, plan)
+    off_grid = ConcurrenceSeries(series.times * (1.0 + 1e-12), series.values, series.shots, series.channel)
+    for s, p in ((off_grid, plan), (series, plan_observation(0.7, 100, 10))):
+        with pytest.raises(ValueError, match="plan.times"):
+            refine_frequency(s, spectrum, peak.omega, p)
 
 
 def rival_peaks_loop(spectrum, coarse_peak_omega, bin_w, limit=2):
