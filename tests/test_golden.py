@@ -4,7 +4,8 @@ Each pin is the digest of every file one subcommand writes (manifest.json
 excluded: it records library versions), in name order.  The pins were taken
 before the hot path was rewritten on arrays, and the gate-error pin before
 the CSV writers were merged; a change that moves one on purpose names the
-pin and the reason in CHANGES.md.
+pin and the reason in CHANGES.md.  The all-keys pin is the config_hash of
+one config that sets every key, so it pins how each value enters the hash.
 """
 
 import hashlib
@@ -12,7 +13,7 @@ import json
 
 import pytest
 
-from entmap.runner import EXIT_OK, main
+from entmap.runner import EXIT_OK, main, resolve_config
 
 H_REF = {"c1": 1.2, "c2": 0.6, "c3": 1.4}
 ROBUSTNESS = {"etas": [0.0, 0.05], "nt": 64, "ne": 4}
@@ -62,6 +63,20 @@ PINS = {
     },
 }
 
+# Sets every config key, with values a rewrite of the validation could keep
+# uncoerced: eta 0 -> 0.0, nt 64.0 -> 64, c1 1 -> 1.0, etas [0, ...] -> [0.0, ...].
+ALL_KEYS_CONFIG = {
+    "hamiltonian": {"c1": 1, "c2": 0.6, "c3": -1.4},
+    "plan": {"nt": 64.0, "ne": 4, "strategy": "endpoint"},
+    "plans": {"psi1": {"dt": 0.05, "ne": 8, "strategy": "uniform"}, "psi2": {"nt": 32}},
+    "eta": 0,
+    "seed": 7,
+    "mode": "noiseless",
+    "out": "runs/all-keys",
+    "robustness": {"etas": [0, 0.05], "nt": 48, "ne": 6},
+}
+ALL_KEYS_CONFIG_HASH = "e85bb1222d83d14fc22e2bb0bcee72608a63b23cd36e73b19d890427903a4324"
+
 GATE_ERROR_ARGS = ["gate-error", "--nt", "10", "--nt", "100", "--p-target", "1e-4"]
 GATE_ERROR_FILES = ["gate_error_nt10.csv", "gate_error_nt100.csv", "threshold.json"]
 GATE_ERROR_PIN = "4a12a30229b3d0b36993bac75701ef52cde89eb20661cf2b559f30d52b047990"
@@ -106,3 +121,8 @@ def test_gate_error_artifacts_match_golden_pin(tmp_path):
     assert main(GATE_ERROR_ARGS + ["--out", str(directory)]) == EXIT_OK
     assert sorted(p.name for p in directory.iterdir()) == GATE_ERROR_FILES
     assert artifact_digest(directory, GATE_ERROR_FILES) == GATE_ERROR_PIN
+
+
+def test_all_keys_config_hash_matches_golden_pin(monkeypatch):
+    monkeypatch.delenv("ENTMAP_SEED", raising=False)
+    assert resolve_config(ALL_KEYS_CONFIG).config_hash == ALL_KEYS_CONFIG_HASH
