@@ -27,9 +27,9 @@ class GateErrorReport:
     gate: str
     epsilon: float
     p_eff: float
-    nt: int | None = None
-    ne: int | None = None
-    total_measurements: int | None = None
+    nt: int
+    ne: int
+    total_measurements: int
 
 
 def _as_matrix(u) -> np.ndarray:
@@ -131,7 +131,7 @@ def measurements_for_threshold(p_target: float, nt: int, gate: str = GATE_ISING_
         raise ValueError(f"gate must be one of {GATES}, got {gate!r}")
     perr = CLOSED_FORMS[gate]
 
-    amplitude = 0.75 if gate == GATE_SQRTSWAP else 1.0
+    amplitude = perr(2.0)  # the model's peak: sin^2(pi*epsilon/4) = 1 at epsilon = 2
     if p_target >= amplitude:
         ne = 1
     else:

@@ -181,17 +181,6 @@ def _candidate_result(c, residual: float, sigma, considered: int) -> Reconstruct
     )
 
 
-def invert_three_state(w1_signed: float, w2_signed: float, w3_signed: float) -> HamiltonianParams:
-    """Direct inversion when signed combinations from the first three inputs are known.
-
-    Given w1 = c1 - c2, w2 = c1 + c2, w3 = c2 - c3 with signs already resolved:
-    c1 = (w2 + w1)/2, c2 = (w2 - w1)/2, c3 = c2 - w3.
-    """
-    c1 = 0.5 * (w2_signed + w1_signed)
-    c2 = 0.5 * (w2_signed - w1_signed)
-    return HamiltonianParams(c1, c2, c2 - w3_signed)
-
-
 def planning_guesses(h_guess: HamiltonianParams) -> dict[str, float]:
     """Per-input rate to plan each observation around, from a prior guess.
 

@@ -41,7 +41,6 @@ from .recon import (
     MODES,
     InconsistentFrequencyError,
     characterize,
-    default_plans,
     planning_guesses,
     simulate_series,
 )
@@ -63,7 +62,10 @@ DEFAULT_OUT = "runs/run"
 # point, so 2**20 points stay under 1 GB; shot counts are int64.
 MAX_NT = 2**20
 MAX_NE = 2**63 - 1
+# Most log-spaced budgets one gate-error sweep may ask for.
+MAX_NE_COUNT = 2**16
 SEED_ENV_VAR = "ENTMAP_SEED"
+COUPLINGS = ("c1", "c2", "c3")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -86,29 +88,21 @@ def _eta_tag(eta: float) -> str:
 
 
 @dataclass(frozen=True)
-class RobustnessConfig:
-    etas: tuple[float, ...]
-    nt: int
-    ne: int
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
-    hamiltonian: HamiltonianParams
-    nt: int
-    ne: int
-    strategy: str
-    plan_overrides: dict
-    eta: float
-    seed: int
-    mode: str
-    out: Path
-    robustness: RobustnessConfig
+    """A validated config: the canonical payload that config_hash covers (the
+    physics and seeding, keyed as in CONFIG_KEYS) and the output directory,
+    which stays out of the hash."""
+
     payload: dict
+    out: Path
 
     @property
     def config_hash(self) -> str:
         return _payload_hash(self.payload)
+
+    @property
+    def hamiltonian(self) -> HamiltonianParams:
+        return HamiltonianParams(**self.payload["hamiltonian"])
 
 
 def _payload_hash(payload: dict) -> str:
@@ -137,30 +131,50 @@ def _get_number(raw: dict, key: str, path: str, default=None):
     return value
 
 
-def _get_int(raw: dict, key: str, path: str, default=None, minimum=None, maximum=None):
+def _get_int(raw: dict, key: str, path: str, default=None, minimum=-math.inf, maximum=math.inf):
     value = _get_number(raw, key, path, default)
     _expect(float(value).is_integer(), f"{path}.{key}", f"expected an integer, got {value!r}")
     value = int(value)
-    if minimum is not None:
-        _expect(value >= minimum, f"{path}.{key}", f"must be >= {minimum}, got {value}")
-    if maximum is not None:
-        _expect(value <= maximum, f"{path}.{key}", f"must be <= {maximum}, got {value}")
+    _expect(minimum <= value <= maximum, f"{path}.{key}", f"must lie in [{minimum}, {maximum}], got {value}")
     return value
 
 
-def _plan_entry(raw, path: str, keys, nt: int, ne: int, strategy: str | None = None) -> dict:
-    """Validated {nt, ne[, strategy]} of one plan-shaped object; missing keys take the given defaults."""
-    _expect(isinstance(raw, dict), path, "must be an object")
+def _choice(value, path: str, choices) -> str:
+    _expect(value in choices, path, f"must be {' or '.join(choices)}, got {value!r}")
+    return value
+
+
+def _object(raw, path: str, keys, missing: str = "must be an object", unknown: str = "unknown key") -> dict:
+    """raw, checked to be an object that sets only the given keys."""
+    _expect(isinstance(raw, dict), path, missing)
     for key in raw:
-        _expect(key in keys, f"{path}.{key}", "unknown key")
+        _expect(key in keys, f"{path}.{key}", unknown)
+    return raw
+
+
+def _plan_entry(raw, path: str, nt: int, ne: int, strategy: str | None = None) -> dict:
+    """Validated {nt, ne[, strategy][, dt]} of one plan-shaped object; missing keys take the given defaults.
+
+    The keys it may set are those CONFIG_KEYS gives the top-level key its path starts with.
+    """
+    _object(raw, path, CONFIG_KEYS[path.split(".")[0]])
     entry = {
         "nt": _get_int(raw, "nt", path, default=nt, minimum=4, maximum=MAX_NT),
         "ne": _get_int(raw, "ne", path, default=ne, minimum=1, maximum=MAX_NE),
     }
     if strategy is not None:
-        entry["strategy"] = choice = raw.get("strategy", strategy)
-        _expect(choice in STRATEGIES, f"{path}.strategy", f"must be {' or '.join(STRATEGIES)}, got {choice!r}")
+        entry["strategy"] = _choice(raw.get("strategy", strategy), f"{path}.strategy", STRATEGIES)
+    if "dt" in raw:
+        dt = _get_number(raw, "dt", path)
+        _expect(dt > 0, f"{path}.dt", f"must be positive, got {dt!r}")
+        entry["dt"] = float(dt)
     return entry
+
+
+def _flag(args, name: str, value):
+    """The CLI flag of that name if it was given, else value."""
+    flag = getattr(args, name, None)
+    return value if flag is None else flag
 
 
 def load_config(path: str) -> dict:
@@ -178,55 +192,50 @@ def load_config(path: str) -> dict:
     return raw
 
 
-_TOP_KEYS = {"hamiltonian", "plan", "plans", "eta", "seed", "mode", "out", "robustness"}
-_PLAN_KEYS = {"nt", "ne", "strategy"}
-_OVERRIDE_KEYS = {"nt", "ne", "dt", "strategy"}
+# Every key a config may set; an object's entry names the keys it may set
+# (for "plans", the keys of each per-input override).
+CONFIG_KEYS = {
+    "hamiltonian": COUPLINGS,
+    "plan": ("nt", "ne", "strategy"),
+    "plans": ("nt", "ne", "dt", "strategy"),
+    "eta": None,
+    "seed": None,
+    "mode": None,
+    "out": None,
+    "robustness": ("etas", "nt", "ne"),
+}
 
 
 def resolve_config(raw: dict, args=None) -> ExperimentConfig:
-    """Validate the raw config and fold in CLI/env overrides.
+    """Validate the raw config into its canonical payload and fold in CLI/env overrides.
 
     Seed priority: ENTMAP_SEED env var, then --seed, then the config file.
     """
     for key in raw:
-        _expect(key in _TOP_KEYS, key, f"unknown config key (known: {sorted(_TOP_KEYS)})")
+        _expect(key in CONFIG_KEYS, key, f"unknown config key (known: {sorted(CONFIG_KEYS)})")
+    ham = _object(raw.get("hamiltonian"), "hamiltonian", COUPLINGS, "required object {c1, c2, c3} is missing")
+    couplings = {}
+    for key in COUPLINGS:
+        couplings[key] = value = float(_get_number(ham, key, "hamiltonian"))
+        bound = f"magnitude must be <= {MAX_COUPLING:g} so the uncertainty propagation stays finite"
+        _expect(abs(value) <= MAX_COUPLING, f"hamiltonian.{key}", f"{bound}, got {value!r}")
+    plan = _plan_entry(raw.get("plan", {}), "plan", DEFAULT_NT, DEFAULT_NE, "uniform")
+    unknown_id = f"unknown input id (known: {list(INPUT_IDS)})"
+    overrides = _object(
+        raw.get("plans", {}), "plans", INPUT_IDS, "must be an object keyed by input id", unknown_id
+    )
+    payload = {
+        "hamiltonian": couplings,
+        "plan": plan,
+        "plans": {
+            input_id: _plan_entry(entry, f"plans.{input_id}", **plan)
+            for input_id, entry in overrides.items()
+        },
+        "eta": float(_get_number(raw, "eta", "config", default=0.0)),
+    }
+    _expect(0.0 <= payload["eta"] < 1.0, "eta", f"must lie in [0, 1), got {payload['eta']!r}")
 
-    ham_raw = raw.get("hamiltonian")
-    _expect(isinstance(ham_raw, dict), "hamiltonian", "required object {c1, c2, c3} is missing")
-    for key in ham_raw:
-        _expect(key in ("c1", "c2", "c3"), f"hamiltonian.{key}", "unknown key")
-    couplings = []
-    for key in ("c1", "c2", "c3"):
-        value = float(_get_number(ham_raw, key, "hamiltonian"))
-        _expect(
-            abs(value) <= MAX_COUPLING,
-            f"hamiltonian.{key}",
-            f"magnitude must be <= {MAX_COUPLING:g} so the uncertainty propagation stays finite, got {value!r}",
-        )
-        couplings.append(value)
-    h = HamiltonianParams(*couplings)
-
-    plan = _plan_entry(raw.get("plan", {}), "plan", _PLAN_KEYS, DEFAULT_NT, DEFAULT_NE, "uniform")
-    nt, ne, strategy = plan["nt"], plan["ne"], plan["strategy"]
-
-    overrides_raw = raw.get("plans", {})
-    _expect(isinstance(overrides_raw, dict), "plans", "must be an object keyed by input id")
-    plan_overrides: dict = {}
-    for input_id, override in overrides_raw.items():
-        _expect(input_id in INPUT_IDS, f"plans.{input_id}", f"unknown input id (known: {list(INPUT_IDS)})")
-        entry = _plan_entry(override, f"plans.{input_id}", _OVERRIDE_KEYS, nt, ne, strategy)
-        if "dt" in override:
-            dt = _get_number(override, "dt", f"plans.{input_id}")
-            _expect(dt > 0, f"plans.{input_id}.dt", f"must be positive, got {dt!r}")
-            entry["dt"] = float(dt)
-        plan_overrides[input_id] = entry
-
-    eta = float(_get_number(raw, "eta", "config", default=0.0))
-    _expect(0.0 <= eta < 1.0, "eta", f"must lie in [0, 1), got {eta!r}")
-
-    seed = _get_int(raw, "seed", "config", default=0)
-    if args is not None and getattr(args, "seed", None) is not None:
-        seed = int(args.seed)
+    seed = _flag(args, "seed", _get_int(raw, "seed", "config", default=0))
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
@@ -234,79 +243,46 @@ def resolve_config(raw: dict, args=None) -> ExperimentConfig:
         except ValueError:
             raise ConfigError(f"{SEED_ENV_VAR}: expected an integer, got {env_seed!r}") from None
     _expect(0 <= seed < 2**64, "seed", f"must fit in 64 bits, got {seed}")
-
-    mode = raw.get("mode", "sampled")
-    if args is not None and getattr(args, "mode", None) is not None:
-        mode = args.mode
-    _expect(mode in MODES, "mode", f"must be {' or '.join(MODES)}, got {mode!r}")
-
-    out = raw.get("out", DEFAULT_OUT)
-    if args is not None and getattr(args, "out", None) is not None:
-        out = args.out
+    payload["seed"] = seed
+    payload["mode"] = _choice(_flag(args, "mode", raw.get("mode", "sampled")), "mode", MODES)
+    out = _flag(args, "out", raw.get("out", DEFAULT_OUT))
     _expect(isinstance(out, str) and out, "out", "must be a nonempty path string")
 
     rob_raw = raw.get("robustness", {})
-    rob_plan = _plan_entry(rob_raw, "robustness", ("etas", "nt", "ne"), nt, ne)
-    etas_raw = rob_raw.get("etas", [0.0, 0.05])
-    _expect(
-        isinstance(etas_raw, list) and len(etas_raw) > 0,
-        "robustness.etas",
-        "must be a nonempty list",
-    )
-    etas = []
-    for i, value in enumerate(etas_raw):
-        _expect(
-            isinstance(value, (int, float)) and not isinstance(value, bool) and 0.0 <= value <= 0.2,
-            f"robustness.etas[{i}]",
-            f"must lie in [0, 0.2], got {value!r}",
-        )
-        _expect(
-            _eta_tag(float(value)) not in map(_eta_tag, etas),
-            f"robustness.etas[{i}]",
-            f"{value!r} shares the file tag {_eta_tag(float(value))!r} with an earlier eta",
-        )
-        etas.append(float(value))
-    rob = RobustnessConfig(etas=tuple(etas), **rob_plan)
-
-    # Canonical payload for hashing: physics and seeding, not output placement.
-    payload = {
-        "hamiltonian": {"c1": h.c1, "c2": h.c2, "c3": h.c3},
-        "plan": {"nt": nt, "ne": ne, "strategy": strategy},
-        "plans": plan_overrides,
-        "eta": eta,
-        "seed": seed,
-        "mode": mode,
-        "robustness": {"etas": list(rob.etas), "nt": rob.nt, "ne": rob.ne},
-    }
-    return ExperimentConfig(
-        hamiltonian=h,
-        nt=nt,
-        ne=ne,
-        strategy=strategy,
-        plan_overrides=plan_overrides,
-        eta=eta,
-        seed=seed,
-        mode=mode,
-        out=Path(out),
-        robustness=rob,
-        payload=payload,
-    )
+    payload["robustness"] = rob = _plan_entry(rob_raw, "robustness", plan["nt"], plan["ne"])
+    etas = rob_raw.get("etas", [0.0, 0.05])
+    _expect(isinstance(etas, list) and len(etas) > 0, "robustness.etas", "must be a nonempty list")
+    rob["etas"] = []
+    for i, value in enumerate(etas):
+        place = f"robustness.etas[{i}]"
+        is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        _expect(is_number and 0.0 <= value <= 0.2, place, f"must lie in [0, 0.2], got {value!r}")
+        tag = _eta_tag(float(value))
+        shared = f"{value!r} shares the file tag {tag!r} with an earlier eta"
+        _expect(tag not in map(_eta_tag, rob["etas"]), place, shared)
+        rob["etas"].append(float(value))
+    return ExperimentConfig(payload, Path(out))
 
 
-def build_plans(cfg: ExperimentConfig) -> dict[str, SamplingPlan]:
+def build_plans(cfg: ExperimentConfig, entries: dict | None = None) -> dict[str, SamplingPlan]:
+    """One plan per {nt, ne, strategy[, dt]} entry, keyed by input id.
+
+    By default every input gets its plans.<id> override or else the shared
+    plan.  An entry without dt is planned around its input's guess from the
+    couplings; couplings with nothing to observe are a config error.
+    """
+    if entries is None:
+        entries = {input_id: cfg.payload["plans"].get(input_id, cfg.payload["plan"]) for input_id in INPUT_IDS}
     try:
-        plans = default_plans(cfg.hamiltonian, cfg.nt, cfg.ne, cfg.strategy)
+        guesses = planning_guesses(cfg.hamiltonian)
     except ValueError as exc:
         raise ConfigError(f"hamiltonian: {exc}") from exc
-    guesses = planning_guesses(cfg.hamiltonian)
-    for input_id, entry in cfg.plan_overrides.items():
-        if "dt" in entry:
-            plans[input_id] = SamplingPlan(entry["nt"], entry["dt"], entry["strategy"], entry["ne"])
-        else:
-            plans[input_id] = plan_observation(
-                guesses[input_id], entry["nt"], entry["ne"], entry["strategy"]
-            )
-    return plans
+    return {
+        input_id: SamplingPlan(e["nt"], e["dt"], e["strategy"], e["ne"])
+        if "dt" in e
+        else plan_observation(guesses[input_id], e["nt"], e["ne"], e["strategy"])
+        for input_id, e in entries.items()
+    }
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -320,12 +296,13 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_manifest(cfg: ExperimentConfig, command: str, files: list[str]) -> None:
+    """Write manifest.json, then report every artifact the command wrote."""
     manifest = {
         "command": command,
         "config": cfg.payload,
         "config_hash": cfg.config_hash,
         "files": sorted(files),
-        "seed": cfg.seed,
+        "seed": cfg.payload["seed"],
         "versions": {
             "entmap": __version__,
             "numpy": np.__version__,
@@ -334,6 +311,8 @@ def _write_manifest(cfg: ExperimentConfig, command: str, files: list[str]) -> No
         },
     }
     _write_json(cfg.out / "manifest.json", manifest)
+    for name in files:
+        print(f"wrote {cfg.out / name}")
 
 
 def _write_csv(path: Path, config_hash: str, header: str, rows) -> None:
@@ -401,20 +380,16 @@ def _read_series_csv(path: Path, expected_hash: str, input_id: str) -> Concurren
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> None:
-    plans = build_plans(cfg)
+    p = cfg.payload
     files = []
-    for input_id in INPUT_IDS:
-        series = simulate_series(
-            cfg.hamiltonian, input_id, plans[input_id], cfg.seed, eta=cfg.eta, mode=cfg.mode
-        )
+    for input_id, plan in build_plans(cfg).items():
+        series = simulate_series(cfg.hamiltonian, input_id, plan, p["seed"], eta=p["eta"], mode=p["mode"])
         name = f"series_{input_id}.csv"
         none = np.zeros_like(series.shots)
         zz, xz = (series.shots, none) if series.channel == "zz" else (none, series.shots)
         _write_csv(cfg.out / name, cfg.config_hash, SERIES_HEADER, zip(series.times, series.values, zz, xz))
         files.append(name)
     _write_manifest(cfg, "simulate", files)
-    for name in files:
-        print(f"wrote {cfg.out / name}")
 
 
 def cmd_spectrum(cfg: ExperimentConfig) -> None:
@@ -440,13 +415,11 @@ def cmd_spectrum(cfg: ExperimentConfig) -> None:
     _write_json(cfg.out / "peaks.json", peaks)
     files.append("peaks.json")
     _write_manifest(cfg, "spectrum", files)
-    for name in files:
-        print(f"wrote {cfg.out / name}")
 
 
 def cmd_characterize(cfg: ExperimentConfig) -> None:
-    plans = build_plans(cfg)
-    report = characterize(cfg.hamiltonian, plans, cfg.seed, eta=cfg.eta, mode=cfg.mode)
+    p = cfg.payload
+    report = characterize(cfg.hamiltonian, build_plans(cfg), p["seed"], eta=p["eta"], mode=p["mode"])
     frequencies = {}
     for i, input_id in enumerate(INPUT_IDS):
         entry = {
@@ -464,68 +437,54 @@ def cmd_characterize(cfg: ExperimentConfig) -> None:
                 }
             )
         frequencies[input_id] = entry
+    c_hat = report.result.c_hat.as_tuple()
     summary = {
-        "c_hat": {
-            "c1": report.result.c_hat.c1,
-            "c2": report.result.c_hat.c2,
-            "c3": report.result.c_hat.c3,
-        },
+        "c_hat": dict(zip(COUPLINGS, c_hat)),
         "candidates_considered": report.result.candidates_considered,
         "config_hash": cfg.config_hash,
         "convention": report.result.convention,
-        "eta": cfg.eta,
+        "eta": p["eta"],
         "frequencies": frequencies,
-        "mode": cfg.mode,
+        "mode": p["mode"],
         "residual": report.result.residual,
-        "seed": cfg.seed,
-        "sigma": {
-            "c1": report.result.sigma[0],
-            "c2": report.result.sigma[1],
-            "c3": report.result.sigma[2],
-        },
+        "seed": p["seed"],
+        "sigma": dict(zip(COUPLINGS, report.result.sigma)),
     }
     _write_json(cfg.out / "summary.json", summary)
+    print("c_hat = ({}, {}, {})".format(*map(_fmt, c_hat)))
     _write_manifest(cfg, "characterize", ["summary.json"])
-    print(
-        "c_hat = ({}, {}, {})".format(
-            _fmt(report.result.c_hat.c1), _fmt(report.result.c_hat.c2), _fmt(report.result.c_hat.c3)
-        )
-    )
-    print(f"wrote {cfg.out / 'summary.json'}")
 
 
 def cmd_gate_error(args) -> None:
+    nts = sorted(args.nt or [10, 100])
+    for nt in nts:
+        _expect(4 <= nt <= MAX_NT, "--nt", f"must lie in [4, {MAX_NT}], got {nt}")
     ne_min, ne_max, ne_count = args.ne_range
-    if ne_min < 1 or ne_max < ne_min or ne_count < 1:
-        raise ConfigError(
-            f"--ne-range: need 1 <= MIN <= MAX and COUNT >= 1, got {ne_min} {ne_max} {ne_count}"
-        )
+    _expect(
+        1 <= ne_min <= ne_max <= MAX_NE and 1 <= ne_count <= MAX_NE_COUNT,
+        "--ne-range",
+        f"need 1 <= MIN <= MAX <= {MAX_NE} and 1 <= COUNT <= {MAX_NE_COUNT}, got {ne_min} {ne_max} {ne_count}",
+    )
+    p_target = args.p_target
+    _expect(p_target is None or 0.0 < p_target <= 1.0, "--p-target", f"must lie in (0, 1], got {p_target}")
     ne_values = sorted({int(round(v)) for v in np.geomspace(ne_min, ne_max, ne_count)})
-    ne_values = [ne for ne in ne_values if ne >= 1]
-    if not ne_values:
-        raise ConfigError("--ne-range: produced an empty budget sweep")
 
-    out = Path(args.out if args.out is not None else "runs/gate-error")
-    payload = {
-        "gate": args.gate,
-        "ne_values": ne_values,
-        "nt": sorted(args.nt),
-        "p_target": args.p_target,
-    }
+    out = Path(args.out)
+    payload = {"gate": args.gate, "ne_values": ne_values, "nt": nts, "p_target": p_target}
     config_hash = _payload_hash(payload)
 
     files = []
-    for nt in sorted(args.nt):
+    for nt in nts:
         reports = budget_curve(nt, ne_values, gate=args.gate)
         name = f"gate_error_nt{nt}.csv"
         rows = [(r.total_measurements, r.epsilon, r.p_eff) for r in reports]
         _write_csv(out / name, config_hash, "n_total,epsilon,p_eff", rows)
         files.append(name)
 
-    if args.p_target is not None:
+    if p_target is not None:
         threshold = {}
-        for nt in sorted(args.nt):
-            r = measurements_for_threshold(args.p_target, nt, gate=args.gate)
+        for nt in nts:
+            r = measurements_for_threshold(p_target, nt, gate=args.gate)
             threshold[str(nt)] = {
                 "epsilon": r.epsilon,
                 "n_total": r.total_measurements,
@@ -533,12 +492,12 @@ def cmd_gate_error(args) -> None:
                 "p_eff": r.p_eff,
             }
             print(
-                f"threshold p_eff <= {_fmt(args.p_target)} at nt={nt} ({args.gate}): "
+                f"threshold p_eff <= {_fmt(p_target)} at nt={nt} ({args.gate}): "
                 f"Ne = {r.ne}, N = {r.total_measurements}"
             )
         threshold["config_hash"] = config_hash
         threshold["gate"] = args.gate
-        threshold["p_target"] = args.p_target
+        threshold["p_target"] = p_target
         _write_json(out / "threshold.json", threshold)
         files.append("threshold.json")
 
@@ -557,17 +516,14 @@ def cmd_robustness(cfg: ExperimentConfig) -> None:
     first-order expansion approximates and is computed regardless of mode.
     """
     h = cfg.hamiltonian
-    try:
-        guess = planning_guesses(h)[PSI1]
-    except ValueError as exc:
-        raise ConfigError(f"hamiltonian: {exc}") from exc
-    plan = plan_observation(guess, cfg.robustness.nt, cfg.robustness.ne, cfg.strategy)
+    rob = cfg.payload["robustness"]
+    plan = build_plans(cfg, {PSI1: {**cfg.payload["plan"], "nt": rob["nt"], "ne": rob["ne"]}})[PSI1]
 
     sidebands = sideband_frequencies(h)
     labels = ["w1p2", "w1m3", "w1p3", "w2m3", "w2p3"]
     files = []
     rows = []
-    for eta in cfg.robustness.etas:
+    for eta in rob["etas"]:
         times = plan.times()
         exact = concurrence_sq_exact(evolve_batch(h, prepare_input(PSI1, eta), times))
         series = ConcurrenceSeries(times, exact, np.zeros(plan.nt, dtype=np.int64), "zz")
@@ -596,17 +552,6 @@ def cmd_robustness(cfg: ExperimentConfig) -> None:
     _write_csv(cfg.out / name, cfg.config_hash, header, rows)
     files.append(name)
     _write_manifest(cfg, "robustness", files)
-    for name in files:
-        print(f"wrote {cfg.out / name}")
-
-
-def _add_common_flags(parser: argparse.ArgumentParser, config_required: bool = True) -> None:
-    parser.add_argument("--config", required=config_required, help="path to the JSON config")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--out", default=None, help="override the output directory")
-    parser.add_argument(
-        "--mode", choices=MODES, default=None, help="override the run mode"
-    )
 
 
 @functools.cache
@@ -619,10 +564,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     for command in ("simulate", "spectrum", "characterize", "robustness"):
         p = sub.add_parser(command)
-        _add_common_flags(p)
+        p.add_argument("--config", required=True, help="path to the JSON config")
+        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--out", default=None, help="override the output directory")
+        p.add_argument("--mode", choices=MODES, default=None, help="override the run mode")
 
     p = sub.add_parser("gate-error")
-    _add_common_flags(p, config_required=False)
+    p.add_argument("--out", default="runs/gate-error", help="output directory")
     p.add_argument(
         "--nt",
         type=int,
@@ -645,16 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args) -> int:
     if args.command == "gate-error":
-        if args.nt is None:
-            args.nt = [10, 100]
-        for nt in args.nt:
-            if nt < 4:
-                raise ConfigError(f"--nt: must be >= 4, got {nt}")
-        if args.p_target is not None and not 0.0 < args.p_target <= 1.0:
-            raise ConfigError(f"--p-target: must lie in (0, 1], got {args.p_target}")
         cmd_gate_error(args)
         return EXIT_OK
-
     cfg = resolve_config(load_config(args.config), args)
     commands = {
         "simulate": cmd_simulate,

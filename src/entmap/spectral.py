@@ -342,7 +342,7 @@ def refine_frequency(
         )
     _, w_fit, _ = usable[0]
     if plan.strategy == "endpoint":
-        shots_end = float(shots[-1]) if shots.size else float(plan.ne)
+        shots_end = float(shots[-1])
         if shots_end >= 2.0:
             amplitude = _endpoint_amplitude(series, shots_end)
             w_fit = _endpoint_phase_polish(times, values, w_fit, amplitude)

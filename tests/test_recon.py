@@ -28,7 +28,6 @@ from entmap.recon import (
     default_plans,
     estimate_combination,
     invert_frequencies,
-    invert_three_state,
     quad_from_params,
     simulate_series,
 )
@@ -134,24 +133,6 @@ def test_invert_sigma_propagation_is_linear():
 
     exact = invert_frequencies(FrequencyQuad(values=(0.6, 1.8, 0.8, 2.0), sigmas=(0.0,) * 4))
     assert all(s == 0.0 for s in exact.sigma)
-
-
-def test_invert_three_state_reference():
-    h = invert_three_state(0.6, 1.8, -0.8)
-    np.testing.assert_allclose(h.as_tuple(), (1.2, 0.6, 1.4), atol=1e-14)
-    d = 0.9
-    np.testing.assert_allclose(
-        invert_three_state(0.0, 2 * d, 0.0).as_tuple(), (d, d, d), atol=1e-14
-    )
-
-
-def test_invert_three_state_consistent_with_quad_inversion():
-    rng = np.random.default_rng(52)
-    for _ in range(20):
-        h = HamiltonianParams(*rng.uniform(-2, 2, size=3))
-        w = combinations(h)
-        got = invert_three_state(float(w[0]), float(w[1]), float(w[2]))
-        np.testing.assert_allclose(got.as_tuple(), h.as_tuple(), atol=1e-12)
 
 
 def test_default_plans_cover_all_inputs():

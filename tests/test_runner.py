@@ -1,19 +1,26 @@
 """CLI tests: config validation, artifacts, determinism, and exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from entmap.runner import (
+    CONFIG_KEYS,
     EXIT_CONFIG,
     EXIT_INCONSISTENT,
     EXIT_IO,
     EXIT_OK,
+    MAX_NE,
+    MAX_NE_COUNT,
+    MAX_NT,
     ConfigError,
     main,
     resolve_config,
 )
+from entmap.qcore import INPUT_IDS
 from entmap.recon import MAX_COUPLING
 
 BASE_CONFIG = {
@@ -45,12 +52,12 @@ def read_csv(path, columns):
 
 
 def test_resolve_config_defaults():
-    cfg = resolve_config({"hamiltonian": {"c1": 1.0, "c2": 0.5, "c3": 0.2}})
-    assert cfg.nt == 200
-    assert cfg.ne == 10
-    assert cfg.mode == "sampled"
-    assert cfg.eta == 0.0
-    assert cfg.strategy == "uniform"
+    payload = resolve_config({"hamiltonian": {"c1": 1.0, "c2": 0.5, "c3": 0.2}}).payload
+    assert payload["plan"]["nt"] == 200
+    assert payload["plan"]["ne"] == 10
+    assert payload["mode"] == "sampled"
+    assert payload["eta"] == 0.0
+    assert payload["plan"]["strategy"] == "uniform"
 
 
 def test_resolve_config_bounds_coupling_magnitudes():
@@ -269,6 +276,45 @@ def test_gate_error_rejects_bad_ranges(tmp_path):
     assert main(["gate-error", "--ne-range", "10", "5", "3"]) == EXIT_CONFIG
     assert main(["gate-error", "--nt", "3"]) == EXIT_CONFIG
     assert main(["gate-error", "--p-target", "0"]) == EXIT_CONFIG
+
+
+# Each row is rejected before any budget array is built, so no bound allocates.
+GATE_ERROR_BAD_FLAGS = [
+    ("MAX 401 digits", ["--ne-range", "1", "9" * 401, "3"], "--ne-range"),
+    ("MAX past MAX_NE", ["--ne-range", "1", str(MAX_NE + 1), "3"], "--ne-range"),
+    ("COUNT past its bound", ["--ne-range", "1", "8", str(MAX_NE_COUNT + 1)], "--ne-range"),
+    ("nt 401 digits", ["--nt", "9" * 401], "--nt"),
+    ("nt past MAX_NT", ["--nt", str(MAX_NT + 1)], "--nt"),
+    ("seed", ["--seed", "1"], "unrecognized arguments: --seed"),
+    ("config", ["--config", "cfg.json"], "unrecognized arguments: --config"),
+    ("mode", ["--mode", "sampled"], "unrecognized arguments: --mode"),
+]
+
+
+@pytest.mark.parametrize("label,flags,where", GATE_ERROR_BAD_FLAGS, ids=[c[0] for c in GATE_ERROR_BAD_FLAGS])
+def test_gate_error_bad_flags_exit_2_and_name_their_place(tmp_path, capsys, label, flags, where):
+    out = tmp_path / "gate"
+    assert main(["gate-error", "--out", str(out)] + flags) == EXIT_CONFIG
+    assert where in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_config_example_sets_every_key_the_schema_accepts(monkeypatch):
+    """The README's config example resolves, and sets exactly the keys CONFIG_KEYS accepts."""
+    monkeypatch.delenv("ENTMAP_SEED", raising=False)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"### Config file\n.*?```json\n(.*?)```", readme, flags=re.S)
+    raw = json.loads(block)
+    resolve_config(raw)
+    assert set(raw) == set(CONFIG_KEYS)
+    for key, keys in CONFIG_KEYS.items():
+        if keys is None:
+            continue
+        if key == "plans":
+            assert set(raw["plans"]) <= set(INPUT_IDS)
+            assert set().union(*raw["plans"].values()) == set(keys)
+        else:
+            assert set(raw[key]) == set(keys), key
 
 
 def test_robustness_artifacts(tmp_path, monkeypatch):
