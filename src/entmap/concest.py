@@ -21,6 +21,25 @@ from .spectral import SamplingPlan
 CHANNEL_FOR_INPUT = {PSI1: "zz", PSI2: "zz", PSI3: "xz", PSI4: "xz"}
 
 
+def first_bad_point(times: np.ndarray, values: np.ndarray, shots: np.ndarray) -> tuple[int, str] | None:
+    """(index, reason) of the first point that breaks one of the rules below (dt = t_1), or None."""
+    dt = times[0]
+    with np.errstate(invalid="ignore"):
+        off_grid = np.abs(times - dt * np.arange(1, times.size + 1)) > 1e-9 * dt
+        rules = (
+            (~(np.isfinite(times) & (times > 0)), "time must be positive and finite, got {t!r}"),
+            (off_grid, "time {t!r} is off the uniform grid j*{dt!r}"),
+            (~((values >= 0.0) & (values <= 1.0)), "C^2 estimate must lie in [0, 1], got {v!r}"),
+            (shots < 0, "shot count must be nonnegative, got {n!r}"),
+        )
+    bad = np.any([mask for mask, _ in rules], axis=0)
+    if not bad.any():
+        return None
+    j = int(bad.argmax())
+    reason = next(message for mask, message in rules if mask[j])
+    return j, reason.format(t=float(times[j]), dt=float(dt), v=float(values[j]), n=int(shots[j]))
+
+
 @dataclass(frozen=True)
 class ConcurrenceSeries:
     """C^2 estimates on a uniform grid t_j = j*dt, j = 1..nt, held as arrays.
@@ -47,18 +66,11 @@ class ConcurrenceSeries:
             raise ValueError("times, values and shots must have one entry per point")
         if self.channel not in CHANNELS:
             raise ValueError(f"unknown channel {self.channel!r}")
-        if not (np.all(np.isfinite(times)) and times[0] > 0):
-            raise ValueError("times must be finite, starting at a positive t_1")
-        dt = times[0]
-        if float(np.abs(times - dt * np.arange(1, times.size + 1)).max()) > 1e-9 * dt:
-            raise ValueError("points must sit on the uniform grid j*dt without gaps")
-        in_range = (values >= 0.0) & (values <= 1.0)
-        if not np.all(in_range):
-            raise ValueError(f"C^2 estimates must lie in [0, 1], got {float(values[~in_range][0])!r}")
         if not np.issubdtype(shots.dtype, np.integer):
             raise ValueError("shot counts must be integers")
-        if np.any(shots < 0):
-            raise ValueError("shot counts must be nonnegative")
+        fault = first_bad_point(times, values, shots)
+        if fault is not None:
+            raise ValueError(f"point {fault[0] + 1}: {fault[1]}")
         arrays = {"times": times, "values": values, "shots": shots}
         if self.counts is not None:
             counts = np.array(self.counts)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import HamiltonianParams, propagator
+from .spectral import resolution_epsilon
 
 GATE_ISING_CNOT = "ising_cnot"
 GATE_SQRTSWAP = "heisenberg_sqrtswap"
@@ -86,13 +87,6 @@ def sqrtswap_pulse(d_coupling: float, time_scale: float = 1.0) -> np.ndarray:
         raise ValueError(f"coupling must be positive, got {d_coupling!r}")
     h = HamiltonianParams(d_coupling, d_coupling, d_coupling)
     return propagator(h, time_scale * math.pi / (8.0 * d_coupling))
-
-
-def resolution_epsilon(nt: int, ne: int) -> float:
-    """Fractional frequency resolution 4/(nt*sqrt(ne)) of the estimation protocol."""
-    if nt < 4 or ne < 1:
-        raise ValueError(f"need nt >= 4 and ne >= 1, got nt={nt!r}, ne={ne!r}")
-    return 4.0 / (nt * math.sqrt(ne))
 
 
 def budget_curve(nt: int, ne_values, gate: str = GATE_ISING_CNOT) -> list[GateErrorReport]:

@@ -32,6 +32,8 @@ SIGN_CONVENTION = "c2 >= 0"
 # A runner-up candidate farther than this many quoted sigmas from the best
 # (and from its mirror) on some coupling makes the inversion ambiguous.
 AMBIGUITY_SIGMAS = 5.0
+# A best residual above this many times the propagated frequency noise makes the quad inconsistent.
+RESIDUAL_TOLERANCE_FACTOR = 3.0
 
 MODES = ("sampled", "noiseless")
 
@@ -103,23 +105,14 @@ class CharacterizationReport:
     degenerate: dict[str, bool]
 
 
-def quad_from_params(h: HamiltonianParams, fractional: float = 0.0) -> FrequencyQuad:
-    """Exact combination magnitudes of known couplings, optionally with uniform fractional sigmas."""
-    mags = np.abs(combinations(h))
-    return FrequencyQuad(
-        values=tuple(float(w) for w in mags),
-        sigmas=tuple(float(w) * fractional for w in mags),
-    )
-
-
-def invert_frequencies(quad: FrequencyQuad, residual_tolerance_factor: float = 3.0) -> ReconstructionResult:
+def invert_frequencies(quad: FrequencyQuad) -> ReconstructionResult:
     """Recover couplings from the four combination magnitudes.
 
     All 16 sign assignments are solved in least squares against the combination
     map; candidates violating the c2 >= 0 convention are dropped (their mirror
     image has identical residual), the minimum-residual survivor wins, and exact
     ties break deterministically toward larger c2, then c3, then c1.  If even
-    the best candidate misses by more than residual_tolerance_factor times the
+    the best candidate misses by more than RESIDUAL_TOLERANCE_FACTOR times the
     propagated frequency noise, the quad is declared inconsistent.  Runner-up
     candidates within that tolerance that are neither the best nor its H -> -H
     mirror, to AMBIGUITY_SIGMAS, are returned as alternatives.
@@ -141,11 +134,11 @@ def invert_frequencies(quad: FrequencyQuad, residual_tolerance_factor: float = 3
     noise = float(np.linalg.norm(sig))
     scale = max(float(w.max()), 1.0)
     floor = max(noise, 1e-9 * scale)
-    tolerance = residual_tolerance_factor * floor
+    tolerance = RESIDUAL_TOLERANCE_FACTOR * floor
     if best_residual > tolerance:
         raise InconsistentFrequencyError(
             f"no sign assignment fits the quad {quad.values}: best residual "
-            f"{best_residual:.3e} exceeds {residual_tolerance_factor} x noise floor {floor:.3e}"
+            f"{best_residual:.3e} exceeds {RESIDUAL_TOLERANCE_FACTOR} x noise floor {floor:.3e}"
         )
 
     # Linear propagation through the pseudoinverse used by the fit.

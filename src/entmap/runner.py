@@ -24,9 +24,9 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .concest import CHANNEL_FOR_INPUT, ConcurrenceSeries
+from .concest import CHANNEL_FOR_INPUT, ConcurrenceSeries, first_bad_point
 from .gateerr import GATE_ISING_CNOT, GATES, budget_curve, measurements_for_threshold
-from .measure import prepare_input
+from .measure import CHANNELS, prepare_input
 from .qcore import (
     INPUT_IDS,
     PSI1,
@@ -171,12 +171,6 @@ def _plan_entry(raw, path: str, nt: int, ne: int, strategy: str | None = None) -
     return entry
 
 
-def _flag(args, name: str, value):
-    """The CLI flag of that name if it was given, else value."""
-    flag = getattr(args, name, None)
-    return value if flag is None else flag
-
-
 def load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -235,7 +229,8 @@ def resolve_config(raw: dict, args=None) -> ExperimentConfig:
     }
     _expect(0.0 <= payload["eta"] < 1.0, "eta", f"must lie in [0, 1), got {payload['eta']!r}")
 
-    seed = _flag(args, "seed", _get_int(raw, "seed", "config", default=0))
+    given = {flag: value for flag, value in vars(args).items() if value is not None} if args else {}
+    seed = given.get("seed", _get_int(raw, "seed", "config", default=0))
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
@@ -244,8 +239,8 @@ def resolve_config(raw: dict, args=None) -> ExperimentConfig:
             raise ConfigError(f"{SEED_ENV_VAR}: expected an integer, got {env_seed!r}") from None
     _expect(0 <= seed < 2**64, "seed", f"must fit in 64 bits, got {seed}")
     payload["seed"] = seed
-    payload["mode"] = _choice(_flag(args, "mode", raw.get("mode", "sampled")), "mode", MODES)
-    out = _flag(args, "out", raw.get("out", DEFAULT_OUT))
+    payload["mode"] = _choice(raw.get("mode", "sampled"), "mode", MODES)
+    out = given.get("out", raw.get("out", DEFAULT_OUT))
     _expect(isinstance(out, str) and out, "out", "must be a nonempty path string")
 
     rob_raw = raw.get("robustness", {})
@@ -330,11 +325,14 @@ def _write_spectrum_csv(path: Path, config_hash: str, spectrum: Spectrum) -> Non
     _write_csv(path, config_hash, "omega,magnitude", zip(spectrum.omegas, spectrum.magnitudes))
 
 
-SERIES_HEADER = "t,c2_estimate,shots_zz,shots_xz"
+SERIES_HEADER = "t,c2_estimate," + ",".join(f"shots_{channel}" for channel in CHANNELS)
 
 
 def _read_series_csv(path: Path, expected_hash: str, input_id: str) -> ConcurrenceSeries:
-    """Read one series_*.csv back; any malformed line is a ConfigError naming path:line."""
+    """Parse one series_*.csv, taking shots from the input's channel column (the others must be 0).
+
+    A malformed line, or the first point ConcurrenceSeries rejects, is a ConfigError naming path:line.
+    """
     if not path.exists():
         raise FileNotFoundError(f"{path}: series file missing; run simulate first")
     lines = path.read_text().splitlines()
@@ -347,36 +345,30 @@ def _read_series_csv(path: Path, expected_hash: str, input_id: str) -> Concurren
         )
     if len(lines) < 2 or lines[1] != SERIES_HEADER:
         raise ConfigError(f"{path}:2: expected the column header {SERIES_HEADER!r}")
-    times, values, shots = [], [], []
+    channel = CHANNEL_FOR_INPUT[input_id]
+    own, width = CHANNELS.index(channel), 2 + len(CHANNELS)
+    rows = []
     for lineno, line in enumerate(lines[2:], start=3):
         if not line:
             continue
-        where = f"{path}:{lineno}"
         fields = line.split(",")
-        if len(fields) != 4:
-            raise ConfigError(f"{where}: expected 4 comma-separated fields, got {len(fields)}")
+        if len(fields) != width:
+            raise ConfigError(f"{path}:{lineno}: expected {width} comma-separated fields, got {len(fields)}")
         try:
-            t, c2 = float(fields[0]), float(fields[1])
-            shots_zz, shots_xz = int(fields[2]), int(fields[3])
+            t, c2, counts = float(fields[0]), float(fields[1]), list(map(int, fields[2:]))
         except ValueError:
-            raise ConfigError(f"{where}: expected {SERIES_HEADER} as numbers, got {line!r}") from None
-        if not (math.isfinite(t) and t > 0):
-            raise ConfigError(f"{where}: time must be positive and finite, got {t!r}")
-        if times and abs(t - (len(times) + 1) * times[0]) > 1e-9 * times[0]:
-            raise ConfigError(f"{where}: time {t!r} is off the uniform grid j*{times[0]!r}")
-        if not 0.0 <= c2 <= 1.0:
-            raise ConfigError(f"{where}: c2_estimate must lie in [0, 1], got {c2!r}")
-        if shots_zz < 0 or shots_xz < 0:
-            raise ConfigError(f"{where}: shot counts must be nonnegative")
-        times.append(t)
-        values.append(c2)
-        shots.append(shots_zz + shots_xz)
+            raise ConfigError(f"{path}:{lineno}: expected {SERIES_HEADER} as numbers, got {line!r}") from None
+        if any(counts[:own] + counts[own + 1 :]):
+            raise ConfigError(f"{path}:{lineno}: {input_id} reads shots_{channel}; the others must be 0")
+        rows.append((lineno, t, c2, counts[own]))
+    linenos, times, values, shots = zip(*rows) if rows else ((),) * 4
+    times, values = np.array(times, dtype=float), np.array(values, dtype=float)
+    shots = np.array(shots, dtype=np.int64)
     try:
-        return ConcurrenceSeries(
-            times, values, np.array(shots, dtype=np.int64), CHANNEL_FOR_INPUT[input_id]
-        )
+        return ConcurrenceSeries(times, values, shots, channel)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        fault = first_bad_point(times, values, shots) if rows else None
+        raise ConfigError(f"{path}:{linenos[fault[0]]}: {fault[1]}" if fault else f"{path}: {exc}") from None
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> None:
@@ -385,9 +377,9 @@ def cmd_simulate(cfg: ExperimentConfig) -> None:
     for input_id, plan in build_plans(cfg).items():
         series = simulate_series(cfg.hamiltonian, input_id, plan, p["seed"], eta=p["eta"], mode=p["mode"])
         name = f"series_{input_id}.csv"
-        none = np.zeros_like(series.shots)
-        zz, xz = (series.shots, none) if series.channel == "zz" else (none, series.shots)
-        _write_csv(cfg.out / name, cfg.config_hash, SERIES_HEADER, zip(series.times, series.values, zz, xz))
+        shots = np.zeros((len(CHANNELS), plan.nt), dtype=np.int64)
+        shots[CHANNELS.index(series.channel)] = series.shots
+        _write_csv(cfg.out / name, cfg.config_hash, SERIES_HEADER, zip(series.times, series.values, *shots))
         files.append(name)
     _write_manifest(cfg, "simulate", files)
 
@@ -456,7 +448,7 @@ def cmd_characterize(cfg: ExperimentConfig) -> None:
 
 
 def cmd_gate_error(args) -> None:
-    nts = sorted(args.nt or [10, 100])
+    nts = sorted(set(args.nt or [10, 100]))
     for nt in nts:
         _expect(4 <= nt <= MAX_NT, "--nt", f"must lie in [4, {MAX_NT}], got {nt}")
     ne_min, ne_max, ne_count = args.ne_range
@@ -467,7 +459,8 @@ def cmd_gate_error(args) -> None:
     )
     p_target = args.p_target
     _expect(p_target is None or 0.0 < p_target <= 1.0, "--p-target", f"must lie in (0, 1], got {p_target}")
-    ne_values = sorted({int(round(v)) for v in np.geomspace(ne_min, ne_max, ne_count)})
+    # Rounding a float near MAX can step past it, so every budget is clamped to [MIN, MAX].
+    ne_values = sorted({min(max(round(v), ne_min), ne_max) for v in np.geomspace(ne_min, ne_max, ne_count)})
 
     out = Path(args.out)
     payload = {"gate": args.gate, "ne_values": ne_values, "nt": nts, "p_target": p_target}
@@ -567,7 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--mode", choices=MODES, default=None, help="override the run mode")
 
     p = sub.add_parser("gate-error")
     p.add_argument("--out", default="runs/gate-error", help="output directory")

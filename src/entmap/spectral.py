@@ -119,6 +119,13 @@ class FrequencyEstimate:
         return self.omega_hat * self.delta_f_over_f
 
 
+def resolution_epsilon(nt: int, ne: int) -> float:
+    """Fractional frequency resolution 4/(nt*sqrt(ne)) of the estimation protocol."""
+    if nt < 4 or ne < 1:
+        raise ValueError(f"need nt >= 4 and ne >= 1, got nt={nt!r}, ne={ne!r}")
+    return 4.0 / (nt * math.sqrt(ne))
+
+
 def plan_observation(omega_guess: float, nt: int, ne: int, strategy: str = "uniform") -> SamplingPlan:
     """Pick dt so the expected line at 4*omega_guess sits below Nyquist by NYQUIST_MARGIN.
 
@@ -348,7 +355,7 @@ def refine_frequency(
             w_fit = _endpoint_phase_polish(times, values, w_fit, amplitude)
     return FrequencyEstimate(
         omega_hat=w_fit / 2.0,
-        delta_f_over_f=4.0 / (plan.nt * math.sqrt(plan.ne)),
+        delta_f_over_f=resolution_epsilon(plan.nt, plan.ne),
         raw_peak_omega=coarse_peak_omega,
     )
 

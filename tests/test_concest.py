@@ -9,6 +9,7 @@ from entmap.concest import (
     build_series,
     concurrence_sq_from_probs,
     concurrence_sq_reduced,
+    first_bad_point,
 )
 from entmap.measure import outcome_probs_batch, prepare_input
 from entmap.qcore import (
@@ -210,6 +211,19 @@ def test_concurrence_series_requires_uniform_grid():
         flat_series(times=np.array([0.5, 1.0, 1.7, 2.0]))
     with pytest.raises(ValueError):
         flat_series(times=0.5 * np.arange(1, 4), values=np.zeros(3), shots=np.zeros(3, dtype=int))
+
+
+def test_first_bad_point_reports_the_first_point_and_its_first_broken_rule():
+    times, values, shots = 0.5 * np.arange(1, 6), np.zeros(5), np.zeros(5, dtype=int)
+    assert first_bad_point(times, values, shots) is None
+    values[3], shots[2] = 1.5, -1
+    assert first_bad_point(times, values, shots) == (2, "shot count must be nonnegative, got -1")
+    times[2] = np.nan
+    assert first_bad_point(times, values, shots) == (2, "time must be positive and finite, got nan")
+    times[1] = 1.7
+    assert first_bad_point(times, values, shots) == (1, "time 1.7 is off the uniform grid j*0.5")
+    with pytest.raises(ValueError, match=r"point 2: time 1\.7 is off the uniform grid"):
+        flat_series(times=np.array([0.5, 1.7, 1.5, 2.0]))
 
 
 def test_build_series_noiseless_matches_closed_form():

@@ -28,7 +28,6 @@ from entmap.recon import (
     default_plans,
     estimate_combination,
     invert_frequencies,
-    quad_from_params,
     simulate_series,
 )
 from entmap.spectral import plan_observation
@@ -36,17 +35,23 @@ from entmap.spectral import plan_observation
 H_REF = HamiltonianParams(1.2, 0.6, 1.4)
 
 
+def exact_quad(h: HamiltonianParams, fractional: float = 0.0) -> FrequencyQuad:
+    """The combination magnitudes of known couplings, with uniform fractional sigmas."""
+    mags = np.abs(combinations(h))
+    return FrequencyQuad(values=tuple(mags), sigmas=tuple(mags * fractional))
+
+
 def test_combinations_reference_values():
     np.testing.assert_allclose(combinations(H_REF), [0.6, 1.8, -0.8, 2.0], atol=1e-14)
     np.testing.assert_allclose(
-        quad_from_params(H_REF).values, [0.6, 1.8, 0.8, 2.0], atol=1e-14
+        exact_quad(H_REF).values, [0.6, 1.8, 0.8, 2.0], atol=1e-14
     )
 
 
 def test_quad_sign_blindness():
     h_neg = HamiltonianParams(-1.2, -0.6, -1.4)
     np.testing.assert_allclose(
-        quad_from_params(H_REF).values, quad_from_params(h_neg).values, atol=1e-14
+        exact_quad(H_REF).values, exact_quad(h_neg).values, atol=1e-14
     )
 
 
@@ -60,7 +65,7 @@ def test_frequency_quad_validation():
 
 
 def test_invert_reference_quad():
-    quad = quad_from_params(H_REF, fractional=0.01)
+    quad = exact_quad(H_REF, fractional=0.01)
     result = invert_frequencies(quad)
     np.testing.assert_allclose(result.c_hat.as_tuple(), (1.2, 0.6, 1.4), atol=1e-10)
     assert result.residual < 1e-12
@@ -72,7 +77,7 @@ def test_invert_reference_quad():
 def test_invert_resolves_sign_convention():
     """Both global-sign mirrors decode to the representative with c2 >= 0."""
     h = HamiltonianParams(-0.9, -0.3, 0.7)
-    quad = quad_from_params(h)
+    quad = exact_quad(h)
     result = invert_frequencies(quad)
     assert result.c_hat.c2 >= 0.0
     np.testing.assert_allclose(
@@ -108,11 +113,11 @@ def test_invert_roundtrip_random_params():
     rng = np.random.default_rng(51)
     for _ in range(50):
         h = HamiltonianParams(*rng.uniform(-2, 2, size=3))
-        result = invert_frequencies(quad_from_params(h))
+        result = invert_frequencies(exact_quad(h))
         # the reconstruction must regenerate the measured magnitudes exactly
         np.testing.assert_allclose(
             np.abs(combinations(result.c_hat)),
-            quad_from_params(h).values,
+            exact_quad(h).values,
             atol=1e-9,
         )
         assert result.c_hat.c2 >= 0.0
@@ -322,7 +327,7 @@ def test_characterize_noiseless_xxz_y_axis_returns_the_truth():
 
 
 def test_invert_unambiguous_quad_has_no_alternatives():
-    result = invert_frequencies(quad_from_params(H_REF, fractional=0.01))
+    result = invert_frequencies(exact_quad(H_REF, fractional=0.01))
     assert not result.ambiguous
     assert result.alternatives == ()
 

@@ -278,25 +278,49 @@ def test_gate_error_rejects_bad_ranges(tmp_path):
     assert main(["gate-error", "--p-target", "0"]) == EXIT_CONFIG
 
 
-# Each row is rejected before any budget array is built, so no bound allocates.
+# Each row is rejected before any budget array or config is read, so no bound allocates.
+# gate-error's rows check its bounded flags; the other rows check flags a subcommand does not take.
 GATE_ERROR_BAD_FLAGS = [
-    ("MAX 401 digits", ["--ne-range", "1", "9" * 401, "3"], "--ne-range"),
-    ("MAX past MAX_NE", ["--ne-range", "1", str(MAX_NE + 1), "3"], "--ne-range"),
-    ("COUNT past its bound", ["--ne-range", "1", "8", str(MAX_NE_COUNT + 1)], "--ne-range"),
-    ("nt 401 digits", ["--nt", "9" * 401], "--nt"),
-    ("nt past MAX_NT", ["--nt", str(MAX_NT + 1)], "--nt"),
-    ("seed", ["--seed", "1"], "unrecognized arguments: --seed"),
-    ("config", ["--config", "cfg.json"], "unrecognized arguments: --config"),
-    ("mode", ["--mode", "sampled"], "unrecognized arguments: --mode"),
+    ("MAX 401 digits", "gate-error", ["--ne-range", "1", "9" * 401, "3"], "--ne-range"),
+    ("MAX past MAX_NE", "gate-error", ["--ne-range", "1", str(MAX_NE + 1), "3"], "--ne-range"),
+    ("COUNT past its bound", "gate-error", ["--ne-range", "1", "8", str(MAX_NE_COUNT + 1)], "--ne-range"),
+    ("nt 401 digits", "gate-error", ["--nt", "9" * 401], "--nt"),
+    ("nt past MAX_NT", "gate-error", ["--nt", str(MAX_NT + 1)], "--nt"),
+    ("seed", "gate-error", ["--seed", "1"], "unrecognized arguments: --seed"),
+    ("config", "gate-error", ["--config", "cfg.json"], "unrecognized arguments: --config"),
+    ("mode", "gate-error", ["--mode", "sampled"], "unrecognized arguments: --mode"),
+] + [
+    (f"{command} mode", command, ["--config", "cfg.json", "--mode", "noiseless"], "unrecognized arguments: --mode")
+    for command in ("simulate", "spectrum", "characterize", "robustness")
 ]
 
 
-@pytest.mark.parametrize("label,flags,where", GATE_ERROR_BAD_FLAGS, ids=[c[0] for c in GATE_ERROR_BAD_FLAGS])
-def test_gate_error_bad_flags_exit_2_and_name_their_place(tmp_path, capsys, label, flags, where):
+@pytest.mark.parametrize(
+    "label,command,flags,where", GATE_ERROR_BAD_FLAGS, ids=[c[0] for c in GATE_ERROR_BAD_FLAGS]
+)
+def test_gate_error_bad_flags_exit_2_and_name_their_place(tmp_path, capsys, label, command, flags, where):
     out = tmp_path / "gate"
-    assert main(["gate-error", "--out", str(out)] + flags) == EXIT_CONFIG
+    assert main([command, "--out", str(out)] + flags) == EXIT_CONFIG
     assert where in capsys.readouterr().err
     assert not out.exists()
+
+
+# Each row writes gate_error_nt10.csv once, with the n_total column listed.
+GATE_ERROR_BUDGET_CASES = [
+    ("budget rounds past MAX", ["--nt", "10", "--ne-range", "1", str(MAX_NE), "2"], [22, 20 + 2 * MAX_NE]),
+    ("repeated nt", ["--nt", "10", "--nt", "10", "--ne-range", "1", "8", "2"], [22, 36]),
+]
+
+
+@pytest.mark.parametrize(
+    "label,flags,n_totals", GATE_ERROR_BUDGET_CASES, ids=[c[0] for c in GATE_ERROR_BUDGET_CASES]
+)
+def test_gate_error_writes_each_curve_once_within_its_budget_range(tmp_path, capsys, label, flags, n_totals):
+    out = tmp_path / "gate"
+    assert main(["gate-error", "--out", str(out)] + flags) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [f"wrote {out / 'gate_error_nt10.csv'}"]
+    rows = (out / "gate_error_nt10.csv").read_text().splitlines()[2:]
+    assert [int(row.split(",")[0]) for row in rows] == n_totals
 
 
 def test_readme_config_example_sets_every_key_the_schema_accepts(monkeypatch):
@@ -376,6 +400,7 @@ BAD_INPUT_CASES = [
     ("c2 above one", _series_line_edit(1, "1.5"), "series_psi1.csv:4:"),
     ("negative shots", _series_line_edit(2, "-1"), "series_psi1.csv:4:"),
     ("off-grid time", _series_line_edit(0, lambda t: repr(float(t) * 1.01)), "series_psi1.csv:4:"),
+    ("shots in the other channel", _series_line_edit(3, "5"), "series_psi1.csv:4:"),
     ("duplicate eta tag", {"robustness": {"etas": [0.05, 0.05000001], "nt": 64}}, "robustness.etas[1]"),
     ("c1 1e160", {"hamiltonian": {"c1": 1e160, "c2": 0.6, "c3": 1.4}}, "hamiltonian.c1"),
     ("c1 1e300", {"hamiltonian": {"c1": 1e300, "c2": 0.6, "c3": 1.4}}, "hamiltonian.c1"),
