@@ -8,6 +8,7 @@ means rotating it by a Hadamard and reading out in Z.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -101,9 +102,15 @@ _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
 _MASK32 = 0xFFFFFFFF
 
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK128 = (1 << 128) - 1
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h) as uint64
+# (high, low) limbs; a 128-bit number is always carried as such a limb pair.
+_PCG_MULT = (np.uint64(2549297995355413924), np.uint64(4865540595714422341))
+_LOW32 = np.uint64(_MASK32)
+
+# numpy's random_binomial draws by inversion while min(p, 1 - p) * n <= 30
+# (numpy/random/src/distributions/distributions.c), so every binomial of a
+# multinomial row with at most 60 shots takes that branch.
+_INVERSION_SHOTS = 60
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -184,38 +191,181 @@ def stream_words(master_seed: int, input_id: str, channel: str, time_indices) ->
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _pcg64_state(words) -> dict:
-    """PCG64's state after seeding with generate_state words (pcg_setseq_128_srandom_r)."""
-    w0, w1, w2, w3 = (int(w) for w in words)
-    inc = (((w2 << 64) | w3) << 1 | 1) & _MASK128
-    state = ((inc + ((w0 << 64) | w1)) * _PCG_MULT + inc) & _MASK128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+def _mul64(a, b):
+    """Full 128-bit products of uint64 arrays a * b, as (high, low) limbs, from 32-bit halves."""
+    a0, a1 = a & _LOW32, a >> np.uint64(32)
+    b0, b1 = b & _LOW32, b >> np.uint64(32)
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> np.uint64(32)) + (p01 & _LOW32) + (p10 & _LOW32)
+    high = a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
+    return high, (mid << np.uint64(32)) | (p00 & _LOW32)
 
 
-def _carrier() -> np.random.Generator:
-    # Its seed is overwritten before any draw.
-    return np.random.Generator(np.random.PCG64(0))
+def _add128(a, b):
+    """(high, low) limb sum mod 2**128, carrying out of the low limb."""
+    high, low = a[0] + b[0], a[1] + b[1]
+    return high + (low < a[1]), low
+
+
+def _lcg_step(state, inc):
+    """PCG64's LCG step, state * MULT + inc mod 2**128, on (high, low) limbs."""
+    carry, low = _mul64(state[1], _PCG_MULT[1])
+    return _add128((carry + state[1] * _PCG_MULT[0] + state[0] * _PCG_MULT[1], low), inc)
+
+
+def _seeded_streams(words) -> np.ndarray:
+    """PCG64 (state, inc) of every stream seeded with generate_state words, one row per stream.
+
+    Rows are uint64 limbs (state high, state low, inc high, inc low), as
+    pcg_setseq_128_srandom_r leaves them: inc = (w2, w3) << 1 | 1 and
+    state = (inc + (w0, w1)) * MULT + inc.
+    """
+    w0, w1, w2, w3 = np.asarray(words, dtype=np.uint64).reshape(-1, 4).T
+    one = np.uint64(1)
+    inc = ((w2 << one) | (w3 >> np.uint64(63)), (w3 << one) | one)
+    state = _lcg_step(_add128(inc, (w0, w1)), inc)
+    return np.column_stack(state + inc)
+
+
+def _generator(stream, rng: np.random.Generator | None = None) -> np.random.Generator:
+    """rng, or a new Generator, with its PCG64 set to one _seeded_streams row's (state, inc)."""
+    state_hi, state_lo, inc_hi, inc_lo = (int(w) for w in stream)
+    if rng is None:
+        rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
+def _stream_doubles(streams: np.ndarray, count: int) -> np.ndarray:
+    """The first count next_double outputs of every _seeded_streams row, one column per draw.
+
+    PCG64 steps its LCG, then outputs XSL-RR of the new state (the two limbs
+    XORed, rotated right by the top six bits); next_double keeps 53 bits.
+    """
+    state, inc = (streams[:, 0], streams[:, 1]), (streams[:, 2], streams[:, 3])
+    doubles = np.empty((len(streams), count))
+    for i in range(count):
+        state = _lcg_step(state, inc)
+        x = state[0] ^ state[1]
+        rot = state[0] >> np.uint64(58)
+        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+        doubles[:, i] = (x >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+    return doubles
+
+
+def _inversion_counts(p: np.ndarray, shots: np.ndarray, doubles: np.ndarray):
+    """Multinomial rows of at most _INVERSION_SHOTS shots, drawn as numpy's C code draws them.
+
+    Replays random_multinomial -> random_binomial -> random_binomial_inversion
+    on every row at once, with the same float operations in the same order;
+    qn comes from math.log and math.exp, the libm calls the C code makes.
+    Row j's binomials take their uniforms from doubles[j] in order, one per
+    binomial that draws.  Rows the replay does not cover, where inversion
+    passes its bound and restarts or numpy would leave inversion, are
+    returned in a mask; their counts are not valid.
+    """
+    m = len(p)
+    lanes = np.arange(m)
+    counts = np.zeros((m, 4), dtype=np.int64)
+    left = shots.copy()
+    remaining = np.ones(m)
+    used = np.zeros(m, dtype=np.int64)
+    redraw = np.zeros(m, dtype=bool)
+    # Rows that do not draw compute on garbage, which np.where masks out.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(3):
+            ratio = p[:, k] / remaining
+            remaining -= p[:, k]
+            draw = (left > 0) & (ratio != 0.0)
+            if not draw.any():
+                continue
+            flip = ~(ratio <= 0.5)
+            pp = np.where(flip, 1.0 - ratio, ratio)
+            q = 1.0 - pp
+            # numpy's own test for leaving inversion (for BTPE); the 60-shot cap keeps every lane inside it.
+            redraw |= draw & ~(pp * left <= 30.0)
+            u0 = doubles[lanes, used]
+            used += draw
+            # pp <= 0 only when rounding takes the ratio to 1 or past it; then qn >= 1 > u and x = 0.
+            qn = np.ones(m)
+            live = np.flatnonzero(draw & (pp > 0.0))
+            qn[live] = list(map(math.exp, map(operator.mul, left[live].tolist(), map(math.log, q[live].tolist()))))
+            npq = left * pp
+            cap = npq + 10.0 * np.sqrt(npq * q + 1.0)
+            # C truncates MIN(n, cap) to an integer; an integer X exceeds either alike.
+            bound = np.where(left < cap, left, cap)
+            # px[i] and u[i] are px and U once X = i; X is the first i with U <= px.
+            steps = np.arange(1, left[draw].max(initial=0) + 1)[:, None]
+            grow, shrink = (left - steps + 1) * pp, steps * q
+            px = np.empty((len(steps) + 1, m))
+            px[0] = qn
+            for i in range(len(steps)):
+                px[i + 1] = grow[i] * px[i] / shrink[i]
+            u = np.subtract.accumulate(np.vstack([u0, px[:-1]]), axis=0)
+            stop = u <= px
+            x = stop.argmax(axis=0)
+            redraw |= draw & (~stop[x, lanes] | (x > bound))
+            counts[:, k] = np.where(draw, np.where(flip, left - x, x), 0)
+            left -= counts[:, k]
+    counts[:, 3] = left
+    return counts, redraw
+
+
+def _checked_sampler_input(p: np.ndarray, shots) -> np.ndarray:
+    """Shots as int64 after checking every row of a sampler's input; a ValueError names the first bad row."""
+    shots = np.asarray(shots).reshape(-1)
+    if shots.size != len(p):
+        raise ValueError(f"need one shot count per probability row, got {shots.size} for {len(p)}")
+    s = shots.astype(float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        rules = (
+            (~(np.isfinite(s) & (s == np.floor(s)) & (s < 2.0**63)), "shots must be a whole number below 2**63"),
+            (s < 0, "shots must be >= 0"),
+            (~np.isfinite(p.sum(axis=1)), "probabilities and their sum must be finite"),
+            ((p < 0).any(axis=1), "probabilities must be >= 0"),
+            (~(p > 0).any(axis=1), "probabilities are all zero"),
+        )
+    broken = np.column_stack([mask for mask, _ in rules])
+    bad = np.flatnonzero(broken.any(axis=1))
+    if bad.size:
+        j = bad[0]
+        reason = rules[int(np.argmax(broken[j]))][1]
+        raise ValueError(f"row {j}: {reason}, got shots {shots[j]!r} and probabilities {p[j].tolist()}")
+    return shots.astype(np.int64)
 
 
 def sample_counts_batch(probs, shots, master_seed: int, input_id: str, channel: str) -> np.ndarray:
     """Multinomial counts for every row of (n, 4) probabilities; row j from point j's own stream.
 
     Row j equals point_rng(master_seed, input_id, j, channel).multinomial(
-    shots[j], p_j) with p_j the row normalised to sum 1.  The stream words
-    of the whole grid come from one stream_words pass, and a single
-    generator is reset to each point's seeded state before its draw.
+    shots[j], p_j) with p_j the row normalised to sum 1.  Probabilities must
+    be finite and non-negative with a positive sum, shots whole and >= 0.
+    Every point's stream is seeded from one stream_words pass.  Rows with at
+    most _INVERSION_SHOTS shots are drawn together with array ops that step
+    PCG64 and replay numpy's binomial inversion; larger rows, and any row
+    whose inversion restarts, are drawn by one generator set to each point's
+    seeded state in turn.
     """
     p = np.asarray(probs, dtype=float).reshape(-1, 4)
-    shots = np.asarray(shots).reshape(-1)
-    if shots.size != len(p):
-        raise ValueError(f"need one shot count per probability row, got {shots.size} for {len(p)}")
+    shots = _checked_sampler_input(p, shots)
     p = p / p.sum(axis=1, keepdims=True)
-    words = stream_words(master_seed, input_id, channel, np.arange(len(p)))
-    rng = _carrier()
-    bitgen = rng.bit_generator
+    streams = _seeded_streams(stream_words(master_seed, input_id, channel, np.arange(len(p))))
+    per_point = shots > _INVERSION_SHOTS
+    small = np.flatnonzero(~per_point)
     counts = np.empty((len(p), 4), dtype=np.int64)
-    for j, (row, n) in enumerate(zip(words.tolist(), shots.tolist())):
-        bitgen.state = _pcg64_state(row)
+    if small.size:
+        # A row draws at most three binomials, one double each.
+        counts[small], redraw = _inversion_counts(p[small], shots[small], _stream_doubles(streams[small], 3))
+        per_point[small[redraw]] = True
+    rows = np.flatnonzero(per_point)
+    rng = None
+    for j, stream, n in zip(rows.tolist(), streams[rows].tolist(), shots[rows].tolist()):
+        rng = _generator(stream, rng)
         counts[j] = rng.multinomial(n, p[j])
     return counts
 
@@ -230,7 +380,4 @@ def point_rng(master_seed: int, input_id: str, time_index: int, channel: str) ->
     time_index, channel)))) does; it is a one-row stream_words call, and only
     its state, not its seed_seq attribute, carries the point's seed.
     """
-    words = stream_words(master_seed, input_id, channel, [time_index])
-    rng = _carrier()
-    rng.bit_generator.state = _pcg64_state(words[0])
-    return rng
+    return _generator(_seeded_streams(stream_words(master_seed, input_id, channel, [time_index]))[0])

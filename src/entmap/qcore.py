@@ -54,6 +54,8 @@ COMBINATION_MATRIX = np.array(
         [0.0, 1.0, 1.0],
     ]
 )
+# Its pseudoinverse propagates the combinations' noise to the couplings.
+COMBINATION_PINV = np.linalg.pinv(COMBINATION_MATRIX)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,16 @@ import numpy as np
 
 from .concest import CHANNEL_FOR_INPUT, ConcurrenceSeries, build_series
 from .measure import outcome_probs_batch, prepare_input, sample_counts_batch
-from .qcore import COMBINATION_MATRIX, INPUT_IDS, PSI1, PSI5, HamiltonianParams, combinations, evolve_batch
+from .qcore import (
+    COMBINATION_MATRIX,
+    COMBINATION_PINV,
+    INPUT_IDS,
+    PSI1,
+    PSI5,
+    HamiltonianParams,
+    combinations,
+    evolve_batch,
+)
 from .spectral import (
     FrequencyEstimate,
     NoOscillationError,
@@ -142,8 +151,7 @@ def invert_frequencies(quad: FrequencyQuad) -> ReconstructionResult:
         )
 
     # Linear propagation through the pseudoinverse used by the fit.
-    pinv = np.linalg.pinv(COMBINATION_MATRIX)
-    cov = pinv @ np.diag(sig**2) @ pinv.T
+    cov = COMBINATION_PINV @ np.diag(sig**2) @ COMBINATION_PINV.T
     sigma = tuple(float(s) for s in np.sqrt(np.diag(cov)))
 
     limit = AMBIGUITY_SIGMAS * np.asarray(sigma)

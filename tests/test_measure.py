@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from entmap import measure
 from entmap.measure import (
     CHANNELS,
     READOUT_ROTATIONS,
@@ -193,24 +194,134 @@ def test_stream_words_and_point_rng_equal_numpy_streams(entropy):
             assert got.bit_generator.state == want.bit_generator.state
 
 
+def numpy_counts(probs, shots, entropy, input_id, channel):
+    """Row j drawn as point j's own numpy Generator draws it."""
+    return np.array(
+        [
+            np.random.Generator(np.random.PCG64(numpy_seed_sequence(entropy, input_id, j, channel))).multinomial(
+                shots[j], p / p.sum()
+            )
+            for j, p in enumerate(probs)
+        ]
+    ).reshape(-1, 4)
+
+
+point_generator = measure._generator
+
+
+def assert_rows_equal(got, want):
+    bad = np.flatnonzero((got != want).any(axis=1))
+    assert bad.size == 0, f"row {bad[0]}: got {got[bad[0]].tolist()}, numpy draws {want[bad[0]].tolist()}"
+
+
+# Both sides of the 60-shot line the array sampler replays up to: uniform 60
+# and 61 shots, and endpoint plans whose last two points take 25 or 1024.
+PLANS = [
+    plan_observation(0.6, 24, 25, "endpoint"),
+    plan_observation(0.6, 24, 60, "uniform"),
+    plan_observation(0.6, 24, 61, "uniform"),
+    plan_observation(0.6, 24, 1024, "endpoint"),
+]
+
+
+# Zero-shot rows, zero outcomes, a category above one half and a certain outcome.
+HAND_TABLE = np.array(
+    [
+        [0.7, 0.1, 0.1, 0.1],
+        [0.0, 0.9, 0.0, 0.1],
+        [0.2, 0.0, 0.8, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [1.0, 0.0, 0.0, 0.0],
+        [0.25, 0.25, 0.25, 0.25],
+    ]
+)
+
+
 @pytest.mark.parametrize("entropy", ENTROPIES)
 def test_sample_counts_batch_equals_numpy_streams(entropy):
-    """Endpoint plan (shots vary by point), every input including the fifth, both channels."""
-    plan = plan_observation(0.6, 24, 25, "endpoint")
-    shots = plan.shots()
-    for input_id in ALL_INPUTS:
-        states = evolve_batch(H_REF, prepare_input(input_id, 0.05), plan.times())
-        for channel in CHANNELS:
-            probs = outcome_probs_batch(states, channel)
-            counts = sample_counts_batch(probs, shots, entropy, input_id, channel)
-            want = [
-                np.random.Generator(np.random.PCG64(numpy_seed_sequence(entropy, input_id, j, channel))).multinomial(
-                    shots[j], p / p.sum()
-                )
-                for j, p in enumerate(probs)
-            ]
-            np.testing.assert_array_equal(counts, want)
-            np.testing.assert_array_equal(counts.sum(axis=1), shots)
+    """Every plan, every input including the fifth, both channels (psi1 and psi2 read in zz have
+    zero outcomes), then the hand table at shots on both sides of 60."""
+    for plan in PLANS:
+        shots = plan.shots()
+        for input_id in ALL_INPUTS:
+            states = evolve_batch(H_REF, prepare_input(input_id, 0.05), plan.times())
+            for channel in CHANNELS:
+                probs = outcome_probs_batch(states, channel)
+                counts = sample_counts_batch(probs, shots, entropy, input_id, channel)
+                assert_rows_equal(counts, numpy_counts(probs, shots, entropy, input_id, channel))
+                np.testing.assert_array_equal(counts.sum(axis=1), shots)
+    for shots in ([0] * 6, [1] * 6, [60] * 6, [61] * 6, [0, 7, 60, 61, 2, 5000]):
+        counts = sample_counts_batch(HAND_TABLE, shots, entropy, PSI3, "xz")
+        assert_rows_equal(counts, numpy_counts(HAND_TABLE, shots, entropy, PSI3, "xz"))
+
+
+def test_sample_counts_batch_equals_numpy_streams_on_random_tables(monkeypatch):
+    """Seeded Dirichlet tables, a third of them with zeroed outcomes, shots 0 to 80; numpy row by row."""
+    rng = np.random.default_rng(20)
+    probs = rng.dirichlet(np.full(4, 0.7), size=3000)
+    sparse = rng.random(probs.shape) < 0.3
+    sparse[: len(probs) * 2 // 3] = False
+    probs[sparse] = 0.0
+    probs[probs.sum(axis=1) == 0.0, 3] = 1.0
+    shots = rng.integers(0, 81, size=len(probs))
+    generators = []
+
+    def counting_generator(stream, rng):
+        generators.append(stream)
+        return point_generator(stream, rng)
+
+    monkeypatch.setattr(measure, "_generator", counting_generator)
+    counts = sample_counts_batch(probs, shots, 2**64 + 9, PSI2, "zz")
+    assert_rows_equal(counts, numpy_counts(probs, shots, 2**64 + 9, PSI2, "zz"))
+    # The replay itself draws every row of at most 60 shots.
+    assert len(generators) == np.count_nonzero(shots > 60)
+
+
+def test_rows_whose_inversion_restarts_are_drawn_by_their_own_generator(monkeypatch):
+    """Binomial(60, 0.01) by inversion has bound 13; a uniform just below 1 runs past it and restarts.
+
+    The replay hands such rows back, and the row's own generator draws them from its seeded state.
+    """
+    probs = np.array([[0.01, 0.01, 0.01, 0.97], [1.0, 0.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4]])
+    shots = np.array([60, 10, 0])
+    below_one = 1.0 - 2.0**-53
+    _, redraw = measure._inversion_counts(probs, shots, np.full((3, 3), below_one))
+    # Row 1's one binomial has p = 1 and draws nothing by inversion; row 2 has no shots.
+    np.testing.assert_array_equal(redraw, [True, False, False])
+    monkeypatch.setattr(measure, "_stream_doubles", lambda streams, count: np.full((len(streams), count), below_one))
+    counts = sample_counts_batch(probs, shots, 11, PSI1, "zz")
+    np.testing.assert_array_equal(counts, numpy_counts(probs, shots, 11, PSI1, "zz"))
+
+
+HALF = [0.5, 0.5, 0.0, 0.0]
+
+
+def test_inversion_stops_on_a_tie_as_numpy_does(monkeypatch):
+    """numpy's inversion loops while U > px, so U == qn stops it at X = 0.
+
+    With p = (1/2, 1/2, 0, 0) and one shot, qn = exp(log(1/2)) = 1/2: a uniform of exactly 1/2 puts
+    no shot in the first category, and the second binomial (p = 1) takes it.
+    """
+    monkeypatch.setattr(measure, "_stream_doubles", lambda streams, count: np.full((len(streams), count), 0.5))
+    np.testing.assert_array_equal(sample_counts_batch([HALF], [1], 3, PSI1, "zz"), [[0, 1, 0, 0]])
+
+
+@pytest.mark.parametrize(
+    "probs, shots, message",
+    [
+        pytest.param([HALF, HALF], [2.5, 3], "row 0: shots must be a whole number", id="half-shot"),
+        pytest.param([HALF, HALF], [3, np.inf], "row 1: shots must be a whole number", id="infinite-shots"),
+        pytest.param([HALF, HALF], [3, -1], "row 1: shots must be >= 0", id="negative-shots"),
+        pytest.param([HALF, [np.nan, 0.5, 0, 0]], [3, 3], "row 1: probabilities and their sum", id="nan"),
+        pytest.param([[0.5, np.inf, 0, 0], HALF], [3, 3], "row 0: probabilities and their sum", id="inf"),
+        pytest.param([HALF, [1e308, 1e308, 0, 0]], [3, 3], "row 1: probabilities and their sum", id="overflow"),
+        pytest.param([HALF, [0.5, 0.6, -0.1, 0]], [3, 3], "row 1: probabilities must be >= 0", id="negative"),
+        pytest.param([HALF, [0, 0, 0, 0]], [3, 0], "row 1: probabilities are all zero", id="all-zero"),
+    ],
+)
+def test_sample_counts_batch_checks_its_input_before_drawing(probs, shots, message):
+    with pytest.raises(ValueError, match=message):
+        sample_counts_batch(probs, shots, 1, PSI1, "zz")
 
 
 def test_unknown_channel_is_rejected():
