@@ -26,15 +26,7 @@ from .qcore import (
     combinations,
     evolve_batch,
 )
-from .spectral import (
-    FrequencyEstimate,
-    NoOscillationError,
-    SamplingPlan,
-    dft,
-    find_peak,
-    plan_observation,
-    refine_frequency,
-)
+from .spectral import FrequencyEstimate, SamplingPlan, fit_line, plan_observation
 
 SIGN_CONVENTION = "c2 >= 0"
 
@@ -247,21 +239,14 @@ def simulate_series(
 def estimate_combination(
     series: ConcurrenceSeries, plan: SamplingPlan
 ) -> tuple[float, float, FrequencyEstimate | None, bool]:
-    """Estimate one combination magnitude from a series.
+    """Estimate one combination magnitude from a series by spectral.fit_line.
 
-    Returns (value, sigma_abs, estimate_or_None, degenerate).  A series with no
-    oscillation power, or whose refined line would sit below one DFT bin, snaps
-    to the degenerate value 0 with a one-bin absolute uncertainty.
+    Returns (value, sigma_abs, estimate_or_None, degenerate).  A line with no
+    successes is degenerate: value 0 with a one-bin absolute uncertainty.
     """
-    one_bin_sigma = plan.bin_width / 4.0
-    spectrum = dft(series)
-    try:
-        peak = find_peak(spectrum)
-    except NoOscillationError:
-        return 0.0, one_bin_sigma, None, True
-    estimate = refine_frequency(series, spectrum, peak.omega, plan)
-    if 4.0 * estimate.omega_hat < plan.bin_width:
-        return 0.0, one_bin_sigma, estimate, True
+    estimate = fit_line(series, plan)
+    if estimate is None:
+        return 0.0, plan.bin_width / 4.0, None, True
     return estimate.omega_hat, estimate.sigma, estimate, False
 
 

@@ -424,7 +424,6 @@ def cmd_characterize(cfg: ExperimentConfig) -> None:
             entry.update(
                 {
                     "delta_f_over_f": est.delta_f_over_f,
-                    "fallback": est.fallback,
                     "raw_peak_omega": est.raw_peak_omega,
                 }
             )

@@ -1,20 +1,23 @@
-"""Observation planning, discrete spectra, and oscillation-frequency refinement.
+"""Observation planning, discrete spectra, and the likelihood line fit.
 
 A concurrence trace C^2(t) = sin^2(2 w t) oscillates at angular frequency 4w, so
-planning targets 4w when picking the sampling step and estimates are mapped back
-down at the end: the refined fit works at 2w (the sin^2 argument rate) and
-reports w itself.  Its grid rates sit on a 1/40-bin lattice of the DFT, so one
-zero-padded FFT per series scores every grid; series must lie on plan.times().
+planning targets 4w when picking the sampling step, and dft/find_peak report
+lines on that axis.  The counts behind the trace carry the same line more
+simply: qubit 1 reads - with probability sin^2(w t), so fit_line estimates w
+from the binomial likelihood of those counts (Rife & Boorstyn's single-tone
+maximum-likelihood estimator, applied to counts).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
+from scipy.special import xlogy
+
+from .measure import PROB_TOL
 
 # Sampling margin above Nyquist for the fastest expected spectral line.
 NYQUIST_MARGIN = 1.25
@@ -23,6 +26,10 @@ STRATEGIES = ("uniform", "endpoint")
 
 # Shots spent at each interior time point by the endpoint strategy.
 ENDPOINT_INTERIOR_SHOTS = 2
+
+# Outcomes (-+, --), qubit 1 reading -: in every protocol input's own channel
+# they occur with probability exactly sin^2(w t), w the input's combination.
+SUCCESS_OUTCOMES = [2, 3]
 
 
 class NoOscillationError(RuntimeError):
@@ -102,17 +109,15 @@ class PeakLocation:
 
 @dataclass(frozen=True)
 class FrequencyEstimate:
-    """Refined coupling-combination magnitude with its fractional resolution.
+    """Fitted coupling-combination magnitude with its fractional resolution.
 
-    omega_hat is the estimate of |c_i +/- c_j|; the raw spectral peak sits at
-    4 * omega_hat.  fallback marks estimates where the fit did not converge and
-    the coarse peak was kept with one-bin uncertainty.
+    omega_hat is the estimate of |c_i +/- c_j|.  raw_peak_omega is the fit's
+    seed line on the C^2 axis, where the line sits at 4 * omega_hat.
     """
 
     omega_hat: float
     delta_f_over_f: float
     raw_peak_omega: float
-    fallback: bool = False
 
     @property
     def sigma(self) -> float:
@@ -157,8 +162,7 @@ def find_peak(spectrum: Spectrum) -> PeakLocation:
     """Dominant bin of the spectrum, excluding the DC bin and its neighbor.
 
     Ties resolve to the lower bin.  A spectrum with no power above numerical
-    dust raises NoOscillationError; callers treat that as a degenerate (zero)
-    combination frequency.
+    dust raises NoOscillationError.
     """
     mags = spectrum.magnitudes
     if mags.size < 3:
@@ -171,21 +175,6 @@ def find_peak(spectrum: Spectrum) -> PeakLocation:
     return PeakLocation(bin_index=best, omega=float(spectrum.omegas[best]), magnitude=float(mags[best]))
 
 
-def _rival_peaks(spectrum: Spectrum, coarse_peak_omega: float, bin_w: float, limit: int = 2) -> list[float]:
-    """Strongest spectral local maxima away from the coarse peak.
-
-    Supplies alternative fit seeds for refine_frequency; bins within two bins
-    of the coarse peak are its own leakage skirt and are skipped.  Rivals
-    rank by magnitude, then by omega, both descending.
-    """
-    mags = spectrum.magnitudes
-    omegas = spectrum.omegas[2:-1]
-    mid = mags[2:-1]
-    keep = (mid >= mags[1:-2]) & (mid >= mags[3:]) & (np.abs(omegas - coarse_peak_omega) > 2.0 * bin_w)
-    order = np.lexsort((-omegas[keep], -mid[keep]))
-    return omegas[keep][order[:limit]].tolist()
-
-
 def _endpoint_amplitude(series, shots_end: float) -> float:
     """Expected oscillation amplitude of the estimator at the endpoint blocks.
 
@@ -194,59 +183,6 @@ def _endpoint_amplitude(series, shots_end: float) -> float:
     series that involve the xz channel keep the ideal amplitude 1.
     """
     return 1.0 - 1.0 / shots_end if series.channel == "zz" else 1.0
-
-
-def _profiled_fit(w: float, t_fit: np.ndarray, vw_fit: np.ndarray, wt_fit: np.ndarray):
-    """SSE and coefficients (a, b) of the lstsq fit of a*sin^2(w t) + b, rows weighted; vw_fit = v * wt_fit."""
-    design = np.empty((t_fit.size, 2))
-    design[:, 0] = np.sin(w * t_fit) ** 2 * wt_fit
-    design[:, 1] = wt_fit
-    coef, _, _, _ = np.linalg.lstsq(design, vw_fit, rcond=None)
-    r = design @ coef - vw_fit
-    return float(r @ r), coef
-
-
-_GRID_PAD = 40  # refine_frequency's grid steps the sin^2 argument rate 2w by 1/_GRID_PAD of a DFT bin
-
-
-def _grid_scorer(v_fit: np.ndarray, weights: np.ndarray, nt: int):
-    """Scorer k -> weighted SSE of the best a*sin^2(w t) + b at each rate of candidate bin k's grid.
-
-    That grid spans 2w = (_GRID_PAD*k - 60 .. _GRID_PAD*k + 60)/_GRID_PAD bins.  With C_a(x) =
-    sum_j a_j cos(x j dt) over the fitted t_j = j*dt and s = sin^2(w t): sum w s = (W - C_w(2w))/2,
-    sum w s^2 = (3W - 4 C_w(2w) + C_w(4w))/8 and sum w dv s = -C_wdv(2w)/2.  One rfft of length
-    _GRID_PAD*nt over the rows (w, w*dv) holds every C_a needed, at indices folded into its range.
-    The profiled SSE is Svv - Ssv^2/Sss with weighted means removed, and Svv where Sss = 0.
-    """
-    total = weights.sum()
-    dv = v_fit - (v_fit @ weights) / total
-    s_vv = dv @ (weights * dv)
-    rows = np.zeros((2, v_fit.size + 1))
-    rows[:, 1:] = weights, weights * dv
-    size = _GRID_PAD * nt
-    cos_sums = np.fft.rfft(rows, n=size).real
-
-    def grid_sse(k: int) -> np.ndarray:
-        m = np.outer((1, 2), _GRID_PAD * k + np.arange(-60, 61)) % size
-        m = np.minimum(m, size - m)
-        (c_w2, c_wdv2), c_w4 = cos_sums[:, m[0]], cos_sums[0, m[1]]
-        s_ss = (3.0 * total - 4.0 * c_w2 + c_w4) / 8.0 - (total - c_w2) ** 2 / (4.0 * total)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(s_ss > 0.0, s_vv - c_wdv2 * c_wdv2 / (4.0 * s_ss), s_vv)
-
-    return grid_sse
-
-
-def _grid_argmin(sse: np.ndarray, grid: np.ndarray, profiled, scale: float) -> int:
-    """Index of the least sse on grid, exactly as an lstsq scan picks it.
-
-    sse and lstsq both round at scale, the uncentered sum of weighted squares, so rates within 1e-9
-    of scale of the minimum are ranked again by the lstsq objective profiled(w), first index on ties.
-    """
-    near = np.flatnonzero(sse <= sse.min() + 1e-9 * scale)
-    if near.size == 1:
-        return int(near[0])
-    return int(near[np.argmin([profiled(grid[i])[0] for i in near])])
 
 
 def _endpoint_phase_polish(
@@ -277,86 +213,54 @@ def _endpoint_phase_polish(
     return float(result.x)
 
 
-def refine_frequency(
-    series, spectrum: Spectrum, coarse_peak_omega: float, plan: SamplingPlan
-) -> FrequencyEstimate:
-    """Least-squares refinement of the coarse spectral peak.
+def _neg_log_likelihood(rates, t: np.ndarray, k: np.ndarray, n: np.ndarray):
+    """-log L of k ~ Binomial(n, sin^2(w t)) at each rate w, up to a constant."""
+    phase = np.multiply.outer(rates, t)
+    return -(xlogy(k, np.sin(phase) ** 2) + xlogy(n - k, np.cos(phase) ** 2)).sum(axis=-1)
 
-    Fits a*sin^2(w t) + b with the amplitude and offset profiled out exactly
-    (they enter linearly), locating w by a deterministic grid-plus-Brent
-    search of the one-dimensional profiled objective within 1.5 spectral bins
-    of a candidate line; residuals are weighted by per-point shot counts.
-    The grid is scored in closed form from one zero-padded FFT per series, so
-    series.times must equal plan.times() and each candidate sit on a DFT bin
-    k >= 2 (ValueError otherwise); Brent polishes on the lstsq objective.
-    Candidates are the supplied coarse peak plus the next-strongest local
-    maxima of spectrum, the series' dft that the coarse peak came from; the
-    best weighted fit wins: with few shots per point a noise bin
-    occasionally outranks the true line in raw magnitude, but it cannot
-    out-fit it.  For the endpoint strategy the fit uses the interior
-    points only (their uniform shot count keeps the finite-shot amplitude
-    shrink homogeneous) and the fitted rate then anchors a phase polish
-    against the two high-budget endpoint blocks.  Returns the combination
-    magnitude omega_hat = w/2 and the resolution figure delta_f_over_f =
-    4/(nt*sqrt(ne)).  A non-positive fitted amplitude means no oscillation was
-    locked; that falls back to the coarse estimate with one-bin uncertainty.
+
+def fit_line(series, plan: SamplingPlan) -> FrequencyEstimate | None:
+    """Maximum-likelihood combination magnitude from a series' success counts.
+
+    k_j, the SUCCESS_OUTCOMES columns of series.counts, is Binomial(n_j,
+    sin^2(w t_j)) with n_j the row total; an exact table is fractional counts
+    with n_j = 1.  The seed is the strongest non-DC bin of the rfft of k/n,
+    where the line sits at 2w.  41 rates within 0.75 bin of it are scanned, and
+    bounded Brent refines the best one between its neighbours.  The uniform
+    strategy fits every point; the endpoint strategy fits the interior points
+    and hands the rate to the phase polish against the two high-budget endpoint
+    blocks.  Returns None when no point has a success (the combination is 0),
+    otherwise omega_hat = w with the resolution figure 4/(nt*sqrt(ne)).
     """
-    if not (math.isfinite(coarse_peak_omega) and coarse_peak_omega > 0):
-        raise ValueError(f"coarse_peak_omega must be positive, got {coarse_peak_omega!r}")
-    times, values = series.times, series.values
-    if not np.array_equal(times, plan.times()):
-        raise ValueError("series.times must equal plan.times(): the grid scan needs t_j = j*dt exactly")
+    if series.counts is None:
+        raise ValueError("the likelihood fit needs the series' outcome counts")
+    if not np.array_equal(series.times, plan.times()):
+        raise ValueError("series.times must equal plan.times()")
+    counts = np.asarray(series.counts, dtype=float)
+    n = counts.sum(axis=1)
+    k = counts[:, SUCCESS_OUTCOMES].sum(axis=1)
+    if np.all(k <= PROB_TOL * n):
+        return None
     bin_w = plan.bin_width
-    candidates = [coarse_peak_omega, *_rival_peaks(spectrum, coarse_peak_omega, bin_w)]
-    bins = [round(c / bin_w) for c in candidates]
-    if any(k < 2 or abs(c / bin_w - k) > 1e-9 for c, k in zip(candidates, bins)):
-        raise ValueError(f"candidate lines {candidates} must sit on DFT bins k >= 2 of width {bin_w!r}")
-    shots = np.asarray(series.shots, dtype=float)
-    weights = np.maximum(shots, 1.0)
+    seed_line = (int(np.argmax(np.abs(np.fft.rfft(k / n))[1:])) + 1) * bin_w
 
-    fit_sel = slice(0, times.size - 2) if plan.strategy == "endpoint" and times.size >= 8 else slice(None)
-    t_fit, v_fit, weights_fit = times[fit_sel], values[fit_sel], weights[fit_sel]
-    wt_fit = np.sqrt(weights_fit)
-    scale = float(v_fit @ (weights_fit * v_fit))
-    grid_sse = _grid_scorer(v_fit, weights_fit, plan.nt)
-    profiled = functools.partial(_profiled_fit, t_fit=t_fit, vw_fit=v_fit * wt_fit, wt_fit=wt_fit)
-
-    def fit_near(center_omega: float, k: int):
-        w_lo = max((center_omega - 1.5 * bin_w) / 2.0, 0.25 * bin_w)
-        grid = np.linspace(w_lo, (center_omega + 1.5 * bin_w) / 2.0, 121)
-        i = _grid_argmin(grid_sse(k), grid, profiled, scale)
-        memo = []  # (w, sse, coef) of Brent's answer: the least SSE it evaluated, later ties winning
-
-        def objective(w: float) -> float:
-            sse, coef = profiled(w)
-            if not memo or sse <= memo[1]:
-                memo[:] = w, sse, coef
-            return sse
-
-        bracket = (float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)]))
-        minimize_scalar(objective, bounds=bracket, method="bounded", options={"xatol": 1e-13})
-        w_best, sse_best, coef_best = memo
-        return sse_best, float(w_best), float(coef_best[0])
-
-    fits = sorted(fit_near(c, k) for c, k in zip(candidates, bins))
-    usable = [f for f in fits if math.isfinite(f[1]) and f[2] > 0.0]
-    if not usable:
-        return FrequencyEstimate(
-            omega_hat=coarse_peak_omega / 4.0,
-            delta_f_over_f=bin_w / coarse_peak_omega,
-            raw_peak_omega=coarse_peak_omega,
-            fallback=True,
-        )
-    _, w_fit, _ = usable[0]
-    if plan.strategy == "endpoint":
-        shots_end = float(shots[-1])
-        if shots_end >= 2.0:
-            amplitude = _endpoint_amplitude(series, shots_end)
-            w_fit = _endpoint_phase_polish(times, values, w_fit, amplitude)
+    fit = slice(0, -2) if plan.strategy == "endpoint" else slice(None)
+    args = (series.times[fit], k[fit], n[fit])
+    grid = (seed_line + bin_w * np.linspace(-0.75, 0.75, 41)) / 2.0
+    i = int(np.argmin(_neg_log_likelihood(grid, *args)))
+    bracket = (float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)]))
+    result = minimize_scalar(
+        _neg_log_likelihood, bounds=bracket, args=args, method="bounded", options={"xatol": 1e-13}
+    )
+    w = float(result.x)
+    shots_end = float(series.shots[-1])
+    if plan.strategy == "endpoint" and shots_end >= 2.0:
+        amplitude = _endpoint_amplitude(series, shots_end)
+        w = _endpoint_phase_polish(series.times, series.values, 2.0 * w, amplitude) / 2.0
     return FrequencyEstimate(
-        omega_hat=w_fit / 2.0,
+        omega_hat=w,
         delta_f_over_f=resolution_epsilon(plan.nt, plan.ne),
-        raw_peak_omega=coarse_peak_omega,
+        raw_peak_omega=2.0 * seed_line,
     )
 
 

@@ -33,3 +33,13 @@ def test_workload_runs_pass_their_checks(tmp_path, name):
         workload.close()
     assert [o.note for o in outcomes if not o.ok] == []
     assert all(o.ok for o in outcomes)
+
+
+def test_endpoint_sweep_input_that_missed_by_19_sigma_passes_its_check():
+    """Endpoint input 1576 of seed 1613 (nt=400, ne=16) once came back as 0.573 against 0.6."""
+    workload = WORKLOADS["endpoint_sweep"]()
+    inp = workload.inputs(1613, 1576)
+    assert (inp.guess, inp.ne, inp.point_seed) == (2.1642858981277717, 16, 1896907291658637090)
+    outcome = workload.check(inp, workload.run(inp))
+    assert outcome.ok, outcome.note
+    assert outcome.miss_sigmas <= 1.0

@@ -46,19 +46,19 @@ PINS = {
     "noiseless": {
         "simulate": "5863a19ae3138b6201c8724ac7b545647d8241089030038fd74ad39e0c9187eb",
         "spectrum": "80510eac5836c1a34ae4944b8fe77b2167fd83b9eadd39aa0405549309e891bd",
-        "characterize": "09713f921339b066f36be9e19164a3d07a8a1fe9217eeac68a828168a9f851e7",
+        "characterize": "699d27315a5a809973c207e71aef890ad2125d45bdfb4c335259cb5a1000e53b",
         "robustness": "cb100e36a2f8eca83fc7514d1e548cbb8204cfb21c18a4e18d8e997e7511e10e",
     },
     "sampled_endpoint": {
         "simulate": "ff644b5eb69eaa7f2b9f216e413f9785ff2843f1da1abaecd06c600360b502e8",
         "spectrum": "a0dd512585cffa388ca7141c16c9ce3ccaa14bcbf2f911d61865cb7fcd6dc0dd",
-        "characterize": "881f206b310f48e120ac271fdcdde486c4a2459f7af9b2100b6c5e4aa5dc98d2",
+        "characterize": "f2d9b73f4e40398034113073a593f1484fd73948356b867011d220a027588af0",
         "robustness": "5f55fb4bdf06488122decaf946481fd100d457767862644640ef327d0ff50828",
     },
     "sampled_uniform": {
         "simulate": "ce13b8fde21fe4f29a0ca794a7960ccc56b96fd9d01fec1bbe7b9374587922b3",
         "spectrum": "7fee80cab767bafc09ca1ae896401a848f84ff3b776c9a03ee5c339a90321d11",
-        "characterize": "04c05afdd46275f7027a22621d280eb9b92aaf53688281daa07282898bbfb978",
+        "characterize": "f9080569be87829b477add16cc30a2b01f52d77d3520dbe344b04848b54d3238",
         "robustness": "0a9fe18139385d8d20bf7ecad87233b6da6cbab5781f1daa87bd7c172446a187",
     },
 }

@@ -230,6 +230,37 @@ def test_characterize_noiseless_random_couplings():
         assert report.result.c_hat.c2 >= 0.0
 
 
+def sign_blind_miss(got: HamiltonianParams, truth) -> np.ndarray:
+    """Per-coupling miss from truth or from -truth, whichever is closer overall (H and -H give the same counts)."""
+    got, truth = np.array(got.as_tuple()), np.asarray(truth, dtype=float)
+    return min(np.abs(got - truth), np.abs(got + truth), key=lambda miss: float(miss.max()))
+
+
+def test_characterize_noiseless_random_couplings_on_the_sphere_are_exact():
+    """300 couplings, uniform in direction with norms 0.5-2, come back within 1e-8 (no exit 3)."""
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        direction = rng.normal(size=3)
+        c = direction / np.linalg.norm(direction) * rng.uniform(0.5, 2.0)
+        h = HamiltonianParams(*c)
+        report = characterize(h, default_plans(h, 200, 10), seed=0, mode="noiseless")
+        assert sign_blind_miss(report.result.c_hat, c).max() <= 1e-8, c
+
+
+# Families with a zero combination, where shot noise in the other outcomes must not fake a line.
+ZERO_LINE_FAMILIES = [(1.2, 1.2, 1.2), (1.0, 0.0, 0.0), (0.8, 0.3, 0.3), (0.0, 0.0, 1.0)]
+
+
+@pytest.mark.parametrize("truth", ZERO_LINE_FAMILIES)
+def test_characterize_zero_line_families_within_three_sigma(truth):
+    h = HamiltonianParams(*truth)
+    plans = default_plans(h, 200, 10)
+    for seed in range(20):
+        result = characterize(h, plans, seed).result
+        miss = sign_blind_miss(result.c_hat, truth)
+        assert np.all(miss <= 3.0 * np.array(result.sigma)), (seed, result.c_hat, result.sigma)
+
+
 def test_characterize_reported_sigma_scales_with_budget():
     """Reported coupling uncertainties follow the 1/sqrt(Ne) resolution figure."""
     ne_values = (4, 16, 64)
@@ -290,7 +321,7 @@ def test_simulate_series_matches_the_per_point_reference(strategy, eta, mode):
 # Desk inputs (jittered H_REF, default plans at nt=200, ne=10) with |c1| ~ |c3|
 # whose four-input inversion picks the swapped (b, a, b) candidate.
 SWAP_CASES = [
-    ((1.2831416862483367, 0.6299429234791883, 1.283554730266492), 7682815014028445433),
+    ((1.2993350009575484, 0.6219111884516259, 1.299421972328047), 1955147359915445867),
     ((1.2956161322416373, 0.6561934120107349, 1.295727143427733), 1421089332665720074),
     ((1.2943192337656784, 0.5659074770270474, 1.2946162803366166), 8508083374400663794),
     ((1.2644709656506146, 0.5552502613631355, 1.2649657833748862), 2809824984459132541),
