@@ -241,8 +241,9 @@ def estimate_combination(
 ) -> tuple[float, float, FrequencyEstimate | None, bool]:
     """Estimate one combination magnitude from a series by spectral.fit_line.
 
-    Returns (value, sigma_abs, estimate_or_None, degenerate).  A line with no
-    successes is degenerate: value 0 with a one-bin absolute uncertainty.
+    Returns (value, sigma_abs, estimate_or_None, degenerate).  A series whose
+    success fraction averages below spectral.DEGENERATE_MEAN carries no line
+    and is degenerate: value 0 with a one-bin absolute uncertainty.
     """
     estimate = fit_line(series, plan)
     if estimate is None:

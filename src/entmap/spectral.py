@@ -17,8 +17,6 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import xlogy
 
-from .measure import PROB_TOL
-
 # Sampling margin above Nyquist for the fastest expected spectral line.
 NYQUIST_MARGIN = 1.25
 
@@ -30,6 +28,12 @@ ENDPOINT_INTERIOR_SHOTS = 2
 # Outcomes (-+, --), qubit 1 reading -: in every protocol input's own channel
 # they occur with probability exactly sin^2(w t), w the input's combination.
 SUCCESS_OUTCOMES = [2, 3]
+
+# Mean k/n below which a series carries no line.  A line's k/n averages 1/2
+# over whole cycles.  A zero combination has no successes of its own; a
+# preparation error of weight eta < 1 leaks in at most eta/(1 + eta) < 1/2, an
+# oscillation that averages below 1/4.
+DEGENERATE_MEAN = 0.25
 
 
 class NoOscillationError(RuntimeError):
@@ -229,8 +233,10 @@ def fit_line(series, plan: SamplingPlan) -> FrequencyEstimate | None:
     bounded Brent refines the best one between its neighbours.  The uniform
     strategy fits every point; the endpoint strategy fits the interior points
     and hands the rate to the phase polish against the two high-budget endpoint
-    blocks.  Returns None when no point has a success (the combination is 0),
-    otherwise omega_hat = w with the resolution figure 4/(nt*sqrt(ne)).
+    blocks (below nt = 8 it fits every point, as too few interior points are
+    left to anchor the rate).  Returns None when k/n averages below
+    DEGENERATE_MEAN (the combination is 0), otherwise omega_hat = w with the
+    resolution figure 4/(nt*sqrt(ne)).
     """
     if series.counts is None:
         raise ValueError("the likelihood fit needs the series' outcome counts")
@@ -239,12 +245,13 @@ def fit_line(series, plan: SamplingPlan) -> FrequencyEstimate | None:
     counts = np.asarray(series.counts, dtype=float)
     n = counts.sum(axis=1)
     k = counts[:, SUCCESS_OUTCOMES].sum(axis=1)
-    if np.all(k <= PROB_TOL * n):
+    success_frac = k / n
+    if success_frac.mean() < DEGENERATE_MEAN:
         return None
     bin_w = plan.bin_width
-    seed_line = (int(np.argmax(np.abs(np.fft.rfft(k / n))[1:])) + 1) * bin_w
+    seed_line = (int(np.argmax(np.abs(np.fft.rfft(success_frac))[1:])) + 1) * bin_w
 
-    fit = slice(0, -2) if plan.strategy == "endpoint" else slice(None)
+    fit = slice(0, -2) if plan.strategy == "endpoint" and plan.nt >= 8 else slice(None)
     args = (series.times[fit], k[fit], n[fit])
     grid = (seed_line + bin_w * np.linspace(-0.75, 0.75, 41)) / 2.0
     i = int(np.argmin(_neg_log_likelihood(grid, *args)))

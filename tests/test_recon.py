@@ -247,18 +247,21 @@ def test_characterize_noiseless_random_couplings_on_the_sphere_are_exact():
         assert sign_blind_miss(report.result.c_hat, c).max() <= 1e-8, c
 
 
-# Families with a zero combination, where shot noise in the other outcomes must not fake a line.
+# Families with a zero combination, where shot noise in the other outcomes, or
+# the successes a preparation error leaks in, must not fake a line.
 ZERO_LINE_FAMILIES = [(1.2, 1.2, 1.2), (1.0, 0.0, 0.0), (0.8, 0.3, 0.3), (0.0, 0.0, 1.0)]
 
 
-@pytest.mark.parametrize("truth", ZERO_LINE_FAMILIES)
-def test_characterize_zero_line_families_within_three_sigma(truth):
+@pytest.mark.parametrize("truth, eta", [(t, 0.0) for t in ZERO_LINE_FAMILIES] + [((1.2, 1.2, 1.2), 0.05)])
+def test_characterize_zero_line_families_within_three_sigma(truth, eta):
     h = HamiltonianParams(*truth)
     plans = default_plans(h, 200, 10)
+    zero = {input_id: bool(w == 0.0) for input_id, w in zip(INPUT_IDS, combinations(h))}
     for seed in range(20):
-        result = characterize(h, plans, seed).result
-        miss = sign_blind_miss(result.c_hat, truth)
-        assert np.all(miss <= 3.0 * np.array(result.sigma)), (seed, result.c_hat, result.sigma)
+        report = characterize(h, plans, seed, eta=eta)
+        assert report.degenerate == zero, seed
+        miss = sign_blind_miss(report.result.c_hat, truth)
+        assert np.all(miss <= 3.0 * np.array(report.result.sigma)), (seed, report.result.c_hat)
 
 
 def test_characterize_reported_sigma_scales_with_budget():

@@ -147,10 +147,16 @@ def test_refine_reports_resolution_figure():
 
 
 def test_fit_line_finds_no_line_without_successes():
-    """A zero combination never flips qubit 1, so the fit reports no line."""
+    """A zero combination never flips qubit 1, so the fit reports no line.
+
+    A preparation error leaks in successes from the contaminant's own line,
+    which average below 1/4 and still read as no line.
+    """
     h = HamiltonianParams(0.7, 0.7, 0.3)
     plan = plan_observation(1.4, 64, 5)
     assert fit_line(simulate_series(h, PSI1, plan, seed=0), plan) is None
+    for mode in ("sampled", "noiseless"):
+        assert fit_line(simulate_series(h, PSI1, plan, seed=0, eta=0.05, mode=mode), plan) is None
     with pytest.raises(ValueError, match="counts"):
         fit_line(cosine_series(64, 0.5, 0.2, 2.4, 0.3), SamplingPlan(nt=64, dt=0.5, ne=10))
 
@@ -189,17 +195,22 @@ def test_refine_requires_the_plan_grid():
             fit_line(s, p)
 
 
-def test_small_nt_endpoint_lines_land_within_three_sigma():
-    """At nt=40, ne=987, at least 95 of seeds 0-99 land within 3 quoted sigma of each H_REF line."""
+@pytest.mark.parametrize("nt, bound", [(4, 80), (7, 80), (40, 95)])
+def test_small_nt_endpoint_lines_land_within_three_sigma(nt, bound):
+    """At ne=987, at least `bound` of seeds 0-99 land within 3 quoted sigma of each H_REF line.
+
+    Below nt = 8 the endpoint fit keeps its endpoint blocks in the likelihood,
+    as two-shot interior points alone cannot anchor the rate.
+    """
     hits = []
     for input_id, w in zip(INPUT_IDS, np.abs(combinations(H_REF))):
-        plan = plan_observation(float(w), 40, 987, "endpoint")
+        plan = plan_observation(float(w), nt, 987, "endpoint")
         misses = []
         for seed in range(100):
             value, sigma, _, _ = estimate_combination(simulate_series(H_REF, input_id, plan, seed), plan)
             misses.append(abs(value - w) / sigma)
         hits.append(int(np.sum(np.array(misses) <= 3.0)))
-    assert min(hits) >= 95, hits
+    assert min(hits) >= bound, hits
 
 
 def test_cosine_amplitudes_recovers_known_mixture():
