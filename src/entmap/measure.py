@@ -321,10 +321,13 @@ def _checked_sampler_input(p: np.ndarray, shots) -> np.ndarray:
     shots = np.asarray(shots).reshape(-1)
     if shots.size != len(p):
         raise ValueError(f"need one shot count per probability row, got {shots.size} for {len(p)}")
-    s = shots.astype(float)
+    # Integer shots are compared exactly: through float, 2**63 - 512 and up round to 2**63.
+    integral = shots.dtype.kind in "iu"
+    s = shots if integral else shots.astype(float)
     with np.errstate(invalid="ignore", over="ignore"):
+        whole = integral or (np.isfinite(s) & (s == np.floor(s)))
         rules = (
-            (~(np.isfinite(s) & (s == np.floor(s)) & (s < 2.0**63)), "shots must be a whole number below 2**63"),
+            (~(whole & (s < 2**63)), "shots must be a whole number below 2**63"),
             (s < 0, "shots must be >= 0"),
             (~np.isfinite(p.sum(axis=1)), "probabilities and their sum must be finite"),
             ((p < 0).any(axis=1), "probabilities must be >= 0"),

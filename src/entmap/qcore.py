@@ -54,8 +54,12 @@ COMBINATION_MATRIX = np.array(
         [0.0, 1.0, 1.0],
     ]
 )
-# Its pseudoinverse propagates the combinations' noise to the couplings.
-COMBINATION_PINV = np.linalg.pinv(COMBINATION_MATRIX)
+# Its columns are orthogonal (M^T M = diag(2, 4, 2)), so the pseudoinverse is
+# M^T with each row scaled by its inverse squared norm: entries +/-1/2 and +/-1/4, exact.
+COMBINATION_PINV = COMBINATION_MATRIX.T / (COMBINATION_MATRIX**2).sum(axis=0)[:, None]
+# Unit left null vector: every y = M c has y . n = 0, and the least-squares
+# fit of any y misses it by exactly |y . n|.
+COMBINATION_NULL = np.array([1.0, -1.0, 1.0, 1.0]) / 2.0
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 from .concest import CHANNEL_FOR_INPUT, ConcurrenceSeries, build_series
 from .measure import outcome_probs_batch, prepare_input, sample_counts_batch
 from .qcore import (
-    COMBINATION_MATRIX,
+    COMBINATION_NULL,
     COMBINATION_PINV,
     INPUT_IDS,
     PSI1,
@@ -29,6 +29,8 @@ from .qcore import (
 from .spectral import FrequencyEstimate, SamplingPlan, fit_line, plan_observation
 
 SIGN_CONVENTION = "c2 >= 0"
+# Every sign assignment of the four measured magnitudes, one per row.
+SIGN_PATTERNS = np.array(list(itertools.product((1.0, -1.0), repeat=4)))
 
 # A runner-up candidate farther than this many quoted sigmas from the best
 # (and from its mirror) on some coupling makes the inversion ambiguous.
@@ -38,10 +40,10 @@ RESIDUAL_TOLERANCE_FACTOR = 3.0
 
 MODES = ("sampled", "noiseless")
 
-# Largest coupling magnitude the pipeline is run on.  Quoted sigmas and fit
-# residuals are at most a few times the largest combination, and
-# invert_frequencies squares them; below 1e150 those squares and their sums
-# stay far from the float64 maximum (about 1.8e308).
+# Largest coupling magnitude the pipeline is run on.  Quoted sigmas are at
+# most a few times the largest combination, and invert_frequencies squares
+# them; below 1e150 those squares and their sums stay far from the float64
+# maximum (about 1.8e308).
 MAX_COUPLING = 1e150
 
 
@@ -87,7 +89,7 @@ class ReconstructionResult:
     sigma: tuple[float, float, float]
     residual: float
     convention: str = SIGN_CONVENTION
-    candidates_considered: int = 16
+    candidates_considered: int = len(SIGN_PATTERNS)
     alternatives: tuple["ReconstructionResult", ...] = ()
     fifth_input_used: bool = False
 
@@ -109,69 +111,51 @@ class CharacterizationReport:
 def invert_frequencies(quad: FrequencyQuad) -> ReconstructionResult:
     """Recover couplings from the four combination magnitudes.
 
-    All 16 sign assignments are solved in least squares against the combination
-    map; candidates violating the c2 >= 0 convention are dropped (their mirror
-    image has identical residual), the minimum-residual survivor wins, and exact
-    ties break deterministically toward larger c2, then c3, then c1.  If even
-    the best candidate misses by more than RESIDUAL_TOLERANCE_FACTOR times the
-    propagated frequency noise, the quad is declared inconsistent.  Runner-up
-    candidates within that tolerance that are neither the best nor its H -> -H
-    mirror, to AMBIGUITY_SIGMAS, are returned as alternatives.
+    All 16 sign assignments y of the magnitudes are fitted at once in closed
+    form: couplings y @ COMBINATION_PINV.T, residuals |y . COMBINATION_NULL|.
+    A pattern and its H -> -H mirror give exact negatives, so c2 >= 0 keeps
+    one of each pair (both when c2 = 0).  The minimum-residual survivor wins,
+    exact ties going to larger c2, then c3, then c1.  A best residual above
+    RESIDUAL_TOLERANCE_FACTOR times the propagated frequency noise makes the
+    quad inconsistent.  Runner-up candidates within that tolerance that are
+    neither the best nor its H -> -H mirror, to AMBIGUITY_SIGMAS, are returned
+    as alternatives.
     """
     w = np.asarray(quad.values, dtype=float)
     sig = np.asarray(quad.sigmas, dtype=float)
-    candidates = []
-    for signs in itertools.product((1.0, -1.0), repeat=4):
-        y = np.asarray(signs) * w
-        c, *_ = np.linalg.lstsq(COMBINATION_MATRIX, y, rcond=None)
-        residual = float(np.linalg.norm(COMBINATION_MATRIX @ c - y))
-        candidates.append((residual, c))
+    y = SIGN_PATTERNS * w
+    # Adding 0.0 turns -0.0 into 0.0, so no reported coupling is a negative zero.
+    couplings = y @ COMBINATION_PINV.T + 0.0
+    residuals = np.abs(y @ COMBINATION_NULL)
     eligible = sorted(
-        (rc for rc in candidates if rc[1][1] >= -1e-12),
-        key=lambda rc: (rc[0], -rc[1][1], -rc[1][2], -rc[1][0]),
+        np.flatnonzero(couplings[:, 1] >= 0.0).tolist(),
+        key=lambda i: (residuals[i], -couplings[i, 1], -couplings[i, 2], -couplings[i, 0]),
     )
-    best_residual, best_c = eligible[0]
+    best = eligible[0]
 
-    noise = float(np.linalg.norm(sig))
-    scale = max(float(w.max()), 1.0)
-    floor = max(noise, 1e-9 * scale)
+    floor = max(float(np.linalg.norm(sig)), 1e-9 * max(float(w.max()), 1.0))
     tolerance = RESIDUAL_TOLERANCE_FACTOR * floor
-    if best_residual > tolerance:
+    if residuals[best] > tolerance:
         raise InconsistentFrequencyError(
             f"no sign assignment fits the quad {quad.values}: best residual "
-            f"{best_residual:.3e} exceeds {RESIDUAL_TOLERANCE_FACTOR} x noise floor {floor:.3e}"
+            f"{residuals[best]:.3e} exceeds {RESIDUAL_TOLERANCE_FACTOR} x noise floor {floor:.3e}"
         )
 
     # Linear propagation through the pseudoinverse used by the fit.
-    cov = COMBINATION_PINV @ np.diag(sig**2) @ COMBINATION_PINV.T
-    sigma = tuple(float(s) for s in np.sqrt(np.diag(cov)))
+    sigma = tuple(np.sqrt(COMBINATION_PINV**2 @ sig**2).tolist())
 
     limit = AMBIGUITY_SIGMAS * np.asarray(sigma)
-    kept = [best_c]
-    alternatives = []
-    for residual, c in eligible[1:]:
-        if residual <= tolerance and all(
-            np.any(np.abs(c - k) > limit) and np.any(np.abs(c + k) > limit) for k in kept
+    kept = [best]
+    for i in eligible[1:]:
+        c = couplings[i]
+        if residuals[i] <= tolerance and all(
+            np.any(np.abs(c - couplings[k]) > limit) and np.any(np.abs(c + couplings[k]) > limit) for k in kept
         ):
-            kept.append(c)
-            alternatives.append(_candidate_result(c, residual, sigma, len(candidates)))
-    return replace(
-        _candidate_result(best_c, best_residual, sigma, len(candidates)),
-        alternatives=tuple(alternatives),
-    )
-
-
-def _candidate_result(c, residual: float, sigma, considered: int) -> ReconstructionResult:
-    c1, c2, c3 = (float(v) for v in c)
-    if -1e-12 <= c2 < 0.0:
-        c2 = 0.0
-    return ReconstructionResult(
-        c_hat=HamiltonianParams(c1, c2, c3),
-        sigma=sigma,
-        residual=residual,
-        convention=SIGN_CONVENTION,
-        candidates_considered=considered,
-    )
+            kept.append(i)
+    results = [
+        ReconstructionResult(HamiltonianParams(*couplings[i].tolist()), sigma, float(residuals[i])) for i in kept
+    ]
+    return replace(results[0], alternatives=tuple(results[1:]))
 
 
 def planning_guesses(h_guess: HamiltonianParams) -> dict[str, float]:

@@ -17,7 +17,7 @@ import math
 import os
 import platform
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -264,20 +264,30 @@ def build_plans(cfg: ExperimentConfig, entries: dict | None = None) -> dict[str,
 
     By default every input gets its plans.<id> override or else the shared
     plan.  An entry without dt is planned around its input's guess from the
-    couplings; couplings with nothing to observe are a config error.
+    couplings.  A plan SamplingPlan rejects, like couplings with nothing to
+    observe, is a config error naming plans.<id> if that entry sets dt, else hamiltonian.
     """
     if entries is None:
         entries = {input_id: cfg.payload["plans"].get(input_id, cfg.payload["plan"]) for input_id in INPUT_IDS}
+    plans, place = {}, "hamiltonian"
     try:
         guesses = planning_guesses(cfg.hamiltonian)
+        for input_id, e in entries.items():
+            place = f"plans.{input_id}" if "dt" in e else "hamiltonian"
+            plans[input_id] = (
+                SamplingPlan(e["nt"], e["dt"], e["strategy"], e["ne"])
+                if "dt" in e
+                else plan_observation(guesses[input_id], e["nt"], e["ne"], e["strategy"])
+            )
     except ValueError as exc:
-        raise ConfigError(f"hamiltonian: {exc}") from exc
-    return {
-        input_id: SamplingPlan(e["nt"], e["dt"], e["strategy"], e["ne"])
-        if "dt" in e
-        else plan_observation(guesses[input_id], e["nt"], e["ne"], e["strategy"])
-        for input_id, e in entries.items()
-    }
+        raise ConfigError(f"{place}: {exc}") from exc
+    return plans
+
+
+def _robustness_plan(cfg: ExperimentConfig) -> SamplingPlan:
+    """psi1's plan for the robustness sweep: the shared plan at the robustness nt and ne."""
+    rob = cfg.payload["robustness"]
+    return build_plans(cfg, {PSI1: {**cfg.payload["plan"], "nt": rob["nt"], "ne": rob["ne"]}})[PSI1]
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -394,13 +404,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> None:
         _write_spectrum_csv(cfg.out / name, cfg.config_hash, spectrum)
         files.append(name)
         try:
-            peak = find_peak(spectrum)
-            peaks[input_id] = {
-                "bin_index": peak.bin_index,
-                "magnitude": peak.magnitude,
-                "no_oscillation": False,
-                "omega": peak.omega,
-            }
+            peaks[input_id] = {**asdict(find_peak(spectrum)), "no_oscillation": False}
         except NoOscillationError:
             peaks[input_id] = {"no_oscillation": True}
     peaks["config_hash"] = cfg.config_hash
@@ -421,12 +425,7 @@ def cmd_characterize(cfg: ExperimentConfig) -> None:
         }
         est = report.estimates.get(input_id)
         if est is not None:
-            entry.update(
-                {
-                    "delta_f_over_f": est.delta_f_over_f,
-                    "raw_peak_omega": est.raw_peak_omega,
-                }
-            )
+            entry.update(delta_f_over_f=est.delta_f_over_f, raw_peak_omega=est.raw_peak_omega)
         frequencies[input_id] = entry
     c_hat = report.result.c_hat.as_tuple()
     summary = {
@@ -508,14 +507,14 @@ def cmd_robustness(cfg: ExperimentConfig) -> None:
     first-order expansion approximates and is computed regardless of mode.
     """
     h = cfg.hamiltonian
-    rob = cfg.payload["robustness"]
-    plan = build_plans(cfg, {PSI1: {**cfg.payload["plan"], "nt": rob["nt"], "ne": rob["ne"]}})[PSI1]
+    plan = _robustness_plan(cfg)
 
+    # The main line w1m2 comes first, as main_amp; its five sidebands follow.
     sidebands = sideband_frequencies(h)
-    labels = ["w1p2", "w1m3", "w1p3", "w2m3", "w2p3"]
+    labels = list(sidebands)[1:]
     files = []
     rows = []
-    for eta in rob["etas"]:
+    for eta in cfg.payload["robustness"]["etas"]:
         times = plan.times()
         exact = concurrence_sq_exact(evolve_batch(h, prepare_input(PSI1, eta), times))
         series = ConcurrenceSeries(times, exact, np.zeros(plan.nt, dtype=np.int64), "zz")
@@ -537,7 +536,7 @@ def cmd_robustness(cfg: ExperimentConfig) -> None:
         except NoOscillationError:
             peak_omega = 0.0
         amps = cosine_amplitudes(series.times, series.values, sidebands)
-        rows.append([eta, peak_omega, amps["w1m2"]] + [amps[label] for label in labels])
+        rows.append([eta, peak_omega, *amps.values()])
 
     name = "robustness.csv"
     header = "eta,main_peak_omega,main_amp," + ",".join(f"amp_{label}" for label in labels)
@@ -587,6 +586,9 @@ def _dispatch(args) -> int:
         cmd_gate_error(args)
         return EXIT_OK
     cfg = resolve_config(load_config(args.config), args)
+    # Every grid the config describes must fit in float64, whichever command runs.
+    build_plans(cfg)
+    _robustness_plan(cfg)
     commands = {
         "simulate": cmd_simulate,
         "spectrum": cmd_spectrum,

@@ -60,6 +60,9 @@ class SamplingPlan:
             raise ValueError(f"nt must be an integer >= 4, got {self.nt!r}")
         if not (isinstance(self.dt, (int, float)) and math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be a positive finite number, got {self.dt!r}")
+        span = self.nt * self.dt
+        if not (math.isfinite(span) and math.isfinite(2.0 * math.pi / span)):
+            raise ValueError(f"nt*dt and the bin width 2*pi/(nt*dt) must be finite, got nt*dt = {span!r}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if not isinstance(self.ne, (int, np.integer)) or self.ne < 1:
@@ -145,7 +148,7 @@ def plan_observation(omega_guess: float, nt: int, ne: int, strategy: str = "unif
     if not (isinstance(omega_guess, (int, float)) and math.isfinite(omega_guess) and omega_guess > 0):
         raise ValueError(
             f"omega_guess must be positive and finite, got {omega_guess!r}; "
-            "degenerate (zero) combinations take the DC path in the reconstruction layer"
+            "plan a zero combination around another rate, as recon.planning_guesses does"
         )
     dt = 2.0 * math.pi / (2.0 * NYQUIST_MARGIN * 4.0 * omega_guess)
     return SamplingPlan(nt, dt, strategy, ne)

@@ -311,6 +311,7 @@ def test_inversion_stops_on_a_tie_as_numpy_does(monkeypatch):
     [
         pytest.param([HALF, HALF], [2.5, 3], "row 0: shots must be a whole number", id="half-shot"),
         pytest.param([HALF, HALF], [3, np.inf], "row 1: shots must be a whole number", id="infinite-shots"),
+        pytest.param([HALF, HALF], [3, 2**63], "row 1: shots must be a whole number", id="2**63-shots"),
         pytest.param([HALF, HALF], [3, -1], "row 1: shots must be >= 0", id="negative-shots"),
         pytest.param([HALF, [np.nan, 0.5, 0, 0]], [3, 3], "row 1: probabilities and their sum", id="nan"),
         pytest.param([[0.5, np.inf, 0, 0], HALF], [3, 3], "row 0: probabilities and their sum", id="inf"),
@@ -322,6 +323,14 @@ def test_inversion_stops_on_a_tie_as_numpy_does(monkeypatch):
 def test_sample_counts_batch_checks_its_input_before_drawing(probs, shots, message):
     with pytest.raises(ValueError, match=message):
         sample_counts_batch(probs, shots, 1, PSI1, "zz")
+
+
+def test_a_row_of_2_63_minus_1_shots_is_drawn_as_numpy_draws_it():
+    """Integer shots are checked exactly; through float, 2**63 - 1 would round to 2**63 and be refused."""
+    most = 2**63 - 1
+    p = np.array([0.125, 0.25, 0.125, 0.5])
+    counts = sample_counts_batch([p], [most], 5, PSI1, "zz")
+    np.testing.assert_array_equal(counts[0], point_rng(5, PSI1, 0, "zz").multinomial(most, p))
 
 
 def test_unknown_channel_is_rejected():

@@ -7,6 +7,9 @@ from entmap.gateerr import effective_error
 from entmap.measure import outcome_probs_batch, prepare_input
 from entmap.qcore import (
     ALL_INPUTS,
+    COMBINATION_MATRIX,
+    COMBINATION_NULL,
+    COMBINATION_PINV,
     INPUT_IDS,
     PAULI_Y,
     PSI1,
@@ -215,6 +218,16 @@ def test_combination_rows_reference_values():
     assert w[PSI4] == pytest.approx(2.0)
     with pytest.raises(ValueError):
         analytic_concurrence_sq("psi5", H_REF, 1.0)
+
+
+def test_combination_pinv_inverts_the_map_exactly():
+    np.testing.assert_array_equal(COMBINATION_PINV @ COMBINATION_MATRIX, np.eye(3))
+    assert set(np.abs(COMBINATION_PINV).ravel()) == {0.0, 0.25, 0.5}
+
+
+def test_combination_null_is_a_unit_left_null_vector():
+    np.testing.assert_array_equal(COMBINATION_MATRIX.T @ COMBINATION_NULL, np.zeros(3))
+    assert np.linalg.norm(COMBINATION_NULL) == 1.0
 
 
 def test_analytic_concurrence_psi2_rate():

@@ -1,5 +1,6 @@
 """Unit tests for coupling reconstruction and the four-input pipeline."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from entmap.measure import CHANNELS, prepare_input
 from entmap.qcore import (
     ALL_INPUTS,
     BELL_BASIS,
+    COMBINATION_MATRIX,
     INPUT_IDS,
     PSI1,
     PSI2,
@@ -21,6 +23,8 @@ from entmap.qcore import (
     evolve_batch,
 )
 from entmap.recon import (
+    AMBIGUITY_SIGMAS,
+    RESIDUAL_TOLERANCE_FACTOR,
     SIGN_CONVENTION,
     FrequencyQuad,
     InconsistentFrequencyError,
@@ -138,6 +142,73 @@ def test_invert_sigma_propagation_is_linear():
 
     exact = invert_frequencies(FrequencyQuad(values=(0.6, 1.8, 0.8, 2.0), sigmas=(0.0,) * 4))
     assert all(s == 0.0 for s in exact.sigma)
+
+
+def lstsq_inversion(quad: FrequencyQuad):
+    """Reference inversion: one least-squares solve per sign pattern, sigma through np.linalg.pinv.
+
+    Returns the (c, residual) of the best candidate and of each alternative, then sigma.
+    """
+    w, sig = np.asarray(quad.values), np.asarray(quad.sigmas)
+    fits = []
+    for signs in itertools.product((1.0, -1.0), repeat=4):
+        y = np.asarray(signs) * w
+        c, *_ = np.linalg.lstsq(COMBINATION_MATRIX, y, rcond=None)
+        fits.append((c, float(np.linalg.norm(COMBINATION_MATRIX @ c - y))))
+    eligible = sorted((f for f in fits if f[0][1] >= -1e-12), key=lambda f: (f[1], -f[0][1], -f[0][2], -f[0][0]))
+    pinv = np.linalg.pinv(COMBINATION_MATRIX)
+    sigma = np.sqrt(np.diag(pinv @ np.diag(sig**2) @ pinv.T))
+    tolerance = RESIDUAL_TOLERANCE_FACTOR * max(np.linalg.norm(sig), 1e-9 * max(w.max(), 1.0))
+    limit = AMBIGUITY_SIGMAS * sigma
+    kept = eligible[:1]
+    for c, residual in eligible[1:]:
+        if residual <= tolerance and all(
+            np.any(np.abs(c - k) > limit) and np.any(np.abs(c + k) > limit) for k, _ in kept
+        ):
+            kept.append((c, residual))
+    return kept, sigma
+
+
+def test_invert_closed_form_matches_per_pattern_least_squares():
+    """Noisy quads of random couplings (some with alternatives) and arbitrary quads with wide sigmas."""
+    rng = np.random.default_rng(22)
+    quads = []
+    for _ in range(200):
+        mags = np.abs(COMBINATION_MATRIX @ rng.uniform(-2, 2, 3) + rng.normal(0, 0.01, 4))
+        quads.append(FrequencyQuad(values=tuple(mags), sigmas=tuple(rng.uniform(0.005, 0.05, 4))))
+        quads.append(FrequencyQuad(values=tuple(rng.uniform(0, 2, 4)), sigmas=tuple(rng.uniform(1, 2, 4))))
+    with_alternatives = 0
+    for quad in quads:
+        result = invert_frequencies(quad)
+        kept, sigma = lstsq_inversion(quad)
+        got = (result,) + result.alternatives
+        assert len(got) == len(kept)
+        with_alternatives += len(kept) > 1
+        for r, (c, residual) in zip(got, kept):
+            np.testing.assert_allclose(r.c_hat.as_tuple(), c, rtol=0, atol=1e-12)
+            assert r.residual == pytest.approx(residual, rel=0, abs=1e-12)
+            np.testing.assert_allclose(r.sigma, sigma, rtol=0, atol=1e-12)
+    assert with_alternatives > 0
+
+
+def test_invert_gives_h_and_minus_h_bitwise_the_same_couplings():
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        h = HamiltonianParams(*rng.uniform(-2, 2, 3).tolist())
+        minus_h = HamiltonianParams(*(-c for c in h.as_tuple()))
+        assert invert_frequencies(exact_quad(h)).c_hat == invert_frequencies(exact_quad(minus_h)).c_hat
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(0.0, 0.0, 1.1, 1.1), (0.0, 1.4, 0.0, 1.4), (0.8, 0.8, 0.8, 0.8)],
+    ids=["ising", "isotropic", "all-equal"],
+)
+def test_invert_reports_no_negative_zero(values):
+    result = invert_frequencies(FrequencyQuad(values=values, sigmas=(0.0,) * 4))
+    for r in (result,) + result.alternatives:
+        assert all(math.copysign(1.0, c) == 1.0 for c in r.c_hat.as_tuple() if c == 0.0)
+    assert math.copysign(1.0, result.c_hat.c2) == 1.0
 
 
 def test_default_plans_cover_all_inputs():

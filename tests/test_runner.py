@@ -461,3 +461,31 @@ def test_config_json_past_python_limits_exits_2(tmp_path, capsys, text):
     assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
     assert "cfg.json" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+TINY_COUPLINGS = {"c1": 5e-324, "c2": 0.0, "c3": 0.0}
+OVERFLOWING_GRIDS = [
+    ("couplings 5e-324", {"hamiltonian": TINY_COUPLINGS}, "hamiltonian"),
+    ("couplings 3e-309", {"hamiltonian": {"c1": 3e-309, "c2": 0.0, "c3": 0.0}}, "hamiltonian"),
+    (
+        "couplings 5e-324, every dt set",
+        {"hamiltonian": TINY_COUPLINGS, "plans": {input_id: {"dt": 0.05} for input_id in INPUT_IDS}},
+        "hamiltonian",
+    ),
+    ("psi1 dt 1e308", {"plans": {"psi1": {"dt": 1e308}}}, "plans.psi1"),
+    ("psi1 dt 1e-320", {"plans": {"psi1": {"dt": 1e-320}}}, "plans.psi1"),
+]
+
+
+@pytest.mark.parametrize("command", ["simulate", "spectrum", "characterize", "robustness"])
+@pytest.mark.parametrize("label,edit,where", OVERFLOWING_GRIDS, ids=[c[0] for c in OVERFLOWING_GRIDS])
+def test_grids_that_overflow_float64_exit_2_and_name_their_place(
+    tmp_path, monkeypatch, capsys, command, label, edit, where
+):
+    """A time span nt*dt or bin width 2*pi/(nt*dt) past float64 is a config error for every command."""
+    monkeypatch.delenv("ENTMAP_SEED", raising=False)
+    cfg_path = write_config(tmp_path / "cfg.json", plan={"nt": 16, "ne": 4}, mode="sampled", **edit)
+    out = tmp_path / "run"
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {where}:" in capsys.readouterr().err
+    assert not out.exists()

@@ -81,6 +81,10 @@ def test_sampling_plan_validation():
         SamplingPlan(nt=100, dt=0.1, strategy="endpoint", ne=0)
     with pytest.raises(ValueError, match="integer"):
         SamplingPlan(nt=100, dt=0.1, strategy="uniform", ne=2.5)
+    # The span nt*dt and the bin width 2*pi/(nt*dt) must both stay finite.
+    for dt in (1e308, 1e-320):
+        with pytest.raises(ValueError, match="finite"):
+            SamplingPlan(nt=16, dt=dt)
 
 
 def test_uniform_plan_accounting():
