@@ -23,6 +23,21 @@ PROB_TOL = 1e-12
 # The key order fixes each channel's seed-stream tag.
 READOUT_ROTATIONS = {"zz": np.eye(4, dtype=complex), "xz": np.kron(HADAMARD, np.eye(2, dtype=complex))}
 CHANNELS = tuple(READOUT_ROTATIONS)
+_ROTATION_STACK = np.stack(list(READOUT_ROTATIONS.values()))
+
+
+def _key_codes(keys, names: tuple[str, ...], what: str) -> np.ndarray:
+    """Position in names of one key, or of each key of a per-row array; a ValueError names an unknown key."""
+    if isinstance(keys, str) and keys in names:  # one name, the common case, needs no array compares
+        return np.array(names.index(keys))
+    keys = np.asarray(keys)
+    codes = np.full(keys.shape, -1)
+    for code, name in enumerate(names):
+        codes[keys == name] = code
+    unknown = codes < 0
+    if unknown.any():
+        raise ValueError(f"unknown {what} {keys[unknown].flat[0].item()!r}")
+    return codes
 
 
 def _checked_prob_rows(p: np.ndarray) -> np.ndarray:
@@ -74,17 +89,18 @@ def prepare_input(input_id: str, eta: float = 0.0) -> np.ndarray:
     return (base + math.sqrt(eta) * partner) / math.sqrt(1.0 + eta)
 
 
-def outcome_probs_batch(states, channel: str) -> np.ndarray:
-    """Exact outcome probabilities in one channel, one (++, +-, -+, --) row per state row.
+def outcome_probs_batch(states, channel) -> np.ndarray:
+    """Exact outcome probabilities, one (++, +-, -+, --) row per state row.
 
-    The rotation is a stacked mat-vec, so a row's bits do not depend on the
-    other rows passed with it.
+    channel names one channel for every row, or holds one name per row.  The
+    rotation is a stacked mat-vec, broadcast or one matrix per row, which
+    give the same bits, so a row's bits do not depend on the other rows
+    passed with it.
     """
-    if channel not in READOUT_ROTATIONS:
-        raise ValueError(f"unknown channel {channel!r}")
+    codes = _key_codes(channel, CHANNELS, "channel")
     amps = np.asarray(states, dtype=complex).reshape(-1, 4)
     require_normalized(amps)
-    rotated = (READOUT_ROTATIONS[channel] @ amps[:, :, None])[:, :, 0]
+    rotated = (_ROTATION_STACK[codes] @ amps[:, :, None])[:, :, 0]
     p = np.abs(rotated) ** 2
     return _checked_prob_rows(p / p.sum(axis=1, keepdims=True))
 
@@ -113,10 +129,14 @@ _LOW32 = np.uint64(_MASK32)
 _INVERSION_SHOTS = 60
 
 
-def _uint32_words(n: int) -> list[int]:
-    """numpy's coercion of a non-negative integer to little-endian uint32 words (0 -> [0])."""
-    if n < 0:
-        raise ValueError(f"expected non-negative integer seed, got {n!r}")
+def _uint32_words(seed) -> list[int]:
+    """numpy's coercion of a non-negative integer to little-endian uint32 words (0 -> [0]).
+
+    Like numpy's SeedSequence it takes integers only, so 1.9 is refused rather than truncated.
+    """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"expected non-negative integer seed, got {seed!r}")
+    n = int(seed)
     words = [n & _MASK32]
     n >>= 32
     while n:
@@ -144,33 +164,35 @@ def _mix(x, y):
     return result ^ (result >> _XSHIFT)
 
 
-def stream_words(master_seed: int, input_id: str, channel: str, time_indices) -> np.ndarray:
+def stream_words(master_seed: int, input_id, channel, time_indices) -> np.ndarray:
     """PCG64 seed words of every point's stream, one (4,) uint64 row per time index.
 
-    Row k equals SeedSequence(master_seed, spawn_key=(input, time_indices[k],
-    channel)).generate_state(4, np.uint64).  The seed's own words fill and
-    mix the pool once, with Python ints, since they are the same for every
-    row; the spawn-key words, the time index among them, are then folded in
-    as uint32 columns, all four pool words at a time.
+    input_id and channel each name one key for every row or hold one name
+    per time index.  Row k equals SeedSequence(master_seed, spawn_key=(input
+    k, time_indices[k], channel k)).generate_state(4, np.uint64).  The
+    seed's own words fill and mix the pool once, with Python ints, since
+    they are the same for every row; the spawn-key words are then folded in
+    as uint32 columns, all four pool words at a time, a key named once as a
+    single-row column.
     """
-    if input_id not in ALL_INPUTS:
-        raise ValueError(f"unknown input id {input_id!r}")
-    if channel not in CHANNELS:
-        raise ValueError(f"unknown channel {channel!r}")
     index = np.asarray(time_indices).reshape(-1)
+    if index.dtype.kind not in "iu":
+        # numpy's SeedSequence takes only integer spawn keys.
+        wrong = [j for j in index.tolist() if not isinstance(j, int) or isinstance(j, bool)]
+        if wrong:
+            raise ValueError(f"time_index must be an integer, got {wrong[0]!r}")
     if index.size and index.min() < 0:
         raise ValueError(f"time_index must be >= 0, got {index.min()!r}")
     if index.size and index.max() > _MASK32:
         raise ValueError(f"time_index must be < 2**32, got {index.max()!r}")
-    run = _uint32_words(int(master_seed))
+    keys = (_key_codes(input_id, ALL_INPUTS, "input id"), index, _key_codes(channel, CHANNELS, "channel"))
+    if any(key.ndim and key.size != index.size for key in keys):
+        raise ValueError(f"need one input id and one channel per time index, got {index.size} time indices")
+    run = _uint32_words(master_seed)
     # With a spawn key, numpy pads the run entropy to the pool size.
     run += [0] * (_POOL_SIZE - len(run))
     tail = [np.array([[w]], dtype=np.uint32) for w in run[_POOL_SIZE:]]
-    tail += [
-        np.array([[ALL_INPUTS.index(input_id)]], dtype=np.uint32),
-        index.astype(np.uint32)[:, None],
-        np.array([[CHANNELS.index(channel)]], dtype=np.uint32),
-    ]
+    tail += [key.astype(np.uint32).reshape(-1, 1) for key in keys]
     hc = _hash_chain(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + len(tail)))
     pool = [_hashmix(w, hc[i], hc[i + 1]) for i, w in enumerate(run[:_POOL_SIZE])]
     k = _POOL_SIZE
@@ -342,22 +364,27 @@ def _checked_sampler_input(p: np.ndarray, shots) -> np.ndarray:
     return shots.astype(np.int64)
 
 
-def sample_counts_batch(probs, shots, master_seed: int, input_id: str, channel: str) -> np.ndarray:
-    """Multinomial counts for every row of (n, 4) probabilities; row j from point j's own stream.
+def sample_counts_batch(probs, shots, master_seed: int, input_id, channel, time_indices=None) -> np.ndarray:
+    """Multinomial counts for every row of (n, 4) probabilities; each row from its own point's stream.
 
-    Row j equals point_rng(master_seed, input_id, j, channel).multinomial(
-    shots[j], p_j) with p_j the row normalised to sum 1.  Probabilities must
-    be finite and non-negative with a positive sum, shots whole and >= 0.
-    Every point's stream is seeded from one stream_words pass.  Rows with at
-    most _INVERSION_SHOTS shots are drawn together with array ops that step
-    PCG64 and replay numpy's binomial inversion; larger rows, and any row
-    whose inversion restarts, are drawn by one generator set to each point's
-    seeded state in turn.
+    Row j equals point_rng(master_seed, input j, time_indices[j], channel
+    j).multinomial(shots[j], p_j) with p_j the row normalised to sum 1.
+    input_id and channel name one key for every row or hold one per row,
+    as stream_words takes them; time_indices defaults to 0..n-1.
+    Probabilities must be finite and non-negative with a positive sum, shots
+    whole and >= 0.  Every point's stream is seeded from one stream_words
+    pass.  Rows with at most _INVERSION_SHOTS shots are drawn together with
+    array ops that step PCG64 and replay numpy's binomial inversion; larger
+    rows, and any row whose inversion restarts, are drawn by one generator
+    set to each point's seeded state in turn.
     """
     p = np.asarray(probs, dtype=float).reshape(-1, 4)
     shots = _checked_sampler_input(p, shots)
+    index = np.arange(len(p)) if time_indices is None else np.asarray(time_indices).reshape(-1)
+    if index.size != len(p):
+        raise ValueError(f"need one time index per probability row, got {index.size} for {len(p)}")
     p = p / p.sum(axis=1, keepdims=True)
-    streams = _seeded_streams(stream_words(master_seed, input_id, channel, np.arange(len(p))))
+    streams = _seeded_streams(stream_words(master_seed, input_id, channel, index))
     per_point = shots > _INVERSION_SHOTS
     small = np.flatnonzero(~per_point)
     counts = np.empty((len(p), 4), dtype=np.int64)

@@ -117,15 +117,20 @@ def bell_spectrum(h: HamiltonianParams) -> np.ndarray:
 def evolve_batch(h: HamiltonianParams, psi0, times) -> np.ndarray:
     """Exact states at every time in times under exp(-i H t), one row per time.
 
-    Bit-identical to evolving each time on its own: the Bell map and the row
-    norm keep the per-vector reduction order (a stacked mat-vec, and squares
-    summed as (x0 + x2) + (x1 + x3) as BLAS ddot does inside np.linalg.norm).
+    psi0 is one (4,) initial state for every time, or an (n, 4) stack with
+    one initial state per time.  Bit-identical to evolving each time on its
+    own: the Bell maps and the row norm keep the per-vector reduction order
+    (stacked mat-vecs, and squares summed as (x0 + x2) + (x1 + x3) as BLAS
+    ddot does inside np.linalg.norm).
     """
     times = np.asarray(times, dtype=float).reshape(-1)
     if not np.all(np.isfinite(times)):
         raise ValueError(f"times must be finite, got {float(times[~np.isfinite(times)][0])!r}")
-    amps = _as_state(psi0)
-    coeffs = BELL_BASIS.T @ amps
+    amps = np.asarray(psi0, dtype=complex)
+    if amps.shape not in ((4,), (times.size, 4)):
+        raise ValueError(f"psi0 must be one state or one per time, got shape {amps.shape} for {times.size} times")
+    require_normalized(amps)
+    coeffs = (BELL_BASIS.T @ amps[..., None])[..., 0]
     phases = np.exp(-1j * bell_spectrum(h) * times[:, None])
     out = (BELL_BASIS @ (phases * coeffs)[:, :, None])[:, :, 0]
     # Rotation is exactly norm-preserving up to rounding; renormalize the dust away.

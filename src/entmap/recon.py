@@ -39,6 +39,10 @@ AMBIGUITY_SIGMAS = 5.0
 RESIDUAL_TOLERANCE_FACTOR = 3.0
 
 MODES = ("sampled", "noiseless")
+# Channel each input is read out in: the four protocol inputs' own, and xz for |0>|+>.
+READOUT_CHANNEL = {**CHANNEL_FOR_INPUT, PSI5: "xz"}
+# Rows of the stacked record filled per evolve, rotation and sampler call.
+RECORD_BLOCK_ROWS = 4096
 
 # Largest coupling magnitude the pipeline is run on.  Quoted sigmas are at
 # most a few times the largest combination, and invert_frequencies squares
@@ -186,18 +190,41 @@ def default_plans(
 
 
 def _record(
-    h: HamiltonianParams, input_id: str, channel: str, plan: SamplingPlan, seed: int, eta: float, mode: str
+    h: HamiltonianParams, inputs: list[tuple[str, SamplingPlan]], seed: int, eta: float, mode: str
 ) -> np.ndarray:
-    """One input read out in one channel over a plan's grid, as an (nt, 4) table.
+    """Every (input_id, plan) read out over its plan's grid, as one stacked (sum of nt, 4) table.
 
-    "sampled" draws integer counts, point j from its own point_rng stream;
-    "noiseless" returns the exact outcome probabilities.
+    Input k fills the rows after inputs 0..k-1, read out in its
+    READOUT_CHANNEL.  The rows are filled RECORD_BLOCK_ROWS at a time, each
+    block with one evolve, one readout rotation and one sampler call, so
+    memory stays flat in nt.  "sampled" draws integer counts, point j of an
+    input from its own point_rng stream; "noiseless" returns the exact
+    outcome probabilities.  A row's bits do not depend on the rows recorded
+    with it, so an input's slice equals that input recorded alone.
     """
-    states = evolve_batch(h, prepare_input(input_id, eta), plan.times())
-    probs = outcome_probs_batch(states, channel)
-    if mode == "noiseless":
-        return probs
-    return sample_counts_batch(probs, plan.shots(), seed, input_id, channel)
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    ids, plans = zip(*inputs)
+    channels = np.array([READOUT_CHANNEL[input_id] for input_id in ids])
+    psi0 = np.array([prepare_input(input_id, eta) for input_id in ids])
+    ids = np.array(ids)
+    owner = np.repeat(np.arange(len(plans)), [plan.nt for plan in plans])
+    index = np.concatenate([np.arange(plan.nt) for plan in plans])
+    times = np.concatenate([plan.times() for plan in plans])
+    shots = np.concatenate([plan.shots() for plan in plans])
+    table = np.empty((owner.size, 4), dtype=float if mode == "noiseless" else np.int64)
+    for start in range(0, owner.size, RECORD_BLOCK_ROWS):
+        rows = slice(start, start + RECORD_BLOCK_ROWS)
+        k = owner[rows]
+        if k[0] == k[-1]:
+            # A block inside one input names its keys once; the calls below broadcast them.
+            k = k[0]
+        probs = outcome_probs_batch(evolve_batch(h, psi0[k], times[rows]), channels[k])
+        if mode == "noiseless":
+            table[rows] = probs
+        else:
+            table[rows] = sample_counts_batch(probs, shots[rows], seed, ids[k], channels[k], index[rows])
+    return table
 
 
 def simulate_series(
@@ -211,13 +238,10 @@ def simulate_series(
     """Run one input through prepare/evolve/measure and estimate C^2 on the grid.
 
     mode "sampled" draws finite-shot counts from per-point seeded streams;
-    "noiseless" keeps the exact probability tables.
+    "noiseless" keeps the exact probability tables.  The record is _record's
+    one-input table, so it equals that input's slice of characterize's.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    channel = CHANNEL_FOR_INPUT[input_id]
-    table = _record(h, input_id, channel, plan, seed, eta, mode)
-    return build_series(input_id, plan, table)
+    return build_series(input_id, plan, _record(h, [(input_id, plan)], seed, eta, mode))
 
 
 def estimate_combination(
@@ -242,14 +266,21 @@ def characterize(
     eta: float = 0.0,
     mode: str = "sampled",
 ) -> CharacterizationReport:
-    """Full four-input pipeline: simulate, estimate frequencies, invert couplings."""
+    """Full four-input pipeline: simulate, estimate frequencies, invert couplings.
+
+    The four inputs are recorded in one _record pass; each input's slice of
+    its table then becomes a series, and fit_line estimates its line.
+    """
+    table = _record(h_true, [(input_id, plans[input_id]) for input_id in INPUT_IDS], seed, eta, mode)
     values = []
     sigmas = []
     estimates: dict[str, FrequencyEstimate] = {}
     degenerate: dict[str, bool] = {}
+    start = 0
     for input_id in INPUT_IDS:
         plan = plans[input_id]
-        series = simulate_series(h_true, input_id, plan, seed, eta=eta, mode=mode)
+        series = build_series(input_id, plan, table[start : start + plan.nt])
+        start += plan.nt
         value, sigma, estimate, is_degenerate = estimate_combination(series, plan)
         values.append(value)
         sigmas.append(sigma)
@@ -288,11 +319,11 @@ def _resolve_with_fifth_input(
     options = (replace(result, alternatives=()),) + result.alternatives
     guess = max(abs(r.c_hat.c1) + abs(r.c_hat.c3) for r in options)
     plan = plan_observation(guess, plan_like.nt, plan_like.ne, plan_like.strategy)
-    record = _record(h_true, PSI5, "xz", plan, seed, eta, mode)
+    record = _record(h_true, [(PSI5, plan)], seed, eta, mode)
     psi0 = prepare_input(PSI5)
     scores = []
     for option in options:
-        probs = outcome_probs_batch(evolve_batch(option.c_hat, psi0, plan.times()), "xz")
+        probs = outcome_probs_batch(evolve_batch(option.c_hat, psi0, plan.times()), READOUT_CHANNEL[PSI5])
         scores.append(float(np.sum(record * np.log(np.maximum(probs, 1e-300)))))
     k = int(np.argmax(scores))
     return replace(

@@ -58,8 +58,9 @@ from .spectral import (
 DEFAULT_NT = 200
 DEFAULT_NE = 10
 DEFAULT_OUT = "runs/run"
-# Largest nt and ne: characterize peaks near 0.8 kB of traced memory per time
-# point, so 2**20 points stay under 1 GB; shot counts are int64.
+# Largest nt and ne: characterize peaks near 1.56 kB of traced memory per time
+# point (default plans, ne = 10, sampled; fit_line's rate scan holds the
+# peak), about 1.6 GB at 2**20 points; shot counts are int64.
 MAX_NT = 2**20
 MAX_NE = 2**63 - 1
 # Most log-spaced budgets one gate-error sweep may ask for.

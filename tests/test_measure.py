@@ -163,6 +163,30 @@ def test_grid_streams_validate_like_point_rng():
             sample_counts_batch(probs, [1, 1, 1], seed, input_id, channel)
     with pytest.raises(ValueError, match="one shot count per probability row"):
         sample_counts_batch(probs, [1, 1], 1, PSI1, "zz")
+    # numpy's SeedSequence takes only integer keys; a fraction is refused, not truncated to its floor.
+    with pytest.raises(TypeError):
+        np.random.SeedSequence(1.9, spawn_key=(0, 0, 0))
+    with pytest.raises(TypeError):
+        np.random.SeedSequence(1, spawn_key=(0, 0.7, 0))
+    with pytest.raises(ValueError, match="non-negative integer seed, got 1.9"):
+        point_rng(1.9, PSI1, 0, "zz")
+    with pytest.raises(ValueError, match="non-negative integer seed, got 1.9"):
+        sample_counts_batch(probs, [1, 1, 1], 1.9, PSI1, "zz")
+    with pytest.raises(ValueError, match="time_index must be an integer, got 0.7"):
+        stream_words(1, PSI1, "zz", [0.7])
+    with pytest.raises(ValueError, match="time_index must be an integer, got 0.5"):
+        point_rng(1, PSI1, 0.5, "zz")
+    # The per-row key columns: time indices, input ids and channels.
+    with pytest.raises(ValueError, match="time_index must be an integer, got 0.5"):
+        sample_counts_batch(probs, [1, 1, 1], 1, PSI1, "zz", np.arange(3) + 0.5)
+    with pytest.raises(ValueError, match="unknown input id 'psi9'"):
+        stream_words(1, [PSI1, "psi9", PSI2], "zz", range(3))
+    with pytest.raises(ValueError, match="unknown channel 'yy'"):
+        sample_counts_batch(probs, [1, 1, 1], 1, PSI1, ["zz", "xz", "yy"], range(3))
+    with pytest.raises(ValueError, match="one input id and one channel per time index"):
+        stream_words(1, PSI1, ["zz", "xz"], range(3))
+    with pytest.raises(ValueError, match="one time index per probability row"):
+        sample_counts_batch(probs, [1, 1, 1], 1, PSI1, "zz", [0, 1])
 
 
 # Entropies on both sides of numpy's uint32-word boundaries, and one that
@@ -192,6 +216,13 @@ def test_stream_words_and_point_rng_equal_numpy_streams(entropy):
             pvals = [0.1, 0.2, 0.3, 0.4]
             np.testing.assert_array_equal(got.multinomial(9, pvals), want.multinomial(9, pvals))
             assert got.bit_generator.state == want.bit_generator.state
+    # One call with a different input and channel on every row.
+    inputs = [ALL_INPUTS[k % len(ALL_INPUTS)] for k in range(index.size)]
+    channels = [CHANNELS[k % len(CHANNELS)] for k in range(index.size)]
+    words = stream_words(entropy, inputs, channels, index)
+    for row, input_id, channel, j in zip(words, inputs, channels, index):
+        want = numpy_seed_sequence(entropy, input_id, int(j), channel).generate_state(4, np.uint64)
+        np.testing.assert_array_equal(row, want)
 
 
 def numpy_counts(probs, shots, entropy, input_id, channel):
@@ -336,3 +367,5 @@ def test_a_row_of_2_63_minus_1_shots_is_drawn_as_numpy_draws_it():
 def test_unknown_channel_is_rejected():
     with pytest.raises(ValueError, match="unknown channel 'zx'"):
         outcome_probs_batch([1.0, 0.0, 0.0, 0.0], "zx")
+    with pytest.raises(ValueError, match="unknown channel 'zx'"):
+        outcome_probs_batch(np.eye(4)[:2], ["zz", "zx"])

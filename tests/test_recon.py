@@ -2,12 +2,13 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from entmap.concest import CHANNEL_FOR_INPUT, concurrence_sq_reduced
-from entmap.measure import CHANNELS, prepare_input
+from entmap.measure import CHANNELS, outcome_probs_batch, point_rng, prepare_input
 from entmap.qcore import (
     ALL_INPUTS,
     BELL_BASIS,
@@ -17,6 +18,7 @@ from entmap.qcore import (
     PSI2,
     PSI3,
     PSI4,
+    PSI5,
     HamiltonianParams,
     bell_spectrum,
     combinations,
@@ -24,6 +26,8 @@ from entmap.qcore import (
 )
 from entmap.recon import (
     AMBIGUITY_SIGMAS,
+    MODES,
+    RECORD_BLOCK_ROWS,
     RESIDUAL_TOLERANCE_FACTOR,
     SIGN_CONVENTION,
     FrequencyQuad,
@@ -33,6 +37,7 @@ from entmap.recon import (
     estimate_combination,
     invert_frequencies,
     simulate_series,
+    _record,
 )
 from entmap.spectral import plan_observation
 
@@ -390,6 +395,63 @@ def test_simulate_series_matches_the_per_point_reference(strategy, eta, mode):
         expected_shots = plan.shots() if mode == "sampled" else np.zeros(plan.nt, dtype=np.int64)
         np.testing.assert_array_equal(series.shots, expected_shots)
         assert series.channel == CHANNEL_FOR_INPUT[input_id]
+
+
+# Unequal nt, ne and strategy per input, 5664 rows in all: psi2 spans the first
+# two blocks, psi2's endpoints and every psi4 row draw more than 60 shots, psi3
+# draws one, and the fifth input closes the stack.
+MIXED_INPUTS = [
+    (PSI1, plan_observation(0.6, 300, 10, "uniform")),
+    (PSI2, plan_observation(1.8, 5000, 100, "endpoint")),
+    (PSI3, plan_observation(0.8, 64, 1, "uniform")),
+    (PSI4, plan_observation(2.0, 200, 61, "uniform")),
+    (PSI5, plan_observation(2.6, 100, 7, "endpoint")),
+]
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.05])
+@pytest.mark.parametrize("mode", MODES)
+def test_one_record_pass_gives_each_input_the_table_it_gets_alone(mode, eta):
+    """Each input's slice equals that input recorded alone, and row j equals point j evolved,
+    read out and, when sampled, drawn from point_rng(seed, input, j, channel) on its own
+    (every 97th row and the endpoints)."""
+    table = _record(H_REF, MIXED_INPUTS, 29, eta, mode)
+    assert len(table) == sum(plan.nt for _, plan in MIXED_INPUTS) > RECORD_BLOCK_ROWS
+    assert table.dtype == (np.int64 if mode == "sampled" else float)
+    start = 0
+    for input_id, plan in MIXED_INPUTS:
+        rows = table[start : start + plan.nt]
+        start += plan.nt
+        np.testing.assert_array_equal(rows, _record(H_REF, [(input_id, plan)], 29, eta, mode))
+        channel = "xz" if input_id == PSI5 else CHANNEL_FOR_INPUT[input_id]
+        psi0 = prepare_input(input_id, eta)
+        for j in sorted({*range(0, plan.nt, 97), plan.nt - 2, plan.nt - 1}):
+            p = outcome_probs_batch(evolve_batch(H_REF, psi0, plan.times()[j : j + 1]), channel)[0]
+            if mode == "sampled":
+                p = point_rng(29, input_id, j, channel).multinomial(plan.shots()[j], p / p.sum())
+            np.testing.assert_array_equal(rows[j], p)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_characterize_fits_each_input_as_simulate_series_records_it(mode):
+    plans = {input_id: plan for input_id, plan in MIXED_INPUTS if input_id in INPUT_IDS}
+    report = characterize(H_REF, plans, seed=29, eta=0.05, mode=mode)
+    for input_id, plan in plans.items():
+        series = simulate_series(H_REF, input_id, plan, seed=29, eta=0.05, mode=mode)
+        assert report.estimates[input_id] == estimate_combination(series, plan)[2]
+
+
+def test_characterize_traced_memory_per_time_point_stays_at_the_fits_level():
+    """About 1.56 kB per point at nt = 2**14, ne = 10, sampled; recording the four inputs unblocked reaches 3.9 kB."""
+    nt = 2**14
+    plans = default_plans(H_REF, nt, 10)
+    tracemalloc.start()
+    try:
+        characterize(H_REF, plans, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / nt <= 1600.0
 
 
 # Desk inputs (jittered H_REF, default plans at nt=200, ne=10) with |c1| ~ |c3|
