@@ -19,6 +19,8 @@ from .spectral import resolution_epsilon
 GATE_ISING_CNOT = "ising_cnot"
 GATE_SQRTSWAP = "heisenberg_sqrtswap"
 GATES = (GATE_ISING_CNOT, GATE_SQRTSWAP)
+# Largest budget ne anywhere in entmap: shot counts are int64.
+MAX_NE = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -113,9 +115,9 @@ def budget_curve(nt: int, ne_values, gate: str = GATE_ISING_CNOT) -> list[GateEr
 def measurements_for_threshold(p_target: float, nt: int, gate: str = GATE_ISING_CNOT) -> GateErrorReport:
     """Smallest endpoint budget ne (and total N = 2*nt + 2*ne) with p_eff <= p_target.
 
-    Solves the closed-form error model for epsilon, converts through the
-    resolution formula, then adjusts by +/-1 so the returned ne is exactly
-    minimal despite rounding.
+    p_eff falls monotonically as ne grows, so an integer bisection over
+    [1, MAX_NE] finds the minimal ne exactly, despite rounding, in at most 63
+    steps.  Raises ValueError when even MAX_NE misses the target.
     """
     if not (isinstance(p_target, (int, float)) and 0.0 < p_target <= 1.0):
         raise ValueError(f"p_target must lie in (0, 1], got {p_target!r}")
@@ -125,14 +127,16 @@ def measurements_for_threshold(p_target: float, nt: int, gate: str = GATE_ISING_
         raise ValueError(f"gate must be one of {GATES}, got {gate!r}")
     perr = CLOSED_FORMS[gate]
 
-    amplitude = perr(2.0)  # the model's peak: sin^2(pi*epsilon/4) = 1 at epsilon = 2
-    if p_target >= amplitude:
-        ne = 1
-    else:
-        eps_star = (4.0 / math.pi) * math.asin(math.sqrt(p_target / amplitude))
-        ne = max(1, math.ceil((4.0 / (nt * eps_star)) ** 2))
-        while perr(resolution_epsilon(nt, ne)) > p_target:
-            ne += 1
-        while ne > 1 and perr(resolution_epsilon(nt, ne - 1)) <= p_target:
-            ne -= 1
+    def meets(ne: int) -> bool:
+        return perr(resolution_epsilon(nt, ne)) <= p_target
+
+    if not meets(MAX_NE):
+        raise ValueError(f"p_target {p_target!r} needs more than ne = {MAX_NE} at nt = {nt}")
+    fails, ne = 0, MAX_NE  # fails misses the target (0 stands below ne = 1); ne meets it
+    while ne - fails > 1:
+        mid = (fails + ne) // 2
+        if meets(mid):
+            ne = mid
+        else:
+            fails = mid
     return budget_curve(nt, [ne], gate=gate)[0]

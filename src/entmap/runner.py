@@ -25,7 +25,7 @@ import scipy
 
 from . import __version__
 from .concest import CHANNEL_FOR_INPUT, ConcurrenceSeries, first_bad_point
-from .gateerr import GATE_ISING_CNOT, GATES, budget_curve, measurements_for_threshold
+from .gateerr import GATE_ISING_CNOT, GATES, MAX_NE, budget_curve, measurements_for_threshold
 from .measure import CHANNELS, prepare_input
 from .qcore import (
     INPUT_IDS,
@@ -58,11 +58,10 @@ from .spectral import (
 DEFAULT_NT = 200
 DEFAULT_NE = 10
 DEFAULT_OUT = "runs/run"
-# Largest nt and ne: characterize peaks near 1.56 kB of traced memory per time
-# point (default plans, ne = 10, sampled; fit_line's rate scan holds the
-# peak), about 1.6 GB at 2**20 points; shot counts are int64.
+# Largest nt: characterize peaks near 1.56 kB of traced memory per time point
+# (default plans, ne = 10, sampled; fit_line's rate scan holds the peak),
+# about 1.6 GB at 2**20 points.  ne is bounded by gateerr.MAX_NE.
 MAX_NT = 2**20
-MAX_NE = 2**63 - 1
 # Most log-spaced budgets one gate-error sweep may ask for.
 MAX_NE_COUNT = 2**16
 SEED_ENV_VAR = "ENTMAP_SEED"
@@ -174,8 +173,8 @@ def _plan_entry(raw, path: str, nt: int, ne: int, strategy: str | None = None) -
 
 def load_config(path: str) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     try:
         raw = json.loads(text)
@@ -346,7 +345,10 @@ def _read_series_csv(path: Path, expected_hash: str, input_id: str) -> Concurren
     """
     if not path.exists():
         raise FileNotFoundError(f"{path}: series file missing; run simulate first")
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if not lines or not lines[0].startswith("# config_hash="):
         raise ConfigError(f"{path}: missing config_hash header line")
     found = lines[0].split("=", 1)[1]
@@ -465,6 +467,14 @@ def cmd_gate_error(args) -> None:
     payload = {"gate": args.gate, "ne_values": ne_values, "nt": nts, "p_target": p_target}
     config_hash = _payload_hash(payload)
 
+    # Thresholds are solved before any file is written: one may need more than MAX_NE.
+    minimal = {}
+    if p_target is not None:
+        try:
+            minimal = {nt: measurements_for_threshold(p_target, nt, args.gate) for nt in nts}
+        except ValueError as exc:
+            raise ConfigError(f"--p-target: {exc}") from None
+
     files = []
     for nt in nts:
         reports = budget_curve(nt, ne_values, gate=args.gate)
@@ -475,8 +485,7 @@ def cmd_gate_error(args) -> None:
 
     if p_target is not None:
         threshold = {}
-        for nt in nts:
-            r = measurements_for_threshold(p_target, nt, gate=args.gate)
+        for nt, r in minimal.items():
             threshold[str(nt)] = {
                 "epsilon": r.epsilon,
                 "n_total": r.total_measurements,

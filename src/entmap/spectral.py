@@ -5,7 +5,8 @@ planning targets 4w when picking the sampling step, and dft/find_peak report
 lines on that axis.  The counts behind the trace carry the same line more
 simply: qubit 1 reads - with probability sin^2(w t), so fit_line estimates w
 from the binomial likelihood of those counts (Rife & Boorstyn's single-tone
-maximum-likelihood estimator, applied to counts).
+maximum-likelihood estimator, applied to counts); the endpoint strategy's w
+comes from its two high-budget rows alone.
 """
 
 from __future__ import annotations
@@ -182,48 +183,20 @@ def find_peak(spectrum: Spectrum) -> PeakLocation:
     return PeakLocation(bin_index=best, omega=float(spectrum.omegas[best]), magnitude=float(mags[best]))
 
 
-def _endpoint_amplitude(series, shots_end: float) -> float:
-    """Expected oscillation amplitude of the estimator at the endpoint blocks.
-
-    The product-form estimator (zz counts only) shrinks the signal by exactly
-    1 - 1/shots; the trigonometric estimators are unbiased to O(1/shots), so
-    series that involve the xz channel keep the ideal amplitude 1.
-    """
-    return 1.0 - 1.0 / shots_end if series.channel == "zz" else 1.0
-
-
-def _endpoint_phase_polish(
-    times: np.ndarray, values: np.ndarray, w_anchor: float, amplitude: float
-) -> float:
-    """Refine the sin^2 rate using only the two final high-budget points.
-
-    The anchor fixes the oscillation cycle; within half a cycle spacing the
-    rate is re-solved from the endpoint values against the pinned model
-    amplitude*sin^2(w t).  Pinning both amplitude and offset leaves a single
-    unknown for two observations, so the minimum is set by the measured phase
-    rather than by exact two-point interpolation.
-    """
-    t_end = times[-2:]
-    y_end = values[-2:]
-    half_window = 0.45 * math.pi / float(times[-1])
-
-    def endpoint_sse(w: float) -> float:
-        r = amplitude * np.sin(w * t_end) ** 2 - y_end
-        return float(r @ r)
-
-    result = minimize_scalar(
-        endpoint_sse,
-        bounds=(w_anchor - half_window, w_anchor + half_window),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    return float(result.x)
-
-
 def _neg_log_likelihood(rates, t: np.ndarray, k: np.ndarray, n: np.ndarray):
     """-log L of k ~ Binomial(n, sin^2(w t)) at each rate w, up to a constant."""
     phase = np.multiply.outer(rates, t)
     return -(xlogy(k, np.sin(phase) ** 2) + xlogy(n - k, np.cos(phase) ** 2)).sum(axis=-1)
+
+
+def _refine_rate(grid: np.ndarray, scores: np.ndarray, rows: tuple) -> float:
+    """Bounded Brent on -log L of rows = (t, k, n) between the neighbours of the best-scored grid rate."""
+    i = int(np.argmin(scores))
+    bracket = (float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)]))
+    result = minimize_scalar(
+        _neg_log_likelihood, bounds=bracket, args=rows, method="bounded", options={"xatol": 1e-13}
+    )
+    return float(result.x)
 
 
 def fit_line(series, plan: SamplingPlan) -> FrequencyEstimate | None:
@@ -233,13 +206,14 @@ def fit_line(series, plan: SamplingPlan) -> FrequencyEstimate | None:
     sin^2(w t_j)) with n_j the row total; an exact table is fractional counts
     with n_j = 1.  The seed is the strongest non-DC bin of the rfft of k/n,
     where the line sits at 2w.  41 rates within 0.75 bin of it are scanned, and
-    bounded Brent refines the best one between its neighbours.  The uniform
-    strategy fits every point; the endpoint strategy fits the interior points
-    and hands the rate to the phase polish against the two high-budget endpoint
-    blocks (below nt = 8 it fits every point, as too few interior points are
-    left to anchor the rate).  Returns None when k/n averages below
-    DEGENERATE_MEAN (the combination is 0), otherwise omega_hat = w with the
-    resolution figure 4/(nt*sqrt(ne)).
+    bounded Brent refines the best one between its neighbours: on every point
+    (uniform strategy; endpoint below nt = 8), or on the interior points as the
+    endpoint strategy's anchor w_a.  That strategy takes w from its two endpoint
+    rows alone: of their -log L modes within 6 sigma_a of w_a, it refines the
+    one the interior rows favour, by (w - w_a)^2 / (2 sigma_a^2) to second
+    order, sigma_a = 1/(2*sqrt(sum n_j t_j^2)) being their Fisher sigma.
+    Returns None when k/n averages below DEGENERATE_MEAN (the combination is
+    0), otherwise omega_hat = w with the resolution figure 4/(nt*sqrt(ne)).
     """
     if series.counts is None:
         raise ValueError("the likelihood fit needs the series' outcome counts")
@@ -254,19 +228,18 @@ def fit_line(series, plan: SamplingPlan) -> FrequencyEstimate | None:
     bin_w = plan.bin_width
     seed_line = (int(np.argmax(np.abs(np.fft.rfft(success_frac))[1:])) + 1) * bin_w
 
-    fit = slice(0, -2) if plan.strategy == "endpoint" and plan.nt >= 8 else slice(None)
-    args = (series.times[fit], k[fit], n[fit])
+    polish = plan.strategy == "endpoint" and plan.nt >= 8
+    fit = slice(0, -2) if polish else slice(None)
+    t = series.times
+    rows, ends = (t[fit], k[fit], n[fit]), (t[-2:], k[-2:], n[-2:])
     grid = (seed_line + bin_w * np.linspace(-0.75, 0.75, 41)) / 2.0
-    i = int(np.argmin(_neg_log_likelihood(grid, *args)))
-    bracket = (float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)]))
-    result = minimize_scalar(
-        _neg_log_likelihood, bounds=bracket, args=args, method="bounded", options={"xatol": 1e-13}
-    )
-    w = float(result.x)
-    shots_end = float(series.shots[-1])
-    if plan.strategy == "endpoint" and shots_end >= 2.0:
-        amplitude = _endpoint_amplitude(series, shots_end)
-        w = _endpoint_phase_polish(series.times, series.values, 2.0 * w, amplitude) / 2.0
+    w = _refine_rate(grid, _neg_log_likelihood(grid, *rows), rows)
+    if polish:
+        sigma_a = 0.5 / math.sqrt(float(n[fit] @ t[fit] ** 2))
+        grid = np.linspace(max(w - 6.0 * sigma_a, 0.0), w + 6.0 * sigma_a, 41)
+        f = _neg_log_likelihood(grid, *ends)
+        mode = (f <= np.r_[np.inf, f[:-1]]) & (f <= np.r_[f[1:], np.inf])
+        w = _refine_rate(grid, np.where(mode, f + 0.5 * ((grid - w) / sigma_a) ** 2, np.inf), ends)
     return FrequencyEstimate(
         omega_hat=w,
         delta_f_over_f=resolution_epsilon(plan.nt, plan.ne),

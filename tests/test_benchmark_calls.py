@@ -43,3 +43,18 @@ def test_endpoint_sweep_input_that_missed_by_19_sigma_passes_its_check():
     outcome = workload.check(inp, workload.run(inp))
     assert outcome.ok, outcome.note
     assert outcome.miss_sigmas <= 1.0
+
+
+def test_endpoint_sweep_accuracy_inputs_pass_and_stay_within_three_sigma():
+    """Seed 0's accuracy inputs: every check passes and at most one misses by more than 3 quoted sigma.
+
+    The benchmark takes endpoint_sweep's coverages over these inputs, so an
+    estimator change that would fail its accuracy gate fails here first.
+    """
+    workload = WORKLOADS["endpoint_sweep"]()
+    outcomes = []
+    for k in range(workload.ACCURACY_RUNS):
+        inp = workload.inputs(SEED, k)
+        outcomes.append(workload.check(inp, workload.run(inp)))
+    assert [o.note for o in outcomes if not o.ok] == []
+    assert sum(o.miss_sigmas <= 3.0 for o in outcomes) >= workload.ACCURACY_RUNS - 1

@@ -140,8 +140,8 @@ def test_budget_curve_rejects_unknown_gate():
 
 
 def test_threshold_solver_minimality():
-    """The reported budget is feasible and one shot less is not."""
-    for p_target in (1e-3, 1e-4, 3e-5):
+    """The reported budget is feasible and one shot less is not, also where ne +/- 1 is below float resolution."""
+    for p_target in (1e-3, 1e-4, 3e-5, 1e-18):
         for gate in (GATE_ISING_CNOT, GATE_SQRTSWAP):
             report = measurements_for_threshold(p_target, 10, gate=gate)
             assert report.p_eff <= p_target
@@ -170,3 +170,5 @@ def test_threshold_solver_validation():
         measurements_for_threshold(0.0, 10)
     with pytest.raises(ValueError):
         measurements_for_threshold(1e-4, 10, gate="cz")
+    with pytest.raises(ValueError, match="needs more than ne"):
+        measurements_for_threshold(1e-21, 10)

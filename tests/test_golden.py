@@ -53,7 +53,7 @@ PINS = {
     "sampled_endpoint": {
         "simulate": "ff644b5eb69eaa7f2b9f216e413f9785ff2843f1da1abaecd06c600360b502e8",
         "spectrum": "a0dd512585cffa388ca7141c16c9ce3ccaa14bcbf2f911d61865cb7fcd6dc0dd",
-        "characterize": "205c37951f44bcd3d38b4d089b9ce4875eecda27772370314cb0d8613723ef6d",
+        "characterize": "1c6f96646ec59e91151a9f0d7438842680d018089356d605ed5c7444eee7fdab",
         "robustness": "5f55fb4bdf06488122decaf946481fd100d457767862644640ef327d0ff50828",
     },
     "sampled_uniform": {

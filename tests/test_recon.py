@@ -39,7 +39,7 @@ from entmap.recon import (
     simulate_series,
     _record,
 )
-from entmap.spectral import plan_observation
+from entmap.spectral import STRATEGIES, plan_observation
 
 H_REF = HamiltonianParams(1.2, 0.6, 1.4)
 
@@ -313,14 +313,15 @@ def sign_blind_miss(got: HamiltonianParams, truth) -> np.ndarray:
 
 
 def test_characterize_noiseless_random_couplings_on_the_sphere_are_exact():
-    """300 couplings, uniform in direction with norms 0.5-2, come back within 1e-8 (no exit 3)."""
+    """300 couplings, uniform in direction with norms 0.5-2, come back within 1e-8 (no exit 3) on either strategy."""
     rng = np.random.default_rng(2024)
     for _ in range(300):
         direction = rng.normal(size=3)
         c = direction / np.linalg.norm(direction) * rng.uniform(0.5, 2.0)
         h = HamiltonianParams(*c)
-        report = characterize(h, default_plans(h, 200, 10), seed=0, mode="noiseless")
-        assert sign_blind_miss(report.result.c_hat, c).max() <= 1e-8, c
+        for strategy in STRATEGIES:
+            report = characterize(h, default_plans(h, 200, 10, strategy), seed=0, mode="noiseless")
+            assert sign_blind_miss(report.result.c_hat, c).max() <= 1e-8, (strategy, c)
 
 
 # Families with a zero combination, where shot noise in the other outcomes, or
@@ -331,13 +332,12 @@ ZERO_LINE_FAMILIES = [(1.2, 1.2, 1.2), (1.0, 0.0, 0.0), (0.8, 0.3, 0.3), (0.0, 0
 @pytest.mark.parametrize("truth, eta", [(t, 0.0) for t in ZERO_LINE_FAMILIES] + [((1.2, 1.2, 1.2), 0.05)])
 def test_characterize_zero_line_families_within_three_sigma(truth, eta):
     h = HamiltonianParams(*truth)
-    plans = default_plans(h, 200, 10)
     zero = {input_id: bool(w == 0.0) for input_id, w in zip(INPUT_IDS, combinations(h))}
-    for seed in range(20):
-        report = characterize(h, plans, seed, eta=eta)
-        assert report.degenerate == zero, seed
+    for strategy, seed in itertools.product(STRATEGIES, range(20)):
+        report = characterize(h, default_plans(h, 200, 10, strategy), seed, eta=eta)
+        assert report.degenerate == zero, (strategy, seed)
         miss = sign_blind_miss(report.result.c_hat, truth)
-        assert np.all(miss <= 3.0 * np.array(report.result.sigma)), (seed, report.result.c_hat)
+        assert np.all(miss <= 3.0 * np.array(report.result.sigma)), (strategy, seed, report.result.c_hat)
 
 
 def test_characterize_reported_sigma_scales_with_budget():

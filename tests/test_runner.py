@@ -284,6 +284,8 @@ GATE_ERROR_BAD_FLAGS = [
     ("MAX 401 digits", "gate-error", ["--ne-range", "1", "9" * 401, "3"], "--ne-range"),
     ("MAX past MAX_NE", "gate-error", ["--ne-range", "1", str(MAX_NE + 1), "3"], "--ne-range"),
     ("COUNT past its bound", "gate-error", ["--ne-range", "1", "8", str(MAX_NE_COUNT + 1)], "--ne-range"),
+    ("p-target needing more than MAX_NE", "gate-error", ["--nt", "10", "--p-target", "1e-21"], "--p-target"),
+    ("p-target 1e-40", "gate-error", ["--p-target", "1e-40"], "--p-target"),
     ("nt 401 digits", "gate-error", ["--nt", "9" * 401], "--nt"),
     ("nt past MAX_NT", "gate-error", ["--nt", str(MAX_NT + 1)], "--nt"),
     ("seed", "gate-error", ["--seed", "1"], "unrecognized arguments: --seed"),
@@ -401,6 +403,7 @@ BAD_INPUT_CASES = [
     ("negative shots", _series_line_edit(2, "-1"), "series_psi1.csv:4:"),
     ("off-grid time", _series_line_edit(0, lambda t: repr(float(t) * 1.01)), "series_psi1.csv:4:"),
     ("shots in the other channel", _series_line_edit(3, "5"), "series_psi1.csv:4:"),
+    ("not UTF-8", _series_line_edit(1, lambda c2: c2 + "\udcff"), "series_psi1.csv:"),
     ("duplicate eta tag", {"robustness": {"etas": [0.05, 0.05000001], "nt": 64}}, "robustness.etas[1]"),
     ("c1 1e160", {"hamiltonian": {"c1": 1e160, "c2": 0.6, "c3": 1.4}}, "hamiltonian.c1"),
     ("c1 1e300", {"hamiltonian": {"c1": 1e300, "c2": 0.6, "c3": 1.4}}, "hamiltonian.c1"),
@@ -443,7 +446,7 @@ def test_bad_inputs_exit_2_and_name_their_place(tmp_path, monkeypatch, capsys, l
         path = out / "series_psi1.csv"
         lines = path.read_text().splitlines()
         lines[3] = ",".join(edit(lines[3].split(",")))
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
         capsys.readouterr()
         assert main(["spectrum", "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
     assert where in capsys.readouterr().err
@@ -451,13 +454,17 @@ def test_bad_inputs_exit_2_and_name_their_place(tmp_path, monkeypatch, capsys, l
 
 @pytest.mark.parametrize(
     "text",
-    ['{"hamiltonian": {"c1": 1.2, "c2": 0.6, "c3": 1.4}, "seed": ' + "9" * 5000 + "}", "[" * 200000],
-    ids=["integer past the digit limit", "nesting past the recursion limit"],
+    [
+        '{"hamiltonian": {"c1": 1.2, "c2": 0.6, "c3": 1.4}, "seed": ' + "9" * 5000 + "}",
+        "[" * 200000,
+        "\udcff\udcfe{}",
+    ],
+    ids=["integer past the digit limit", "nesting past the recursion limit", "not UTF-8"],
 )
 def test_config_json_past_python_limits_exits_2(tmp_path, capsys, text):
-    """JSON that Python's parser refuses without a JSONDecodeError is a config error, not a crash."""
+    """A config Python cannot decode, or parses without a JSONDecodeError, is a config error, not a crash."""
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(text)
+    cfg_path.write_text(text, encoding="utf-8", errors="surrogateescape")
     assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
     assert "cfg.json" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()

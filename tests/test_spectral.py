@@ -142,6 +142,17 @@ def test_refine_noiseless_endpoint_hits_line():
     assert est.omega_hat == pytest.approx(0.6, rel=1e-6)
 
 
+def test_noiseless_endpoint_lines_are_exact_at_small_nt():
+    """Two endpoint points fit several modes of sin^2; the polish must keep the anchor's, exactly."""
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        nt, ne, w = int(rng.integers(8, 41)), int(rng.choice([1, 4, 64])), float(rng.uniform(0.05, 2.0))
+        h = HamiltonianParams(w + 0.6, 0.6, 1.4)
+        plan = plan_observation(w * float(rng.uniform(1.0, 3.5)), nt, ne, "endpoint")
+        est = fit_line(simulate_series(h, PSI1, plan, seed=0, mode="noiseless"), plan)
+        assert est.omega_hat == pytest.approx(abs(combinations(h)[0]), rel=1e-6), (nt, ne, w)
+
+
 def test_refine_reports_resolution_figure():
     plan = plan_observation(0.6, 10, 100, "endpoint")
     series = simulate_series(H_REF, PSI1, plan, seed=3, mode="noiseless")
