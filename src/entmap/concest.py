@@ -44,6 +44,8 @@ def first_bad_point(times: np.ndarray, values: np.ndarray, shots: np.ndarray) ->
 class ConcurrenceSeries:
     """C^2 estimates on a uniform grid t_j = j*dt, j = 1..nt, held as arrays.
 
+    Built only where a C^2 trace is written or read back (simulate_series, the
+    CLI's simulate, spectrum's CSV reader); characterize and spectral need none.
     shots[j] is the number of shots behind values[j] (0 for exact tables).
     channel is the readout the values came from.  counts, when present, is
     the (nt, 4) table of outcome counts in that channel, or the exact outcome

@@ -92,8 +92,6 @@ class ReconstructionResult:
     c_hat: HamiltonianParams
     sigma: tuple[float, float, float]
     residual: float
-    convention: str = SIGN_CONVENTION
-    candidates_considered: int = len(SIGN_PATTERNS)
     alternatives: tuple["ReconstructionResult", ...] = ()
     fifth_input_used: bool = False
 
@@ -244,19 +242,28 @@ def simulate_series(
     return build_series(input_id, plan, _record(h, [(input_id, plan)], seed, eta, mode))
 
 
-def estimate_combination(
-    series: ConcurrenceSeries, plan: SamplingPlan
-) -> tuple[float, float, FrequencyEstimate | None, bool]:
-    """Estimate one combination magnitude from a series by spectral.fit_line.
+def _fit_combination(plan: SamplingPlan, table) -> tuple[float, float, FrequencyEstimate | None, bool]:
+    """(value, sigma_abs, estimate_or_None, degenerate) of spectral.fit_line on one input's table.
 
-    Returns (value, sigma_abs, estimate_or_None, degenerate).  A series whose
-    success fraction averages below spectral.DEGENERATE_MEAN carries no line
-    and is degenerate: value 0 with a one-bin absolute uncertainty.
+    A table with no line (fit_line's None) is degenerate: value 0 with a one-bin absolute uncertainty.
     """
-    estimate = fit_line(series, plan)
+    estimate = fit_line(plan, table)
     if estimate is None:
         return 0.0, plan.bin_width / 4.0, None, True
     return estimate.omega_hat, estimate.sigma, estimate, False
+
+
+def estimate_combination(
+    series: ConcurrenceSeries, plan: SamplingPlan
+) -> tuple[float, float, FrequencyEstimate | None, bool]:
+    """Estimate one combination magnitude from a series' counts, as characterize does from its table.
+
+    The series must lie on the plan's grid and carry its outcome counts.
+    Returns (value, sigma_abs, estimate_or_None, degenerate).
+    """
+    if not np.array_equal(series.times, plan.times()):
+        raise ValueError("series.times must equal plan.times()")
+    return _fit_combination(plan, series.counts)
 
 
 def characterize(
@@ -268,34 +275,22 @@ def characterize(
 ) -> CharacterizationReport:
     """Full four-input pipeline: simulate, estimate frequencies, invert couplings.
 
-    The four inputs are recorded in one _record pass; each input's slice of
-    its table then becomes a series, and fit_line estimates its line.
+    The four inputs are recorded in one _record pass, and fit_line fits each
+    input's slice of its table; no C^2 series is built.
     """
     table = _record(h_true, [(input_id, plans[input_id]) for input_id in INPUT_IDS], seed, eta, mode)
-    values = []
-    sigmas = []
-    estimates: dict[str, FrequencyEstimate] = {}
-    degenerate: dict[str, bool] = {}
-    start = 0
-    for input_id in INPUT_IDS:
-        plan = plans[input_id]
-        series = build_series(input_id, plan, table[start : start + plan.nt])
-        start += plan.nt
-        value, sigma, estimate, is_degenerate = estimate_combination(series, plan)
-        values.append(value)
-        sigmas.append(sigma)
-        degenerate[input_id] = is_degenerate
-        if estimate is not None:
-            estimates[input_id] = estimate
-    quad = FrequencyQuad(values=tuple(values), sigmas=tuple(sigmas))
+    tables = np.split(table, np.cumsum([plans[input_id].nt for input_id in INPUT_IDS])[:-1])
+    fits = [_fit_combination(plans[input_id], rows) for input_id, rows in zip(INPUT_IDS, tables)]
+    values, sigmas, found, degenerate = zip(*fits)
+    quad = FrequencyQuad(values=values, sigmas=sigmas)
     result = invert_frequencies(quad)
     if result.ambiguous:
         result = _resolve_with_fifth_input(h_true, result, plans[PSI1], seed, eta=eta, mode=mode)
     return CharacterizationReport(
         result=result,
         quad=quad,
-        estimates=estimates,
-        degenerate=degenerate,
+        estimates={input_id: e for input_id, e in zip(INPUT_IDS, found) if e is not None},
+        degenerate=dict(zip(INPUT_IDS, degenerate)),
     )
 
 

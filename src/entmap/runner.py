@@ -39,6 +39,8 @@ from .qcore import (
 from .recon import (
     MAX_COUPLING,
     MODES,
+    SIGN_CONVENTION,
+    SIGN_PATTERNS,
     InconsistentFrequencyError,
     characterize,
     planning_guesses,
@@ -58,7 +60,7 @@ from .spectral import (
 DEFAULT_NT = 200
 DEFAULT_NE = 10
 DEFAULT_OUT = "runs/run"
-# Largest nt: characterize peaks near 1.56 kB of traced memory per time point
+# Largest nt: characterize peaks near 1.51 kB of traced memory per time point
 # (default plans, ne = 10, sampled; fit_line's rate scan holds the peak),
 # about 1.6 GB at 2**20 points.  ne is bounded by gateerr.MAX_NE.
 MAX_NT = 2**20
@@ -384,10 +386,10 @@ def _read_series_csv(path: Path, expected_hash: str, input_id: str) -> Concurren
         raise ConfigError(f"{path}:{linenos[fault[0]]}: {fault[1]}" if fault else f"{path}: {exc}") from None
 
 
-def cmd_simulate(cfg: ExperimentConfig) -> None:
+def cmd_simulate(cfg: ExperimentConfig, plans: dict[str, SamplingPlan]) -> None:
     p = cfg.payload
     files = []
-    for input_id, plan in build_plans(cfg).items():
+    for input_id, plan in plans.items():
         series = simulate_series(cfg.hamiltonian, input_id, plan, p["seed"], eta=p["eta"], mode=p["mode"])
         name = f"series_{input_id}.csv"
         shots = np.zeros((len(CHANNELS), plan.nt), dtype=np.int64)
@@ -402,7 +404,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> None:
     peaks: dict[str, dict] = {}
     for input_id in INPUT_IDS:
         series = _read_series_csv(cfg.out / f"series_{input_id}.csv", cfg.config_hash, input_id)
-        spectrum = dft(series)
+        spectrum = dft(series.values, series.dt)
         name = f"spectrum_{input_id}.csv"
         _write_spectrum_csv(cfg.out / name, cfg.config_hash, spectrum)
         files.append(name)
@@ -416,9 +418,9 @@ def cmd_spectrum(cfg: ExperimentConfig) -> None:
     _write_manifest(cfg, "spectrum", files)
 
 
-def cmd_characterize(cfg: ExperimentConfig) -> None:
+def cmd_characterize(cfg: ExperimentConfig, plans: dict[str, SamplingPlan]) -> None:
     p = cfg.payload
-    report = characterize(cfg.hamiltonian, build_plans(cfg), p["seed"], eta=p["eta"], mode=p["mode"])
+    report = characterize(cfg.hamiltonian, plans, p["seed"], eta=p["eta"], mode=p["mode"])
     frequencies = {}
     for i, input_id in enumerate(INPUT_IDS):
         entry = {
@@ -433,9 +435,9 @@ def cmd_characterize(cfg: ExperimentConfig) -> None:
     c_hat = report.result.c_hat.as_tuple()
     summary = {
         "c_hat": dict(zip(COUPLINGS, c_hat)),
-        "candidates_considered": report.result.candidates_considered,
+        "candidates_considered": len(SIGN_PATTERNS),
         "config_hash": cfg.config_hash,
-        "convention": report.result.convention,
+        "convention": SIGN_CONVENTION,
         "eta": p["eta"],
         "frequencies": frequencies,
         "mode": p["mode"],
@@ -506,7 +508,7 @@ def cmd_gate_error(args) -> None:
         print(f"wrote {out / name}")
 
 
-def cmd_robustness(cfg: ExperimentConfig) -> None:
+def cmd_robustness(cfg: ExperimentConfig, plan: SamplingPlan) -> None:
     """Sweep preparation error and track what it does to the first input's line.
 
     The swept quantity is the exact squared concurrence of the contaminated
@@ -517,27 +519,24 @@ def cmd_robustness(cfg: ExperimentConfig) -> None:
     first-order expansion approximates and is computed regardless of mode.
     """
     h = cfg.hamiltonian
-    plan = _robustness_plan(cfg)
-
+    times = plan.times()
     # The main line w1m2 comes first, as main_amp; its five sidebands follow.
     sidebands = sideband_frequencies(h)
     labels = list(sidebands)[1:]
     files = []
     rows = []
     for eta in cfg.payload["robustness"]["etas"]:
-        times = plan.times()
         exact = concurrence_sq_exact(evolve_batch(h, prepare_input(PSI1, eta), times))
-        series = ConcurrenceSeries(times, exact, np.zeros(plan.nt, dtype=np.int64), "zz")
-        spectrum = dft(series)
+        spectrum = dft(exact, plan.dt)
         tag = _eta_tag(eta)
 
         name = f"robustness_spectrum_{tag}.csv"
         _write_spectrum_csv(cfg.out / name, cfg.config_hash, spectrum)
         files.append(name)
 
-        expansion = imperfect_prep_concurrence_sq(h, eta, series.times)
+        expansion = imperfect_prep_concurrence_sq(h, eta, times)
         name = f"robustness_curve_{tag}.csv"
-        curve = zip(series.times, series.values, expansion)
+        curve = zip(times, exact, expansion)
         _write_csv(cfg.out / name, cfg.config_hash, "t,c2_exact,c2_first_order", curve)
         files.append(name)
 
@@ -545,7 +544,7 @@ def cmd_robustness(cfg: ExperimentConfig) -> None:
             peak_omega = find_peak(spectrum).omega
         except NoOscillationError:
             peak_omega = 0.0
-        amps = cosine_amplitudes(series.times, series.values, sidebands)
+        amps = cosine_amplitudes(times, exact, sidebands)
         rows.append([eta, peak_omega, *amps.values()])
 
     name = "robustness.csv"
@@ -596,16 +595,15 @@ def _dispatch(args) -> int:
         cmd_gate_error(args)
         return EXIT_OK
     cfg = resolve_config(load_config(args.config), args)
-    # Every grid the config describes must fit in float64, whichever command runs.
-    build_plans(cfg)
-    _robustness_plan(cfg)
+    # Every grid the config describes must fit in float64, whichever command runs: plan each once, here.
+    plans, robustness_plan = build_plans(cfg), _robustness_plan(cfg)
     commands = {
-        "simulate": cmd_simulate,
-        "spectrum": cmd_spectrum,
-        "characterize": cmd_characterize,
-        "robustness": cmd_robustness,
+        "simulate": functools.partial(cmd_simulate, cfg, plans),
+        "spectrum": functools.partial(cmd_spectrum, cfg),
+        "characterize": functools.partial(cmd_characterize, cfg, plans),
+        "robustness": functools.partial(cmd_robustness, cfg, robustness_plan),
     }
-    commands[args.command](cfg)
+    commands[args.command]()
     return EXIT_OK
 
 

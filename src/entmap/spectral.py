@@ -4,9 +4,10 @@ A concurrence trace C^2(t) = sin^2(2 w t) oscillates at angular frequency 4w, so
 planning targets 4w when picking the sampling step, and dft/find_peak report
 lines on that axis.  The counts behind the trace carry the same line more
 simply: qubit 1 reads - with probability sin^2(w t), so fit_line estimates w
-from the binomial likelihood of those counts (Rife & Boorstyn's single-tone
-maximum-likelihood estimator, applied to counts); the endpoint strategy's w
-comes from its two high-budget rows alone.
+from the binomial likelihood of an input's readout table on its plan's grid
+(Rife & Boorstyn's single-tone maximum-likelihood estimator, applied to
+counts); the endpoint strategy's w comes from its two high-budget rows alone.
+Everything here works on arrays and plans; no C^2 series is needed.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ ENDPOINT_INTERIOR_SHOTS = 2
 # they occur with probability exactly sin^2(w t), w the input's combination.
 SUCCESS_OUTCOMES = [2, 3]
 
-# Mean k/n below which a series carries no line.  A line's k/n averages 1/2
+# Mean k/n below which a readout table carries no line.  A line's k/n averages 1/2
 # over whole cycles.  A zero combination has no successes of its own; a
 # preparation error of weight eta < 1 leaks in at most eta/(1 + eta) < 1/2, an
 # oscillation that averages below 1/4.
@@ -155,14 +156,14 @@ def plan_observation(omega_guess: float, nt: int, ne: int, strategy: str = "unif
     return SamplingPlan(nt, dt, strategy, ne)
 
 
-def dft(series) -> Spectrum:
-    """Magnitude of the one-sided DFT of a ConcurrenceSeries' mean-subtracted values.
+def dft(values: np.ndarray, dt: float) -> Spectrum:
+    """Magnitude of the one-sided DFT of C^2 values sampled every dt, mean subtracted.
 
-    The frequency grid is 2*pi*k/(nt*dt) for k = 0..nt//2.
+    The frequency grid is 2*pi*k/(nt*dt) for k = 0..nt//2, nt = values.size.
     """
-    centered = series.values - series.values.mean()
-    magnitudes = np.abs(np.fft.rfft(centered))
-    omegas = 2.0 * math.pi * np.fft.rfftfreq(series.values.size, d=series.dt)
+    values = np.asarray(values, dtype=float)
+    magnitudes = np.abs(np.fft.rfft(values - values.mean()))
+    omegas = 2.0 * math.pi * np.fft.rfftfreq(values.size, d=dt)
     return Spectrum(omegas, magnitudes)
 
 
@@ -190,7 +191,11 @@ def _neg_log_likelihood(rates, t: np.ndarray, k: np.ndarray, n: np.ndarray):
 
 
 def _refine_rate(grid: np.ndarray, scores: np.ndarray, rows: tuple) -> float:
-    """Bounded Brent on -log L of rows = (t, k, n) between the neighbours of the best-scored grid rate."""
+    """Bounded Brent on -log L of rows = (t, k, n) between the neighbours of the best-scored grid rate.
+
+    scipy's bounded method stops at sqrt(2.2e-16)*|w| + xatol/3, so the rate
+    is good to about 1.5e-8 relative, not xatol = 1e-13.
+    """
     i = int(np.argmin(scores))
     bracket = (float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)]))
     result = minimize_scalar(
@@ -199,27 +204,27 @@ def _refine_rate(grid: np.ndarray, scores: np.ndarray, rows: tuple) -> float:
     return float(result.x)
 
 
-def fit_line(series, plan: SamplingPlan) -> FrequencyEstimate | None:
-    """Maximum-likelihood combination magnitude from a series' success counts.
+def fit_line(plan: SamplingPlan, table) -> FrequencyEstimate | None:
+    """Maximum-likelihood combination magnitude from an input's readout table.
 
-    k_j, the SUCCESS_OUTCOMES columns of series.counts, is Binomial(n_j,
-    sin^2(w t_j)) with n_j the row total; an exact table is fractional counts
-    with n_j = 1.  The seed is the strongest non-DC bin of the rfft of k/n,
-    where the line sits at 2w.  41 rates within 0.75 bin of it are scanned, and
-    bounded Brent refines the best one between its neighbours: on every point
-    (uniform strategy; endpoint below nt = 8), or on the interior points as the
-    endpoint strategy's anchor w_a.  That strategy takes w from its two endpoint
-    rows alone: of their -log L modes within 6 sigma_a of w_a, it refines the
-    one the interior rows favour, by (w - w_a)^2 / (2 sigma_a^2) to second
+    table is the input's (plan.nt, 4) table on plan.times(), in its own
+    channel: integer outcome counts, or exact probabilities, which are
+    fractional counts with n_j = 1.  k_j, its SUCCESS_OUTCOMES columns, is
+    Binomial(n_j, sin^2(w t_j)) with n_j the row total.  The seed is the
+    strongest non-DC bin of the rfft of k/n, where the line sits at 2w.  41
+    rates within 0.75 bin of it are scanned, and bounded Brent refines the
+    best one between its neighbours: on every point (uniform strategy;
+    endpoint below nt = 8), or on the interior points as the endpoint
+    strategy's anchor w_a.  That strategy takes w from its two endpoint rows
+    alone: of their -log L modes within 6 sigma_a of w_a, it refines the one
+    the interior rows favour, by (w - w_a)^2 / (2 sigma_a^2) to second
     order, sigma_a = 1/(2*sqrt(sum n_j t_j^2)) being their Fisher sigma.
     Returns None when k/n averages below DEGENERATE_MEAN (the combination is
     0), otherwise omega_hat = w with the resolution figure 4/(nt*sqrt(ne)).
     """
-    if series.counts is None:
-        raise ValueError("the likelihood fit needs the series' outcome counts")
-    if not np.array_equal(series.times, plan.times()):
-        raise ValueError("series.times must equal plan.times()")
-    counts = np.asarray(series.counts, dtype=float)
+    counts = np.asarray(table, dtype=float)
+    if counts.shape != (plan.nt, 4):
+        raise ValueError(f"fit_line needs a ({plan.nt}, 4) table of outcome counts, got shape {counts.shape}")
     n = counts.sum(axis=1)
     k = counts[:, SUCCESS_OUTCOMES].sum(axis=1)
     success_frac = k / n
@@ -230,7 +235,7 @@ def fit_line(series, plan: SamplingPlan) -> FrequencyEstimate | None:
 
     polish = plan.strategy == "endpoint" and plan.nt >= 8
     fit = slice(0, -2) if polish else slice(None)
-    t = series.times
+    t = plan.times()
     rows, ends = (t[fit], k[fit], n[fit]), (t[-2:], k[-2:], n[-2:])
     grid = (seed_line + bin_w * np.linspace(-0.75, 0.75, 41)) / 2.0
     w = _refine_rate(grid, _neg_log_likelihood(grid, *rows), rows)

@@ -30,6 +30,7 @@ from entmap.recon import (
     RECORD_BLOCK_ROWS,
     RESIDUAL_TOLERANCE_FACTOR,
     SIGN_CONVENTION,
+    SIGN_PATTERNS,
     FrequencyQuad,
     InconsistentFrequencyError,
     characterize,
@@ -78,8 +79,8 @@ def test_invert_reference_quad():
     result = invert_frequencies(quad)
     np.testing.assert_allclose(result.c_hat.as_tuple(), (1.2, 0.6, 1.4), atol=1e-10)
     assert result.residual < 1e-12
-    assert result.convention == SIGN_CONVENTION
-    assert result.candidates_considered == 16
+    assert SIGN_CONVENTION == "c2 >= 0"
+    assert len(SIGN_PATTERNS) == 16
     assert all(s > 0 for s in result.sigma)
 
 
@@ -313,7 +314,11 @@ def sign_blind_miss(got: HamiltonianParams, truth) -> np.ndarray:
 
 
 def test_characterize_noiseless_random_couplings_on_the_sphere_are_exact():
-    """300 couplings, uniform in direction with norms 0.5-2, come back within 1e-8 (no exit 3) on either strategy."""
+    """300 couplings, uniform in direction with norms 0.5-2, come back within 1e-8 (no exit 3) on either strategy.
+
+    The bound sits on bounded Brent's own tolerance (spectral._refine_rate,
+    about 1.5e-8 relative): the worst miss is 7.55e-9 (endpoint), 5.40e-9 (uniform).
+    """
     rng = np.random.default_rng(2024)
     for _ in range(300):
         direction = rng.normal(size=3)
@@ -441,8 +446,31 @@ def test_characterize_fits_each_input_as_simulate_series_records_it(mode):
         assert report.estimates[input_id] == estimate_combination(series, plan)[2]
 
 
+def test_characterize_builds_no_concurrence_series(monkeypatch):
+    """characterize fits each input's slice of its recorded table and estimates no C^2 value.
+
+    H_REF at nt=64, ne=4, seed 11 also measures the fifth input, and
+    (0.7, 0.7, 0.3) has a degenerate line.
+    """
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("characterize estimated C^2")
+
+    runs = [
+        (h, default_plans(h, 64, 4, strategy), mode)
+        for h in (H_REF, HamiltonianParams(0.7, 0.7, 0.3))
+        for strategy in STRATEGIES
+        for mode in MODES
+    ]
+    expected = [characterize(h, plans, seed=11, mode=mode) for h, plans, mode in runs]
+    monkeypatch.setattr("entmap.recon.build_series", refuse)
+    monkeypatch.setattr("entmap.concest.concurrence_sq_reduced", refuse)
+    for (h, plans, mode), report in zip(runs, expected):
+        assert characterize(h, plans, seed=11, mode=mode) == report
+
+
 def test_characterize_traced_memory_per_time_point_stays_at_the_fits_level():
-    """About 1.56 kB per point at nt = 2**14, ne = 10, sampled; recording the four inputs unblocked reaches 3.9 kB."""
+    """About 1.51 kB per point at nt = 2**14, ne = 10, sampled; recording the four inputs unblocked reaches 3.9 kB."""
     nt = 2**14
     plans = default_plans(H_REF, nt, 10)
     tracemalloc.start()

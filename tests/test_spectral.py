@@ -24,10 +24,8 @@ from entmap.spectral import (
 H_REF = HamiltonianParams(1.2, 0.6, 1.4)
 
 
-def cosine_series(nt, dt, amplitude, omega, offset):
-    times = dt * np.arange(1, nt + 1)
-    values = offset + amplitude * np.cos(omega * times)
-    return ConcurrenceSeries(times, values, np.zeros(nt, dtype=int), "zz")
+def cosine_values(nt, dt, amplitude, omega, offset):
+    return offset + amplitude * np.cos(omega * dt * np.arange(1, nt + 1))
 
 
 def test_plan_observation_reference_step():
@@ -96,7 +94,7 @@ def test_uniform_plan_accounting():
 
 def test_dft_flat_series_has_no_power():
     nt, dt = 64, 0.25
-    spectrum = dft(cosine_series(nt, dt, 0.0, 1.0, 0.3))
+    spectrum = dft(cosine_values(nt, dt, 0.0, 1.0, 0.3), dt)
     assert float(spectrum.magnitudes.max()) < 1e-12
     with pytest.raises(NoOscillationError):
         find_peak(spectrum)
@@ -104,8 +102,7 @@ def test_dft_flat_series_has_no_power():
 
 def test_dft_locates_injected_line():
     nt, dt, omega = 128, 0.2, 2.4
-    series = cosine_series(nt, dt, 0.5, omega, 0.5)
-    peak = find_peak(dft(series))
+    peak = find_peak(dft(cosine_values(nt, dt, 0.5, omega, 0.5), dt))
     expected_bin = round(omega * nt * dt / (2.0 * math.pi))
     assert peak.bin_index == expected_bin
     assert peak.omega == pytest.approx(expected_bin * 2.0 * math.pi / (nt * dt))
@@ -115,8 +112,7 @@ def test_dft_line_on_bin_is_exact():
     """A line exactly on a bin leaks nowhere else after mean subtraction."""
     nt, dt = 100, 0.3
     bin_w = 2.0 * math.pi / (nt * dt)
-    series = cosine_series(nt, dt, 0.4, 12 * bin_w, 0.5)
-    spectrum = dft(series)
+    spectrum = dft(cosine_values(nt, dt, 0.4, 12 * bin_w, 0.5), dt)
     others = np.delete(spectrum.magnitudes, 12)
     assert spectrum.magnitudes[12] == pytest.approx(nt * 0.4 / 2.0, rel=1e-12)
     assert float(np.abs(others).max()) < 1e-9 * spectrum.magnitudes[12]
@@ -130,15 +126,15 @@ def test_spectrum_validation():
 def test_refine_noiseless_uniform_hits_line():
     plan = plan_observation(0.8, 200, 10)
     series = simulate_series(H_REF, PSI3, plan, seed=0, mode="noiseless")
-    est = fit_line(series, plan)
+    est = fit_line(plan, series.counts)
     assert est.omega_hat == pytest.approx(0.8, rel=1e-6)
-    assert est.raw_peak_omega == pytest.approx(find_peak(dft(series)).omega, rel=1e-12)
+    assert est.raw_peak_omega == pytest.approx(find_peak(dft(series.values, plan.dt)).omega, rel=1e-12)
 
 
 def test_refine_noiseless_endpoint_hits_line():
     plan = plan_observation(0.6, 200, 50, "endpoint")
     series = simulate_series(H_REF, PSI1, plan, seed=0, mode="noiseless")
-    est = fit_line(series, plan)
+    est = fit_line(plan, series.counts)
     assert est.omega_hat == pytest.approx(0.6, rel=1e-6)
 
 
@@ -149,14 +145,14 @@ def test_noiseless_endpoint_lines_are_exact_at_small_nt():
         nt, ne, w = int(rng.integers(8, 41)), int(rng.choice([1, 4, 64])), float(rng.uniform(0.05, 2.0))
         h = HamiltonianParams(w + 0.6, 0.6, 1.4)
         plan = plan_observation(w * float(rng.uniform(1.0, 3.5)), nt, ne, "endpoint")
-        est = fit_line(simulate_series(h, PSI1, plan, seed=0, mode="noiseless"), plan)
+        est = fit_line(plan, simulate_series(h, PSI1, plan, seed=0, mode="noiseless").counts)
         assert est.omega_hat == pytest.approx(abs(combinations(h)[0]), rel=1e-6), (nt, ne, w)
 
 
 def test_refine_reports_resolution_figure():
     plan = plan_observation(0.6, 10, 100, "endpoint")
     series = simulate_series(H_REF, PSI1, plan, seed=3, mode="noiseless")
-    est = fit_line(series, plan)
+    est = fit_line(plan, series.counts)
     assert est.delta_f_over_f == pytest.approx(4.0 / (10 * math.sqrt(100)), rel=1e-12)
     assert est.sigma == pytest.approx(est.omega_hat * est.delta_f_over_f, rel=1e-12)
 
@@ -169,11 +165,14 @@ def test_fit_line_finds_no_line_without_successes():
     """
     h = HamiltonianParams(0.7, 0.7, 0.3)
     plan = plan_observation(1.4, 64, 5)
-    assert fit_line(simulate_series(h, PSI1, plan, seed=0), plan) is None
+    assert fit_line(plan, simulate_series(h, PSI1, plan, seed=0).counts) is None
     for mode in ("sampled", "noiseless"):
-        assert fit_line(simulate_series(h, PSI1, plan, seed=0, eta=0.05, mode=mode), plan) is None
+        assert fit_line(plan, simulate_series(h, PSI1, plan, seed=0, eta=0.05, mode=mode).counts) is None
+    plan = SamplingPlan(nt=64, dt=0.5, ne=10)
+    values = cosine_values(64, 0.5, 0.2, 2.4, 0.3)
+    no_counts = ConcurrenceSeries(plan.times(), values, np.zeros(64, dtype=int), "zz")
     with pytest.raises(ValueError, match="counts"):
-        fit_line(cosine_series(64, 0.5, 0.2, 2.4, 0.3), SamplingPlan(nt=64, dt=0.5, ne=10))
+        estimate_combination(no_counts, plan)
 
 
 def test_frequency_estimate_sigma_product():
@@ -184,10 +183,8 @@ def test_frequency_estimate_sigma_product():
 def test_peak_position_robust_to_small_contamination():
     """A 5% preparation error does not move the coarse line by even one bin."""
     plan = plan_observation(0.6, 200, 10)
-    clean = find_peak(dft(simulate_series(H_REF, PSI1, plan, 0, mode="noiseless")))
-    dirty = find_peak(
-        dft(simulate_series(H_REF, PSI1, plan, 0, eta=0.05, mode="noiseless"))
-    )
+    clean = find_peak(dft(simulate_series(H_REF, PSI1, plan, 0, mode="noiseless").values, plan.dt))
+    dirty = find_peak(dft(simulate_series(H_REF, PSI1, plan, 0, eta=0.05, mode="noiseless").values, plan.dt))
     assert abs(dirty.bin_index - clean.bin_index) <= 1
 
 
@@ -207,7 +204,15 @@ def test_refine_requires_the_plan_grid():
     )
     for s, p in ((off_grid, plan), (series, plan_observation(0.7, 100, 10))):
         with pytest.raises(ValueError, match="plan.times"):
-            fit_line(s, p)
+            estimate_combination(s, p)
+
+
+def test_fit_line_rejects_a_table_off_the_plan_shape():
+    plan = plan_observation(0.6, 100, 10)
+    table = simulate_series(H_REF, PSI1, plan, seed=0).counts
+    for bad in (table[:-1], table[:, :3], table.ravel()):
+        with pytest.raises(ValueError, match=r"\(100, 4\) table"):
+            fit_line(plan, bad)
 
 
 @pytest.mark.parametrize("nt, bound", [(4, 80), (7, 80), (40, 95)])
