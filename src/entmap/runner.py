@@ -60,9 +60,9 @@ from .spectral import (
 DEFAULT_NT = 200
 DEFAULT_NE = 10
 DEFAULT_OUT = "runs/run"
-# Largest nt: characterize peaks near 1.51 kB of traced memory per time point
+# Largest nt: characterize peaks near 0.77 kB of traced memory per time point
 # (default plans, ne = 10, sampled; fit_line's rate scan holds the peak),
-# about 1.6 GB at 2**20 points.  ne is bounded by gateerr.MAX_NE.
+# about 0.8 GB at 2**20 points.  ne is bounded by gateerr.MAX_NE.
 MAX_NT = 2**20
 # Most log-spaced budgets one gate-error sweep may ask for.
 MAX_NE_COUNT = 2**16
@@ -322,19 +322,19 @@ def _write_manifest(cfg: ExperimentConfig, command: str, files: list[str]) -> No
         print(f"wrote {cfg.out / name}")
 
 
-def _write_csv(path: Path, config_hash: str, header: str, rows) -> None:
-    """Write one CSV artifact: the config_hash line, the column header, then the rows.
+def _write_csv(path: Path, config_hash: str, header: str, columns) -> None:
+    """Write one CSV artifact: the config_hash line, the column header, then the rows of the columns.
 
-    Integer cells are written as they are, every other cell with _fmt.
+    A column of integers is written as it is, any other column as _fmt writes it ("%.17g").
     """
-    lines = [f"# config_hash={config_hash}", header]
-    for row in rows:
-        lines.append(",".join(str(x) if isinstance(x, (int, np.integer)) else _fmt(x) for x in row))
+    cells = [column.tolist() if isinstance(column, np.ndarray) else list(column) for column in columns]
+    template = ",".join("%d" if isinstance(column[0], int) else "%.17g" for column in cells)
+    lines = [f"# config_hash={config_hash}", header, *(template % row for row in zip(*cells))]
     _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_spectrum_csv(path: Path, config_hash: str, spectrum: Spectrum) -> None:
-    _write_csv(path, config_hash, "omega,magnitude", zip(spectrum.omegas, spectrum.magnitudes))
+    _write_csv(path, config_hash, "omega,magnitude", (spectrum.omegas, spectrum.magnitudes))
 
 
 SERIES_HEADER = "t,c2_estimate," + ",".join(f"shots_{channel}" for channel in CHANNELS)
@@ -394,7 +394,7 @@ def cmd_simulate(cfg: ExperimentConfig, plans: dict[str, SamplingPlan]) -> None:
         name = f"series_{input_id}.csv"
         shots = np.zeros((len(CHANNELS), plan.nt), dtype=np.int64)
         shots[CHANNELS.index(series.channel)] = series.shots
-        _write_csv(cfg.out / name, cfg.config_hash, SERIES_HEADER, zip(series.times, series.values, *shots))
+        _write_csv(cfg.out / name, cfg.config_hash, SERIES_HEADER, (series.times, series.values, *shots))
         files.append(name)
     _write_manifest(cfg, "simulate", files)
 
@@ -482,7 +482,7 @@ def cmd_gate_error(args) -> None:
         reports = budget_curve(nt, ne_values, gate=args.gate)
         name = f"gate_error_nt{nt}.csv"
         rows = [(r.total_measurements, r.epsilon, r.p_eff) for r in reports]
-        _write_csv(out / name, config_hash, "n_total,epsilon,p_eff", rows)
+        _write_csv(out / name, config_hash, "n_total,epsilon,p_eff", zip(*rows))
         files.append(name)
 
     if p_target is not None:
@@ -536,8 +536,7 @@ def cmd_robustness(cfg: ExperimentConfig, plan: SamplingPlan) -> None:
 
         expansion = imperfect_prep_concurrence_sq(h, eta, times)
         name = f"robustness_curve_{tag}.csv"
-        curve = zip(times, exact, expansion)
-        _write_csv(cfg.out / name, cfg.config_hash, "t,c2_exact,c2_first_order", curve)
+        _write_csv(cfg.out / name, cfg.config_hash, "t,c2_exact,c2_first_order", (times, exact, expansion))
         files.append(name)
 
         try:
@@ -549,7 +548,7 @@ def cmd_robustness(cfg: ExperimentConfig, plan: SamplingPlan) -> None:
 
     name = "robustness.csv"
     header = "eta,main_peak_omega,main_amp," + ",".join(f"amp_{label}" for label in labels)
-    _write_csv(cfg.out / name, cfg.config_hash, header, rows)
+    _write_csv(cfg.out / name, cfg.config_hash, header, np.array(rows, dtype=float).T)
     files.append(name)
     _write_manifest(cfg, "robustness", files)
 

@@ -7,6 +7,7 @@ simply: qubit 1 reads - with probability sin^2(w t), so fit_line estimates w
 from the binomial likelihood of an input's readout table on its plan's grid
 (Rife & Boorstyn's single-tone maximum-likelihood estimator, applied to
 counts); the endpoint strategy's w comes from its two high-budget rows alone.
+The fit's rate scan and bounded Brent search are entmap's own; scipy gives xlogy.
 Everything here works on arrays and plans; no C^2 series is needed.
 """
 
@@ -16,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import xlogy
 
 # Sampling margin above Nyquist for the fastest expected spectral line.
@@ -190,18 +190,78 @@ def _neg_log_likelihood(rates, t: np.ndarray, k: np.ndarray, n: np.ndarray):
     return -(xlogy(k, np.sin(phase) ** 2) + xlogy(n - k, np.cos(phase) ** 2)).sum(axis=-1)
 
 
+def _scan(rates: np.ndarray, t: np.ndarray, k: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """_neg_log_likelihood's argmin at less cost: each log term summed only over the rows it weighs."""
+    fails = n - k
+    hit, miss = k > 0, fails > 0
+    with np.errstate(divide="ignore"):
+        score = np.log(np.sin(np.multiply.outer(rates, t[hit])) ** 2) @ k[hit]
+        score += np.log(np.cos(np.multiply.outer(rates, t[miss])) ** 2) @ fails[miss]
+    return -score
+
+
+# scipy's bounded minimize_scalar constants, its evaluation cap, and the xatol fit_line asks of it.
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+_XATOL, _MAXFUN = 1e-13, 500
+
+
+def _bounded_brent(f, a: float, b: float) -> float:
+    """Minimizer of f on [a, b] by Brent's bounded search: golden sections and parabolic steps.
+
+    The loop of scipy.optimize.minimize_scalar(method="bounded") step for step,
+    so it returns the same x to the bit.  It stops once x is known to within
+    sqrt(2.2e-16)*|x| + _XATOL/3, or after _MAXFUN evaluations of f.
+    """
+    nfc = xf = fulc = a + _GOLDEN_MEAN * (b - a)
+    fx = ffulc = fnfc = f(xf)
+    rat = e = 0.0
+    num = 1
+    xm, tol1 = 0.5 * (a + b), _SQRT_EPS * abs(xf) + _XATOL / 3.0
+    while num < _MAXFUN and abs(xf - xm) > 2.0 * tol1 - 0.5 * (b - a):
+        golden = abs(e) <= tol1
+        if not golden:
+            # Parabolic step through the three best points, if inside [a, b] and under half the step before last.
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            p, q = (-p if q > 0.0 else p), abs(q)
+            r, e = e, rat
+            golden = not (abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf))
+            if not golden:
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < 2.0 * tol1 or b - x < 2.0 * tol1:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN_MEAN * e
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm, tol1 = 0.5 * (a + b), _SQRT_EPS * abs(xf) + _XATOL / 3.0
+    return xf
+
+
 def _refine_rate(grid: np.ndarray, scores: np.ndarray, rows: tuple) -> float:
     """Bounded Brent on -log L of rows = (t, k, n) between the neighbours of the best-scored grid rate.
 
-    scipy's bounded method stops at sqrt(2.2e-16)*|w| + xatol/3, so the rate
-    is good to about 1.5e-8 relative, not xatol = 1e-13.
+    _bounded_brent stops at sqrt(2.2e-16)*|w| + _XATOL/3, so the rate is good
+    to about 1.5e-8 relative, not _XATOL = 1e-13.
     """
     i = int(np.argmin(scores))
-    bracket = (float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)]))
-    result = minimize_scalar(
-        _neg_log_likelihood, bounds=bracket, args=rows, method="bounded", options={"xatol": 1e-13}
-    )
-    return float(result.x)
+    lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)])
+    return _bounded_brent(lambda w: _neg_log_likelihood(w, *rows), lo, hi)
 
 
 def fit_line(plan: SamplingPlan, table) -> FrequencyEstimate | None:
@@ -238,11 +298,11 @@ def fit_line(plan: SamplingPlan, table) -> FrequencyEstimate | None:
     t = plan.times()
     rows, ends = (t[fit], k[fit], n[fit]), (t[-2:], k[-2:], n[-2:])
     grid = (seed_line + bin_w * np.linspace(-0.75, 0.75, 41)) / 2.0
-    w = _refine_rate(grid, _neg_log_likelihood(grid, *rows), rows)
+    w = _refine_rate(grid, _scan(grid, *rows), rows)
     if polish:
         sigma_a = 0.5 / math.sqrt(float(n[fit] @ t[fit] ** 2))
         grid = np.linspace(max(w - 6.0 * sigma_a, 0.0), w + 6.0 * sigma_a, 41)
-        f = _neg_log_likelihood(grid, *ends)
+        f = _scan(grid, *ends)
         mode = (f <= np.r_[np.inf, f[:-1]]) & (f <= np.r_[f[1:], np.inf])
         w = _refine_rate(grid, np.where(mode, f + 0.5 * ((grid - w) / sigma_a) ** 2, np.inf), ends)
     return FrequencyEstimate(

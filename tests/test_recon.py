@@ -316,8 +316,9 @@ def sign_blind_miss(got: HamiltonianParams, truth) -> np.ndarray:
 def test_characterize_noiseless_random_couplings_on_the_sphere_are_exact():
     """300 couplings, uniform in direction with norms 0.5-2, come back within 1e-8 (no exit 3) on either strategy.
 
-    The bound sits on bounded Brent's own tolerance (spectral._refine_rate,
-    about 1.5e-8 relative): the worst miss is 7.55e-9 (endpoint), 5.40e-9 (uniform).
+    The bound sits on the stopping rule of fit_line's bounded Brent search
+    (spectral._bounded_brent, about 1.5e-8 relative): the worst miss is
+    7.55e-9 (endpoint), 5.40e-9 (uniform).
     """
     rng = np.random.default_rng(2024)
     for _ in range(300):
@@ -470,7 +471,7 @@ def test_characterize_builds_no_concurrence_series(monkeypatch):
 
 
 def test_characterize_traced_memory_per_time_point_stays_at_the_fits_level():
-    """About 1.51 kB per point at nt = 2**14, ne = 10, sampled; recording the four inputs unblocked reaches 3.9 kB."""
+    """About 0.77 kB per point at nt = 2**14, ne = 10, sampled; recording the four inputs unblocked reaches 3.9 kB."""
     nt = 2**14
     plans = default_plans(H_REF, nt, 10)
     tracemalloc.start()

@@ -1,15 +1,21 @@
 """Unit tests for observation planning, DFT peaks, and the likelihood line fit."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from entmap import spectral
 from entmap.concest import ConcurrenceSeries
 from entmap.qcore import INPUT_IDS, PSI1, PSI3, HamiltonianParams, combinations
-from entmap.recon import estimate_combination, simulate_series
+from entmap.recon import default_plans, estimate_combination, simulate_series
 from entmap.spectral import (
     NYQUIST_MARGIN,
+    STRATEGIES,
     FrequencyEstimate,
     NoOscillationError,
     SamplingPlan,
@@ -231,6 +237,65 @@ def test_small_nt_endpoint_lines_land_within_three_sigma(nt, bound):
             misses.append(abs(value - w) / sigma)
         hits.append(int(np.sum(np.array(misses) <= 3.0)))
     assert min(hits) >= bound, hits
+
+
+def line_tables():
+    """(plan, table) pairs that reach every line search of fit_line.
+
+    Sampled PSI1 tables at random rates, nt and ne on both strategies (so
+    endpoint anchors and endpoint polishes alike), then the noiseless tables
+    of the first 25 couplings the sphere test draws.
+    """
+    rng = np.random.default_rng(26)
+    for i in range(60):
+        w = float(rng.uniform(0.05, 2.5))
+        nt, ne = int(rng.integers(8, 201)), int(rng.choice([2, 10, 64]))
+        plan = plan_observation(w * float(rng.uniform(1.0, 3.0)), nt, ne, STRATEGIES[i % 2])
+        yield plan, simulate_series(HamiltonianParams(w + 0.6, 0.6, 1.4), PSI1, plan, seed=i).counts
+    sphere = np.random.default_rng(2024)
+    for _ in range(25):
+        direction = sphere.normal(size=3)
+        h = HamiltonianParams(*(direction / np.linalg.norm(direction) * sphere.uniform(0.5, 2.0)))
+        for strategy in STRATEGIES:
+            for input_id, plan in default_plans(h, 200, 10, strategy).items():
+                yield plan, simulate_series(h, input_id, plan, seed=0, mode="noiseless").counts
+
+
+def test_bounded_brent_returns_scipys_minimizer_bit_for_bit(monkeypatch):
+    """Every line search fit_line makes lands on scipy's bounded minimize_scalar x, to the last bit."""
+    from scipy.optimize import minimize_scalar  # the oracle; entmap itself never imports scipy.optimize
+
+    brent, solves = spectral._bounded_brent, []
+
+    def recorded(f, a, b):
+        solves.append((f, a, b, brent(f, a, b)))
+        return solves[-1][3]
+
+    monkeypatch.setattr(spectral, "_bounded_brent", recorded)
+    tables = list(line_tables())
+    polished = sum(plan.strategy == "endpoint" for plan, _ in tables)
+    for plan, table in tables:
+        fit_line(plan, table)
+    assert len(solves) == len(tables) + polished
+    for f, a, b, x in solves:
+        oracle = minimize_scalar(f, bounds=(a, b), method="bounded", options={"xatol": 1e-13}).x
+        assert float(oracle).hex() == x.hex(), (a, b)
+
+
+def test_scan_picks_the_grid_rate_the_xlogy_likelihood_picks(monkeypatch):
+    """fit_line gives the same estimates, to the bit, when its scans score by the xlogy likelihood instead."""
+    tables = list(line_tables())
+    scanned = [fit_line(plan, table) for plan, table in tables]
+    monkeypatch.setattr(spectral, "_scan", spectral._neg_log_likelihood)
+    assert [fit_line(plan, table) for plan, table in tables] == scanned
+
+
+def test_importing_entmap_loads_no_scipy_optimize():
+    """A fresh interpreter imports recon and runner with scipy (for scipy.special) but without scipy.optimize."""
+    code = "import sys, entmap.recon, entmap.runner; print('scipy' in sys.modules, 'scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(spectral.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["True", "False"]
 
 
 def test_cosine_amplitudes_recovers_known_mixture():
