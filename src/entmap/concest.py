@@ -84,6 +84,7 @@ class ConcurrenceSeries:
             object.__setattr__(self, name, array)
 
     def __len__(self) -> int:
+        # perfbench/tracing.py counts a traced build_series result's points with len().
         return int(self.times.size)
 
     @property

@@ -17,7 +17,7 @@ import math
 import os
 import platform
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,9 +48,7 @@ from .recon import (
 )
 from .spectral import (
     STRATEGIES,
-    NoOscillationError,
     SamplingPlan,
-    Spectrum,
     cosine_amplitudes,
     dft,
     find_peak,
@@ -333,10 +331,6 @@ def _write_csv(path: Path, config_hash: str, header: str, columns) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _write_spectrum_csv(path: Path, config_hash: str, spectrum: Spectrum) -> None:
-    _write_csv(path, config_hash, "omega,magnitude", (spectrum.omegas, spectrum.magnitudes))
-
-
 SERIES_HEADER = "t,c2_estimate," + ",".join(f"shots_{channel}" for channel in CHANNELS)
 
 
@@ -404,14 +398,14 @@ def cmd_spectrum(cfg: ExperimentConfig) -> None:
     peaks: dict[str, dict] = {}
     for input_id in INPUT_IDS:
         series = _read_series_csv(cfg.out / f"series_{input_id}.csv", cfg.config_hash, input_id)
-        spectrum = dft(series.values, series.dt)
+        omegas, magnitudes = dft(series.values, series.dt)
         name = f"spectrum_{input_id}.csv"
-        _write_spectrum_csv(cfg.out / name, cfg.config_hash, spectrum)
+        _write_csv(cfg.out / name, cfg.config_hash, "omega,magnitude", (omegas, magnitudes))
         files.append(name)
-        try:
-            peaks[input_id] = {**asdict(find_peak(spectrum)), "no_oscillation": False}
-        except NoOscillationError:
-            peaks[input_id] = {"no_oscillation": True}
+        k = find_peak(magnitudes)
+        peaks[input_id] = {"no_oscillation": k is None}
+        if k is not None:
+            peaks[input_id].update(bin_index=k, omega=float(omegas[k]), magnitude=float(magnitudes[k]))
     peaks["config_hash"] = cfg.config_hash
     _write_json(cfg.out / "peaks.json", peaks)
     files.append("peaks.json")
@@ -527,11 +521,11 @@ def cmd_robustness(cfg: ExperimentConfig, plan: SamplingPlan) -> None:
     rows = []
     for eta in cfg.payload["robustness"]["etas"]:
         exact = concurrence_sq_exact(evolve_batch(h, prepare_input(PSI1, eta), times))
-        spectrum = dft(exact, plan.dt)
+        omegas, magnitudes = dft(exact, plan.dt)
         tag = _eta_tag(eta)
 
         name = f"robustness_spectrum_{tag}.csv"
-        _write_spectrum_csv(cfg.out / name, cfg.config_hash, spectrum)
+        _write_csv(cfg.out / name, cfg.config_hash, "omega,magnitude", (omegas, magnitudes))
         files.append(name)
 
         expansion = imperfect_prep_concurrence_sq(h, eta, times)
@@ -539,10 +533,8 @@ def cmd_robustness(cfg: ExperimentConfig, plan: SamplingPlan) -> None:
         _write_csv(cfg.out / name, cfg.config_hash, "t,c2_exact,c2_first_order", (times, exact, expansion))
         files.append(name)
 
-        try:
-            peak_omega = find_peak(spectrum).omega
-        except NoOscillationError:
-            peak_omega = 0.0
+        k = find_peak(magnitudes)
+        peak_omega = 0.0 if k is None else omegas[k]
         amps = cosine_amplitudes(times, exact, sidebands)
         rows.append([eta, peak_omega, *amps.values()])
 

@@ -1,8 +1,9 @@
 """Observation planning, discrete spectra, and the likelihood line fit.
 
 A concurrence trace C^2(t) = sin^2(2 w t) oscillates at angular frequency 4w, so
-planning targets 4w when picking the sampling step, and dft/find_peak report
-lines on that axis.  The counts behind the trace carry the same line more
+planning targets 4w when picking the sampling step.  On that axis dft gives a
+trace's spectrum as (omegas, magnitudes) arrays and find_peak the bin of its
+strongest line, if any.  The counts behind the trace carry the same line more
 simply: qubit 1 reads - with probability sin^2(w t), so fit_line estimates w
 from the binomial likelihood of an input's readout table on its plan's grid
 (Rife & Boorstyn's single-tone maximum-likelihood estimator, applied to
@@ -36,10 +37,6 @@ SUCCESS_OUTCOMES = [2, 3]
 # preparation error of weight eta < 1 leaks in at most eta/(1 + eta) < 1/2, an
 # oscillation that averages below 1/4.
 DEGENERATE_MEAN = 0.25
-
-
-class NoOscillationError(RuntimeError):
-    """Raised when a spectrum carries no usable oscillation power."""
 
 
 @dataclass(frozen=True)
@@ -94,29 +91,6 @@ class SamplingPlan:
 
 
 @dataclass(frozen=True)
-class Spectrum:
-    """One-sided magnitude spectrum on an angular-frequency grid."""
-
-    omegas: np.ndarray
-    magnitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.omegas, dtype=float)
-        m = np.asarray(self.magnitudes, dtype=float)
-        if w.shape != m.shape or w.ndim != 1:
-            raise ValueError("omegas and magnitudes must be 1-d arrays of equal length")
-        object.__setattr__(self, "omegas", w)
-        object.__setattr__(self, "magnitudes", m)
-
-
-@dataclass(frozen=True)
-class PeakLocation:
-    bin_index: int
-    omega: float
-    magnitude: float
-
-
-@dataclass(frozen=True)
 class FrequencyEstimate:
     """Fitted coupling-combination magnitude with its fractional resolution.
 
@@ -156,32 +130,26 @@ def plan_observation(omega_guess: float, nt: int, ne: int, strategy: str = "unif
     return SamplingPlan(nt, dt, strategy, ne)
 
 
-def dft(values: np.ndarray, dt: float) -> Spectrum:
-    """Magnitude of the one-sided DFT of C^2 values sampled every dt, mean subtracted.
+def dft(values: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(omegas, magnitudes) of the one-sided DFT of C^2 values sampled every dt, mean subtracted.
 
     The frequency grid is 2*pi*k/(nt*dt) for k = 0..nt//2, nt = values.size.
     """
     values = np.asarray(values, dtype=float)
     magnitudes = np.abs(np.fft.rfft(values - values.mean()))
-    omegas = 2.0 * math.pi * np.fft.rfftfreq(values.size, d=dt)
-    return Spectrum(omegas, magnitudes)
+    return 2.0 * math.pi * np.fft.rfftfreq(values.size, d=dt), magnitudes
 
 
-def find_peak(spectrum: Spectrum) -> PeakLocation:
-    """Dominant bin of the spectrum, excluding the DC bin and its neighbor.
+def find_peak(magnitudes: np.ndarray) -> int | None:
+    """Bin of the strongest line, excluding the DC bin and its neighbor.
 
-    Ties resolve to the lower bin.  A spectrum with no power above numerical
-    dust raises NoOscillationError.
+    Ties resolve to the lower bin.  None when no bin rises above numerical dust.
     """
-    mags = spectrum.magnitudes
-    if mags.size < 3:
+    if magnitudes.size < 3:
         raise ValueError("spectrum too short to search for a peak")
-    search = mags[2:]
-    best = int(np.argmax(search)) + 2
+    best = int(np.argmax(magnitudes[2:])) + 2
     # Mean subtraction leaves only rounding noise when nothing oscillates.
-    if float(mags[best]) <= 1e-9 * mags.size:
-        raise NoOscillationError("spectrum carries no oscillation power above numerical noise")
-    return PeakLocation(bin_index=best, omega=float(spectrum.omegas[best]), magnitude=float(mags[best]))
+    return None if magnitudes[best] <= 1e-9 * magnitudes.size else best
 
 
 def _neg_log_likelihood(rates, t: np.ndarray, k: np.ndarray, n: np.ndarray):

@@ -374,6 +374,19 @@ def test_robustness_artifacts(tmp_path, monkeypatch):
     curve = read_csv(out / "robustness_curve_eta0.05.csv", ["t", "c2_exact", "c2_first_order"])
     assert float(np.abs(curve[:, 1] - curve[:, 2]).max()) < 10.0 * 0.05**2
 
+    # c1 = c2: psi1's main line vanishes, so the clean trace has no peak and the
+    # dirty one peaks at the bin nearest the w1p2 contaminant's line 4*(c1 + c2) = 7.2.
+    cfg_path = write_config(
+        tmp_path / "vanishing.json",
+        hamiltonian={"c1": 0.9, "c2": 0.9, "c3": 1.4},
+        robustness={"etas": [0.0, 0.05], "nt": 64, "ne": 4},
+    )
+    out = tmp_path / "vanishing"
+    assert main(["robustness", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+    table = read_csv(out / "robustness.csv", header)
+    assert table[0].tolist() == [0.0] * len(header)
+    assert table[1, 1] == pytest.approx(7.1875, rel=1e-12)
+
 
 def test_missing_config_file_is_a_config_error(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
