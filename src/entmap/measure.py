@@ -280,60 +280,101 @@ def _stream_doubles(streams: np.ndarray, count: int) -> np.ndarray:
     return doubles
 
 
+# A lane's X is certified when both remainders that decide it clear zero by this much.  numpy's
+# exp(n * log(q)) differs from libm's by at most about 1e-14 relative, which over at most 61
+# steps moves no remainder by 1e-12, so a certified X is the X libm's qn gives.
+_QN_MARGIN = 2.0**-30
+
+
+def _libm_qn(n: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """exp(n * log(q)) lane by lane through math.log and math.exp, the libm calls numpy's C code makes."""
+    return np.array(list(map(math.exp, map(operator.mul, n.tolist(), map(math.log, q.tolist())))))
+
+
+def _walk(qn: np.ndarray, n: np.ndarray, pp: np.ndarray, q: np.ndarray, u0: np.ndarray):
+    """Every lane's inversion walk from its qn: X, and the remainders u as a (steps, lanes) array.
+
+    px[i] and u[i] are px and U once X = i, and u[i + 1] = u[i] - px[i].
+    C's test U > px at step i holds exactly when u[i + 1] > 0, and px >= 0
+    never lets u rise, so X is the number of positive remainders past u[0].
+    A lane whose walk never stops takes X = n.max() + 1, past its bound.
+    """
+    steps = np.arange(1, n.max() + 1)[:, None]
+    grow, shrink = (n - steps + 1) * pp, steps * q
+    u = np.empty((len(steps) + 2, len(n)))
+    u[0], u[1] = u0, qn
+    px = u[1:]
+    for i in range(len(steps)):
+        px[i + 1] = grow[i] * px[i] / shrink[i]
+    np.subtract.accumulate(u, axis=0, out=u)
+    return np.count_nonzero(u[1:] > 0.0, axis=0), u
+
+
+def _inversion_x(n: np.ndarray, pp: np.ndarray, q: np.ndarray, u0: np.ndarray) -> np.ndarray:
+    """X of random_binomial_inversion on lanes with pp > 0, each with its first uniform u0.
+
+    qn comes from numpy's exp and log, which can differ from libm's in the
+    last bits.  Only u[X] > 0 and u[X + 1] <= 0 decide X, just u[X] when the
+    walk never stops, so a lane whose deciding remainders both clear zero by
+    _QN_MARGIN has libm's X.  Any other lane, a tie U == qn among them,
+    takes qn from _libm_qn and walks again.
+    """
+    x, u = _walk(np.exp(n * np.log(q)), n, pp, q, u0)
+    lanes = np.arange(x.size)
+    last = len(u) - 1
+    after = np.where(x < last, -u[np.minimum(x + 1, last), lanes], np.inf)
+    again = np.flatnonzero(~(np.minimum(u[x, lanes], after) > _QN_MARGIN))
+    if again.size:
+        x[again] = _walk(_libm_qn(n[again], q[again]), n[again], pp[again], q[again], u0[again])[0]
+    return x
+
+
 def _inversion_counts(p: np.ndarray, shots: np.ndarray, doubles: np.ndarray):
     """Multinomial rows of at most _INVERSION_SHOTS shots, drawn as numpy's C code draws them.
 
     Replays random_multinomial -> random_binomial -> random_binomial_inversion
-    on every row at once, with the same float operations in the same order;
-    qn comes from math.log and math.exp, the libm calls the C code makes.
-    Row j's binomials take their uniforms from doubles[j] in order, one per
-    binomial that draws.  Rows the replay does not cover, where inversion
-    passes its bound and restarts or numpy would leave inversion, are
-    returned in a mask; their counts are not valid.
+    on every row at once, with the same float operations in the same order.
+    Each binomial stage works only on the lanes that draw (shots left and a
+    non-zero ratio); of those only lanes with p > 0 walk, certified against
+    libm's qn by _inversion_x.  Row j's binomials take their uniforms from
+    doubles[j] in order, one per binomial that draws.  Rows the replay does
+    not cover, where inversion passes its bound and restarts or numpy would
+    leave inversion, are returned in a mask; their counts are not valid.
     """
     m = len(p)
-    lanes = np.arange(m)
     counts = np.zeros((m, 4), dtype=np.int64)
     left = shots.copy()
     remaining = np.ones(m)
     used = np.zeros(m, dtype=np.int64)
     redraw = np.zeros(m, dtype=bool)
-    # Rows that do not draw compute on garbage, which np.where masks out.
+    # A spent remainder divides 0/0 or x/0; such lanes draw nothing by inversion, or redraw as numpy leaves it.
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(3):
             ratio = p[:, k] / remaining
             remaining -= p[:, k]
-            draw = (left > 0) & (ratio != 0.0)
-            if not draw.any():
+            lanes = np.flatnonzero((left > 0) & (ratio != 0.0))
+            if not lanes.size:
                 continue
+            n, ratio = left[lanes], ratio[lanes]
             flip = ~(ratio <= 0.5)
             pp = np.where(flip, 1.0 - ratio, ratio)
             q = 1.0 - pp
-            # numpy's own test for leaving inversion (for BTPE); the 60-shot cap keeps every lane inside it.
-            redraw |= draw & ~(pp * left <= 30.0)
-            u0 = doubles[lanes, used]
-            used += draw
-            # pp <= 0 only when rounding takes the ratio to 1 or past it; then qn >= 1 > u and x = 0.
-            qn = np.ones(m)
-            live = np.flatnonzero(draw & (pp > 0.0))
-            qn[live] = list(map(math.exp, map(operator.mul, left[live].tolist(), map(math.log, q[live].tolist()))))
-            npq = left * pp
+            u0 = doubles[lanes, used[lanes]]
+            used[lanes] += 1
+            # pp <= 0 only when rounding takes the ratio to 1 or past it; then qn >= 1 >= U and X = 0.
+            x = np.zeros(lanes.size, dtype=np.int64)
+            walks = pp > 0.0
+            if walks.any():
+                x[walks] = _inversion_x(n[walks], pp[walks], q[walks], u0[walks])
+            npq = n * pp
             cap = npq + 10.0 * np.sqrt(npq * q + 1.0)
             # C truncates MIN(n, cap) to an integer; an integer X exceeds either alike.
-            bound = np.where(left < cap, left, cap)
-            # px[i] and u[i] are px and U once X = i; X is the first i with U <= px.
-            steps = np.arange(1, left[draw].max(initial=0) + 1)[:, None]
-            grow, shrink = (left - steps + 1) * pp, steps * q
-            px = np.empty((len(steps) + 1, m))
-            px[0] = qn
-            for i in range(len(steps)):
-                px[i + 1] = grow[i] * px[i] / shrink[i]
-            u = np.subtract.accumulate(np.vstack([u0, px[:-1]]), axis=0)
-            stop = u <= px
-            x = stop.argmax(axis=0)
-            redraw |= draw & (~stop[x, lanes] | (x > bound))
-            counts[:, k] = np.where(draw, np.where(flip, left - x, x), 0)
-            left -= counts[:, k]
+            bound = np.where(n < cap, n, cap)
+            # numpy's own test for leaving inversion (for BTPE); the 60-shot cap keeps every lane inside it.
+            redraw[lanes] |= ~(pp * n <= 30.0) | (x > bound)
+            drawn = np.where(flip, n - x, x)
+            counts[lanes, k] = drawn
+            left[lanes] -= drawn
     counts[:, 3] = left
     return counts, redraw
 
@@ -374,9 +415,11 @@ def sample_counts_batch(probs, shots, master_seed: int, input_id, channel, time_
     Probabilities must be finite and non-negative with a positive sum, shots
     whole and >= 0.  Every point's stream is seeded from one stream_words
     pass.  Rows with at most _INVERSION_SHOTS shots are drawn together with
-    array ops that step PCG64 and replay numpy's binomial inversion; larger
-    rows, and any row whose inversion restarts, are drawn by one generator
-    set to each point's seeded state in turn.
+    array ops that step PCG64 and replay numpy's binomial inversion, from a
+    qn that numpy's exp and log give and each lane certifies against libm's
+    (only an uncertified lane calls math.log and math.exp); larger rows, and
+    any row whose inversion restarts, are drawn by one generator set to each
+    point's seeded state in turn.
     """
     p = np.asarray(probs, dtype=float).reshape(-1, 4)
     shots = _checked_sampler_input(p, shots)

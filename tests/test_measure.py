@@ -1,5 +1,7 @@
 """Unit tests for input preparation, basis rotation, and finite-shot sampling."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from entmap.measure import (
     stream_words,
 )
 from entmap.qcore import ALL_INPUTS, PSI1, PSI2, PSI3, PSI4, HamiltonianParams, evolve_batch
+from entmap.recon import _record, default_plans
 from entmap.spectral import plan_observation
 
 H_REF = HamiltonianParams(1.2, 0.6, 1.4)
@@ -268,26 +271,55 @@ HAND_TABLE = np.array(
 )
 
 
-@pytest.mark.parametrize("entropy", ENTROPIES)
-def test_sample_counts_batch_equals_numpy_streams(entropy):
-    """Every plan, every input including the fifth, both channels (psi1 and psi2 read in zz have
-    zero outcomes), then the hand table at shots on both sides of 60."""
+def plan_tables():
+    """(probs, shots, input_id, channel) of every plan, every input including the fifth, and both channels
+    (psi1 and psi2 read in zz have zero outcomes)."""
     for plan in PLANS:
-        shots = plan.shots()
         for input_id in ALL_INPUTS:
             states = evolve_batch(H_REF, prepare_input(input_id, 0.05), plan.times())
             for channel in CHANNELS:
-                probs = outcome_probs_batch(states, channel)
-                counts = sample_counts_batch(probs, shots, entropy, input_id, channel)
-                assert_rows_equal(counts, numpy_counts(probs, shots, entropy, input_id, channel))
-                np.testing.assert_array_equal(counts.sum(axis=1), shots)
+                yield outcome_probs_batch(states, channel), plan.shots(), input_id, channel
+
+
+@pytest.mark.parametrize("entropy", ENTROPIES)
+def test_sample_counts_batch_equals_numpy_streams(entropy):
+    """Every plan table, then the hand table at shots on both sides of 60."""
+    for probs, shots, input_id, channel in plan_tables():
+        counts = sample_counts_batch(probs, shots, entropy, input_id, channel)
+        assert_rows_equal(counts, numpy_counts(probs, shots, entropy, input_id, channel))
+        np.testing.assert_array_equal(counts.sum(axis=1), shots)
     for shots in ([0] * 6, [1] * 6, [60] * 6, [61] * 6, [0, 7, 60, 61, 2, 5000]):
         counts = sample_counts_batch(HAND_TABLE, shots, entropy, PSI3, "xz")
         assert_rows_equal(counts, numpy_counts(HAND_TABLE, shots, entropy, PSI3, "xz"))
 
 
-def test_sample_counts_batch_equals_numpy_streams_on_random_tables(monkeypatch):
-    """Seeded Dirichlet tables, a third of them with zeroed outcomes, shots 0 to 80; numpy row by row."""
+def libm_qn(n, q):
+    """exp(n * log(q)) per lane through math, as numpy's C code computes qn."""
+    return np.array([math.exp(k * math.log(x)) for k, x in zip(n.tolist(), q.tolist())])
+
+
+def qn_split_rows():
+    """(pp, 1 - pp, 0, 0) rows, normalised as the sampler normalises them, and their shots n.
+
+    Seeded random (pp, n) are kept where numpy's exp(n * log(1 - pp)) and libm's differ for the
+    first binomial.  pp stays below 1/2, so that binomial does not flip.
+    """
+    rng = np.random.default_rng(28)
+    pp, n = rng.uniform(0.0, 0.5, size=2000), rng.integers(1, 61, size=2000)
+    rows = np.column_stack([pp, 1.0 - pp, np.zeros((pp.size, 2))])
+    rows /= rows.sum(axis=1, keepdims=True)
+    q = 1.0 - rows[:, 0]
+    differ = np.exp(n * np.log(q)) != libm_qn(n, q)
+    return rows[differ], n[differ]
+
+
+def random_table():
+    """Seeded Dirichlet rows, a third of them with zeroed outcomes, shots 0 to 80, then split rows.
+
+    The split rows are qn_split_rows, then edge rows that run whether or not numpy and libm differ
+    here: pp of 5e-324, 1e-300 and 1e-17 (q rounds to 1) and a ratio of exactly 1/2 and 1/2 +- 1
+    ulp (the flip threshold), each at 1, 30 and 60 shots.
+    """
     rng = np.random.default_rng(20)
     probs = rng.dirichlet(np.full(4, 0.7), size=3000)
     sparse = rng.random(probs.shape) < 0.3
@@ -295,6 +327,16 @@ def test_sample_counts_batch_equals_numpy_streams_on_random_tables(monkeypatch):
     probs[sparse] = 0.0
     probs[probs.sum(axis=1) == 0.0, 3] = 1.0
     shots = rng.integers(0, 81, size=len(probs))
+    split, n = qn_split_rows()
+    edges = np.repeat([5e-324, 1e-300, 1e-17, 0.5, np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0)], 3)
+    edge_rows = np.column_stack([edges, 1.0 - edges, np.zeros((edges.size, 2))])
+    probs = np.vstack([probs, split, edge_rows])
+    return probs, np.concatenate([shots, n, np.tile([1, 30, 60], edges.size // 3)])
+
+
+def test_sample_counts_batch_equals_numpy_streams_on_random_tables(monkeypatch):
+    """The random table, drawn numpy row by row."""
+    probs, shots = random_table()
     generators = []
 
     def counting_generator(stream, rng):
@@ -306,6 +348,52 @@ def test_sample_counts_batch_equals_numpy_streams_on_random_tables(monkeypatch):
     assert_rows_equal(counts, numpy_counts(probs, shots, 2**64 + 9, PSI2, "zz"))
     # The replay itself draws every row of at most 60 shots.
     assert len(generators) == np.count_nonzero(shots > 60)
+
+
+def count_walk_lanes(monkeypatch):
+    """Wrap the inversion walk and the libm qn; returns the lists of lane counts each call takes."""
+    walked, libm = [], []
+    real_walk, real_libm_qn = measure._walk, measure._libm_qn
+
+    def counting_walk(qn, n, pp, q, u0):
+        walked.append(n.size)
+        return real_walk(qn, n, pp, q, u0)
+
+    def counting_libm_qn(n, q):
+        libm.append(n.size)
+        return real_libm_qn(n, q)
+
+    monkeypatch.setattr(measure, "_walk", counting_walk)
+    monkeypatch.setattr(measure, "_libm_qn", counting_libm_qn)
+    return walked, libm
+
+
+def test_every_lane_walked_from_libm_qn_draws_the_same_counts(monkeypatch):
+    """With no lane certified, every walking lane takes qn from math.log and math.exp and walks again.
+
+    The random table and the plan tables then draw what numpy draws row by row, and what the
+    certified numpy qn draws.
+    """
+    tables = [(*random_table(), PSI2, "zz"), *plan_tables()]
+    certified = [sample_counts_batch(probs, shots, 77, input_id, channel) for probs, shots, input_id, channel in tables]
+    walked, libm = count_walk_lanes(monkeypatch)
+    monkeypatch.setattr(measure, "_QN_MARGIN", np.inf)
+    for (probs, shots, input_id, channel), want in zip(tables, certified):
+        counts = sample_counts_batch(probs, shots, 77, input_id, channel)
+        assert_rows_equal(counts, numpy_counts(probs, shots, 77, input_id, channel))
+        np.testing.assert_array_equal(counts, want)
+    assert sum(libm) > 0 and 2 * sum(libm) == sum(walked)
+
+
+def test_desk_records_send_almost_no_lane_to_libm(monkeypatch):
+    """Over 20 desk records of the four H_REF inputs (nt = 200, ne = 10), at most 1 in 1,000 walking
+    lanes fails its certificate and takes libm's qn; the rest never reach per-lane Python."""
+    walked, libm = count_walk_lanes(monkeypatch)
+    inputs = list(default_plans(H_REF, 200, 10).items())
+    for seed in range(20):
+        _record(H_REF, inputs, seed, 0.0, "sampled")
+    live = sum(walked) - sum(libm)
+    assert live > 0 and 1000 * sum(libm) <= live, (sum(libm), live)
 
 
 def test_rows_whose_inversion_restarts_are_drawn_by_their_own_generator(monkeypatch):
@@ -331,10 +419,17 @@ def test_inversion_stops_on_a_tie_as_numpy_does(monkeypatch):
     """numpy's inversion loops while U > px, so U == qn stops it at X = 0.
 
     With p = (1/2, 1/2, 0, 0) and one shot, qn = exp(log(1/2)) = 1/2: a uniform of exactly 1/2 puts
-    no shot in the first category, and the second binomial (p = 1) takes it.
+    no shot in the first category, and the second binomial (p = 1) takes it.  A tie is never
+    certified, so these lanes take qn from libm, as numpy's C code does.
     """
     monkeypatch.setattr(measure, "_stream_doubles", lambda streams, count: np.full((len(streams), count), 0.5))
     np.testing.assert_array_equal(sample_counts_batch([HALF], [1], 3, PSI1, "zz"), [[0, 1, 0, 0]])
+    # U equal to libm's qn stops there too, also on lanes whose numpy exp and log give another qn.
+    rows, n = qn_split_rows()
+    u = libm_qn(n, 1.0 - rows[:, 0])
+    counts, redraw = measure._inversion_counts(rows, n, np.column_stack([u, u, u]))
+    assert not redraw.any()
+    np.testing.assert_array_equal(counts[:, 0], 0)
 
 
 @pytest.mark.parametrize(

@@ -214,12 +214,15 @@ def test_fit_line_rejects_a_table_off_the_plan_shape():
             fit_line(plan, bad)
 
 
-@pytest.mark.parametrize("nt, bound", [(4, 80), (7, 80), (40, 95)])
+@pytest.mark.parametrize("nt, bound", [(4, 80), (7, 80), (12, 88), (40, 95)])
 def test_small_nt_endpoint_lines_land_within_three_sigma(nt, bound):
     """At ne=987, at least `bound` of seeds 0-99 land within 3 quoted sigma of each H_REF line.
 
     Below nt = 8 the endpoint fit keeps its endpoint blocks in the likelihood,
-    as two-shot interior points alone cannot anchor the rate.
+    as two-shot interior points alone cannot anchor the rate.  nt = 12 lies in
+    the endpoint strategy's cycle-slip region (ROADMAP item 4): its four lines
+    land 91, 91, 91 and 92 times, so the bound records that slip rate and
+    fails if it grows.
     """
     hits = []
     for input_id, w in zip(INPUT_IDS, np.abs(combinations(H_REF))):
