@@ -26,7 +26,7 @@ from .qcore import (
     combinations,
     evolve_batch,
 )
-from .spectral import FrequencyEstimate, SamplingPlan, fit_line, plan_observation
+from .spectral import FrequencyEstimate, SamplingPlan, fit_line, fit_lines, plan_observation
 
 SIGN_CONVENTION = "c2 >= 0"
 # Every sign assignment of the four measured magnitudes, one per row.
@@ -242,12 +242,13 @@ def simulate_series(
     return build_series(input_id, plan, _record(h, [(input_id, plan)], seed, eta, mode))
 
 
-def _fit_combination(plan: SamplingPlan, table) -> tuple[float, float, FrequencyEstimate | None, bool]:
-    """(value, sigma_abs, estimate_or_None, degenerate) of spectral.fit_line on one input's table.
+def _combination(
+    plan: SamplingPlan, estimate: FrequencyEstimate | None
+) -> tuple[float, float, FrequencyEstimate | None, bool]:
+    """(value, sigma_abs, estimate_or_None, degenerate) of one input's spectral fit.
 
-    A table with no line (fit_line's None) is degenerate: value 0 with a one-bin absolute uncertainty.
+    A table with no line (the fit's None) is degenerate: value 0 with a one-bin absolute uncertainty.
     """
-    estimate = fit_line(plan, table)
     if estimate is None:
         return 0.0, plan.bin_width / 4.0, None, True
     return estimate.omega_hat, estimate.sigma, estimate, False
@@ -263,7 +264,7 @@ def estimate_combination(
     """
     if not np.array_equal(series.times, plan.times()):
         raise ValueError("series.times must equal plan.times()")
-    return _fit_combination(plan, series.counts)
+    return _combination(plan, fit_line(plan, series.counts))
 
 
 def characterize(
@@ -275,12 +276,15 @@ def characterize(
 ) -> CharacterizationReport:
     """Full four-input pipeline: simulate, estimate frequencies, invert couplings.
 
-    The four inputs are recorded in one _record pass, and fit_line fits each
-    input's slice of its table; no C^2 series is built.
+    The four inputs are recorded in one _record pass, and fit_lines fits
+    each input's slice of its table, their line searches in lockstep; no
+    C^2 series is built.
     """
-    table = _record(h_true, [(input_id, plans[input_id]) for input_id in INPUT_IDS], seed, eta, mode)
-    tables = np.split(table, np.cumsum([plans[input_id].nt for input_id in INPUT_IDS])[:-1])
-    fits = [_fit_combination(plans[input_id], rows) for input_id, rows in zip(INPUT_IDS, tables)]
+    inputs = [(input_id, plans[input_id]) for input_id in INPUT_IDS]
+    table = _record(h_true, inputs, seed, eta, mode)
+    tables = np.split(table, np.cumsum([plan.nt for _, plan in inputs])[:-1])
+    estimates = fit_lines([(plan, rows) for (_, plan), rows in zip(inputs, tables)])
+    fits = [_combination(plan, estimate) for (_, plan), estimate in zip(inputs, estimates)]
     values, sigmas, found, degenerate = zip(*fits)
     quad = FrequencyQuad(values=values, sigmas=sigmas)
     result = invert_frequencies(quad)

@@ -8,8 +8,10 @@ simply: qubit 1 reads - with probability sin^2(w t), so fit_line estimates w
 from the binomial likelihood of an input's readout table on its plan's grid
 (Rife & Boorstyn's single-tone maximum-likelihood estimator, applied to
 counts); the endpoint strategy's w comes from its two high-budget rows alone.
-The fit's rate scan and bounded Brent search are entmap's own; scipy gives xlogy.
-Everything here works on arrays and plans; no C^2 series is needed.
+The fit's rate scan, the float32 screen that certifies its best rate, and the
+bounded Brent search, which fit_lines steps in lockstep over several lines, are
+entmap's own; scipy gives xlogy.  Everything here works on arrays and plans; no
+C^2 series is needed.
 """
 
 from __future__ import annotations
@@ -153,8 +155,13 @@ def find_peak(magnitudes: np.ndarray) -> int | None:
 
 
 def _neg_log_likelihood(rates, t: np.ndarray, k: np.ndarray, n: np.ndarray):
-    """-log L of k ~ Binomial(n, sin^2(w t)) at each rate w, up to a constant."""
-    phase = np.multiply.outer(rates, t)
+    """-log L of k ~ Binomial(n, sin^2(w t)) at each rate w, up to a constant.
+
+    rates is a grid against one line's rows (t, k, n), or one rate per line
+    against rows stacked as (lines, rows) arrays; either way each value is
+    summed over its own row, so a stacked line's value has its bits alone.
+    """
+    phase = np.asarray(rates)[..., None] * t
     return -(xlogy(k, np.sin(phase) ** 2) + xlogy(n - k, np.cos(phase) ** 2)).sum(axis=-1)
 
 
@@ -168,21 +175,91 @@ def _scan(rates: np.ndarray, t: np.ndarray, k: np.ndarray, n: np.ndarray) -> np.
     return -score
 
 
-# scipy's bounded minimize_scalar constants, its evaluation cap, and the xatol fit_line asks of it.
+# The float32 rate screen (_screen), with ds = _SCREEN_DS = 2**-21.
+# - A phase below _SCREEN_MAX_PHASE, reduced modulo pi as r = phase - pi*rint(phase/pi),
+#   lands within 2**-52 * 2**30/pi + 2**-23 < 2.0e-7 < ds/2 of its exact reduction (float64
+#   pi's error times the turns, then the product's rounding; the subtraction is exact).
+# - Narrowed to float32, |r| gives numpy's float32 sin and cos within ds/2 of the float64
+#   libm |sin| and |cos| of the phase, as _scan takes them (worst seen 9.5e-8; the
+#   float32-kernel test guards this).
+# - So with s = max(sin32|r|, 2 ds), libm's |sin| <= s + ds and -log sin^2 >= 2 log(1/s) - 2 ds/s,
+#   a finite bound; cos and the failures f = n - k likewise, with c.
+# - float32 takes 1/s correctly rounded, which moves log(1/s) by at most 2**-24 < ds/(8 s),
+#   and its log within 2**-21 relative (worst seen 1.8 * 2**-23; the same test guards it).
+# Every term -k log sin^2 is >= 0, so approx - radius bounds _scan from below at each rate, with
+#   approx = 2 (log(1/s) @ k + log(1/c) @ f),
+#   radius = _SCREEN_SLOPE (k @ 1/s + f @ 1/c) + (rows + 8) 2**-23 approx.
+# _SCREEN_SLOPE = 4.04 ds is about twice the 2.25 ds these steps need, float32 sums
+# included, and (rows + 8) 2**-23 twice the float32 error of a rows-term sum of such
+# logs with narrowed weights.  The headroom left holds _scan's own float64 rounding, so
+# a rate whose lower bound exceeds the candidate's exact score times 1 + _SCREEN_SLACK
+# cannot win the exact scan, and no exact tie is ever certified.  The phases are
+# reduced _SCREEN_BLOCK rates at a time, so the screen never holds more than two
+# float32 (rates, rows) arrays, or one and a block's two float64 arrays.
+_SCREEN_DS = 2.0**-21
+_SCREEN_SLOPE = 4.04 * _SCREEN_DS
+_SCREEN_SLACK = 1e-12
+_SCREEN_MAX_PHASE = 2.0**30
+_SCREEN_BLOCK = 14
+
+
+def _screen(rates: np.ndarray, t: np.ndarray, k: np.ndarray, n: np.ndarray) -> int | None:
+    """int(np.argmin(_scan(rates, t, k, n))) when a float32 scan certifies it, else None.
+
+    rates and t are monotonic (a rate grid and a plan's times), so the
+    largest phase is at an end.  The candidate minimizes the float32 upper
+    bound approx + radius; its own score is _scan's on that one rate, and
+    every other rate's float32 lower bound approx - radius must clear it
+    (see the constants above).
+    """
+    if max(abs(rates[0]), abs(rates[-1])) * max(abs(t[0]), abs(t[-1])) >= _SCREEN_MAX_PHASE:
+        return None
+    r = np.empty((rates.size, t.size), dtype=np.float32)
+    for start in range(0, rates.size, _SCREEN_BLOCK):
+        phase = rates[start : start + _SCREEN_BLOCK, None] * t
+        turns = np.multiply(phase, 1.0 / np.pi)
+        np.rint(turns, out=turns)
+        turns *= np.pi
+        phase -= turns
+        r[start : start + _SCREEN_BLOCK] = phase
+        del phase, turns
+    # For |r| <= pi/2, |sin r| = sin|r| and |cos r| = cos|r|; past it by rounding, the clamp covers cos < 0.
+    np.abs(r, out=r)
+    c = np.cos(r)
+    s = np.sin(r, out=r)
+    approx, slope = np.zeros(rates.size), np.zeros(rates.size)
+    for trig, weights in ((s, k), (c, n - k)):
+        weights = weights.astype(np.float32)
+        np.maximum(trig, np.float32(2.0 * _SCREEN_DS), out=trig)
+        inverse = np.reciprocal(trig, out=trig)
+        slope += inverse @ weights
+        approx += np.log(inverse, out=inverse) @ weights
+    approx *= 2.0
+    radius = _SCREEN_SLOPE * slope + (t.size + 8) * 2.0**-23 * approx
+    best = int(np.argmin(approx + radius))
+    bound = float(_scan(rates[best : best + 1], t, k, n)[0]) * (1.0 + _SCREEN_SLACK)
+    lower = approx - radius
+    lower[best] = np.inf
+    return best if bool(np.all(lower > bound)) else None
+
+
+# scipy's bounded minimize_scalar constants, its evaluation cap, and the xatol fit_lines asks of it.
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
 _XATOL, _MAXFUN = 1e-13, 500
 
 
-def _bounded_brent(f, a: float, b: float) -> float:
-    """Minimizer of f on [a, b] by Brent's bounded search: golden sections and parabolic steps.
+def _bounded_brent(a: float, b: float):
+    """Brent's bounded search on [a, b] as a generator: golden sections and parabolic steps.
 
-    The loop of scipy.optimize.minimize_scalar(method="bounded") step for step,
-    so it returns the same x to the bit.  It stops once x is known to within
+    It yields each x to evaluate, takes f(x) back by send(), and returns the
+    minimizer (StopIteration.value).  The loop of
+    scipy.optimize.minimize_scalar(method="bounded") step for step, so it
+    returns the same x to the bit.  It stops once x is known to within
     sqrt(2.2e-16)*|x| + _XATOL/3, or after _MAXFUN evaluations of f.
     """
     nfc = xf = fulc = a + _GOLDEN_MEAN * (b - a)
-    fx = ffulc = fnfc = f(xf)
+    fx = ffulc = fnfc = yield xf
     rat = e = 0.0
     num = 1
     xm, tol1 = 0.5 * (a + b), _SQRT_EPS * abs(xf) + _XATOL / 3.0
@@ -206,7 +283,7 @@ def _bounded_brent(f, a: float, b: float) -> float:
             e = (a if xf >= xm else b) - xf
             rat = _GOLDEN_MEAN * e
         x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
-        fu = f(x)
+        fu = yield x
         num += 1
         if fu <= fx:
             a, b = (xf, b) if x >= xf else (a, xf)
@@ -221,63 +298,126 @@ def _bounded_brent(f, a: float, b: float) -> float:
     return xf
 
 
-def _refine_rate(grid: np.ndarray, scores: np.ndarray, rows: tuple) -> float:
-    """Bounded Brent on -log L of rows = (t, k, n) between the neighbours of the best-scored grid rate.
+def _lockstep_brent(searches: list[tuple[tuple, float, float]]) -> list[float]:
+    """_bounded_brent's minimizer of -log L on rows = (t, k, n) in [a, b], for each (rows, a, b) in searches.
 
-    _bounded_brent stops at sqrt(2.2e-16)*|w| + _XATOL/3, so the rate is good
-    to about 1.5e-8 relative, not _XATOL = 1e-13.
+    Searches over the same number of rows step together: each step takes
+    every pending search's f(x) from one _neg_log_likelihood call on their
+    stacked rows.  A stacked row's value has the bits of that row alone, so
+    every search returns what it would alone.  Rows are never padded.
     """
-    i = int(np.argmin(scores))
-    lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)])
-    return _bounded_brent(lambda w: _neg_log_likelihood(w, *rows), lo, hi)
+    found = [0.0] * len(searches)
+    groups: dict[int, list[int]] = {}
+    for lane, (rows, _, _) in enumerate(searches):
+        groups.setdefault(rows[0].size, []).append(lane)
+    for lanes in groups.values():
+        t, k, n = (np.stack(column) for column in zip(*(searches[lane][0] for lane in lanes)))
+        steps = [_bounded_brent(*searches[lane][1:]) for lane in lanes]
+        x = np.array([next(step) for step in steps])
+        while lanes:
+            live = []
+            for j, value in enumerate(_neg_log_likelihood(x, t, k, n).tolist()):
+                try:
+                    x[j] = steps[j].send(value)
+                    live.append(j)
+                except StopIteration as stop:
+                    found[lanes[j]] = stop.value
+            if len(live) < len(lanes):
+                t, k, n, x = t[live], k[live], n[live], x[live]
+                lanes, steps = [lanes[j] for j in live], [steps[j] for j in live]
+    return found
 
 
-def fit_line(plan: SamplingPlan, table) -> FrequencyEstimate | None:
-    """Maximum-likelihood combination magnitude from an input's readout table.
+def _bracket(rows: tuple, rates: np.ndarray, best: int) -> tuple[tuple, float, float]:
+    """A _lockstep_brent search on rows between the neighbours of rates[best]."""
+    return rows, float(rates[max(best - 1, 0)]), float(rates[min(best + 1, rates.size - 1)])
 
-    table is the input's (plan.nt, 4) table on plan.times(), in its own
-    channel: integer outcome counts, or exact probabilities, which are
-    fractional counts with n_j = 1.  k_j, its SUCCESS_OUTCOMES columns, is
-    Binomial(n_j, sin^2(w t_j)) with n_j the row total.  The seed is the
-    strongest non-DC bin of the rfft of k/n, where the line sits at 2w.  41
-    rates within 0.75 bin of it are scanned, and bounded Brent refines the
-    best one between its neighbours: on every point (uniform strategy;
-    endpoint below nt = 8), or on the interior points as the endpoint
-    strategy's anchor w_a.  That strategy takes w from its two endpoint rows
-    alone: of their -log L modes within 6 sigma_a of w_a, it refines the one
-    the interior rows favour, by (w - w_a)^2 / (2 sigma_a^2) to second
-    order, sigma_a = 1/(2*sqrt(sum n_j t_j^2)) being their Fisher sigma.
-    Returns None when k/n averages below DEGENERATE_MEAN (the combination is
-    0), otherwise omega_hat = w with the resolution figure 4/(nt*sqrt(ne)).
-    """
+
+def _line_rows(plan: SamplingPlan, table) -> tuple[np.ndarray, np.ndarray] | None:
+    """(k, n) of a readout table after its checks, or None when k/n averages below DEGENERATE_MEAN."""
     counts = np.asarray(table, dtype=float)
     if counts.shape != (plan.nt, 4):
         raise ValueError(f"fit_line needs a ({plan.nt}, 4) table of outcome counts, got shape {counts.shape}")
     n = counts.sum(axis=1)
+    bad = ~(np.all(counts >= 0.0, axis=1) & np.isfinite(n) & (n > 0.0))
+    if bad.any():
+        j = int(bad.argmax())
+        raise ValueError(
+            f"fit_line needs finite counts >= 0 with a positive total in every row; row {j} is {counts[j].tolist()}"
+        )
     k = counts[:, SUCCESS_OUTCOMES].sum(axis=1)
-    success_frac = k / n
-    if success_frac.mean() < DEGENERATE_MEAN:
-        return None
-    bin_w = plan.bin_width
-    seed_line = (int(np.argmax(np.abs(np.fft.rfft(success_frac))[1:])) + 1) * bin_w
+    return None if (k / n).mean() < DEGENERATE_MEAN else (k, n)
 
+
+def _anchor_search(plan: SamplingPlan, k: np.ndarray, n: np.ndarray) -> tuple[float, tuple, tuple | None]:
+    """(seed line, anchor search, endpoint rows or None) of a line that has one, as fit_lines describes.
+
+    The scan's best rate is _screen's when it certifies one, else the full _scan's.
+    """
+    seed_line = (int(np.argmax(np.abs(np.fft.rfft(k / n))[1:])) + 1) * plan.bin_width
+    t = plan.times()
     polish = plan.strategy == "endpoint" and plan.nt >= 8
     fit = slice(0, -2) if polish else slice(None)
-    t = plan.times()
-    rows, ends = (t[fit], k[fit], n[fit]), (t[-2:], k[-2:], n[-2:])
-    grid = (seed_line + bin_w * np.linspace(-0.75, 0.75, 41)) / 2.0
-    w = _refine_rate(grid, _scan(grid, *rows), rows)
-    if polish:
-        sigma_a = 0.5 / math.sqrt(float(n[fit] @ t[fit] ** 2))
-        grid = np.linspace(max(w - 6.0 * sigma_a, 0.0), w + 6.0 * sigma_a, 41)
-        f = _scan(grid, *ends)
-        mode = (f <= np.r_[np.inf, f[:-1]]) & (f <= np.r_[f[1:], np.inf])
-        w = _refine_rate(grid, np.where(mode, f + 0.5 * ((grid - w) / sigma_a) ** 2, np.inf), ends)
-    return FrequencyEstimate(
-        omega_hat=w,
-        delta_f_over_f=resolution_epsilon(plan.nt, plan.ne),
-        raw_peak_omega=2.0 * seed_line,
+    rows = (t[fit], k[fit], n[fit])
+    grid = (seed_line + plan.bin_width * np.linspace(-0.75, 0.75, 41)) / 2.0
+    best = _screen(grid, *rows)
+    if best is None:
+        best = int(np.argmin(_scan(grid, *rows)))
+    return seed_line, _bracket(rows, grid, best), (t[-2:], k[-2:], n[-2:]) if polish else None
+
+
+def _endpoint_search(anchor: tuple, ends: tuple, w_a: float) -> tuple[tuple, float, float]:
+    """The endpoint rows' search around the -log L mode, within 6 sigma_a of w_a, that the anchor rows favour."""
+    t, _, n = anchor
+    sigma_a = 0.5 / math.sqrt(float(n @ t**2))
+    grid = np.linspace(max(w_a - 6.0 * sigma_a, 0.0), w_a + 6.0 * sigma_a, 41)
+    f = _scan(grid, *ends)
+    mode = (f <= np.r_[np.inf, f[:-1]]) & (f <= np.r_[f[1:], np.inf])
+    return _bracket(ends, grid, int(np.argmin(np.where(mode, f + 0.5 * ((grid - w_a) / sigma_a) ** 2, np.inf))))
+
+
+def fit_lines(lines: list[tuple[SamplingPlan, object]]) -> list[FrequencyEstimate | None]:
+    """Maximum-likelihood combination magnitude from each (plan, table) in lines.
+
+    table is an input's (plan.nt, 4) table on plan.times(), in its own
+    channel: integer outcome counts, or exact probabilities, which are
+    fractional counts with n_j = 1.  Every cell must be finite and >= 0, and
+    every row total n_j > 0.  k_j, its SUCCESS_OUTCOMES columns, is
+    Binomial(n_j, sin^2(w t_j)).  The seed is the strongest non-DC bin of
+    the rfft of k/n, where the line sits at 2w.  41 rates within 0.75 bin
+    of it are scored by -log L (a float32 screen certifies the best, or the
+    exact float64 scan finds it), and bounded Brent refines the best one
+    between its neighbours: on every point (uniform strategy; endpoint below
+    nt = 8), or on the interior points as the endpoint strategy's anchor
+    w_a.  That strategy takes w from its two endpoint rows alone: of their
+    -log L modes within 6 sigma_a of w_a, it refines the one the interior
+    rows favour, by (w - w_a)^2 / (2 sigma_a^2) to second order, sigma_a =
+    1/(2*sqrt(sum n_j t_j^2)) being their Fisher sigma.  All lines' anchor
+    searches run in lockstep, then their endpoint searches, and each line
+    gets the bits it would get alone.  A line is None when k/n averages
+    below DEGENERATE_MEAN (the combination is 0), otherwise omega_hat = w
+    with the resolution figure 4/(nt*sqrt(ne)).
+    """
+    checked = [(plan, _line_rows(plan, table)) for plan, table in lines]
+    live = [(plan, *_anchor_search(plan, *rows)) for plan, rows in checked if rows is not None]
+    rates = _lockstep_brent([search for _, _, search, _ in live])
+    polished = [
+        (i, _endpoint_search(anchor[0], ends, rates[i]))
+        for i, (_, _, anchor, ends) in enumerate(live)
+        if ends is not None
+    ]
+    for (i, _), w in zip(polished, _lockstep_brent([search for _, search in polished])):
+        rates[i] = w
+    estimates = iter(
+        FrequencyEstimate(w, resolution_epsilon(plan.nt, plan.ne), 2.0 * seed_line)
+        for (plan, seed_line, *_), w in zip(live, rates)
     )
+    return [None if rows is None else next(estimates) for _, rows in checked]
+
+
+def fit_line(plan: SamplingPlan, table) -> FrequencyEstimate | None:
+    """The estimate fit_lines gives the one line (plan, table)."""
+    return fit_lines([(plan, table)])[0]
 
 
 def cosine_amplitudes(times: np.ndarray, values: np.ndarray, omegas: dict[str, float]) -> dict[str, float]:

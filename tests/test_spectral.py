@@ -12,7 +12,7 @@ import pytest
 from entmap import spectral
 from entmap.concest import ConcurrenceSeries
 from entmap.qcore import INPUT_IDS, PSI1, PSI3, HamiltonianParams, combinations
-from entmap.recon import default_plans, estimate_combination, simulate_series
+from entmap.recon import _record, default_plans, estimate_combination, simulate_series
 from entmap.spectral import (
     NYQUIST_MARGIN,
     STRATEGIES,
@@ -22,6 +22,7 @@ from entmap.spectral import (
     dft,
     find_peak,
     fit_line,
+    fit_lines,
     plan_observation,
 )
 
@@ -258,16 +259,21 @@ def line_tables():
 
 
 def test_bounded_brent_returns_scipys_minimizer_bit_for_bit(monkeypatch):
-    """Every line search fit_line makes lands on scipy's bounded minimize_scalar x, to the last bit."""
+    """Every line search fit_line makes lands on scipy's bounded minimize_scalar x, to the last bit.
+
+    The searches are recorded at _lockstep_brent, one (f, a, b, x) per lane.
+    """
     from scipy.optimize import minimize_scalar  # the oracle; entmap itself never imports scipy.optimize
 
-    brent, solves = spectral._bounded_brent, []
+    drive, solves = spectral._lockstep_brent, []
 
-    def recorded(f, a, b):
-        solves.append((f, a, b, brent(f, a, b)))
-        return solves[-1][3]
+    def recorded(searches):
+        found = drive(searches)
+        for (rows, a, b), x in zip(searches, found):
+            solves.append((lambda w, rows=rows: spectral._neg_log_likelihood(w, *rows), a, b, x))
+        return found
 
-    monkeypatch.setattr(spectral, "_bounded_brent", recorded)
+    monkeypatch.setattr(spectral, "_lockstep_brent", recorded)
     tables = list(line_tables())
     polished = sum(plan.strategy == "endpoint" for plan, _ in tables)
     for plan, table in tables:
@@ -284,6 +290,183 @@ def test_scan_picks_the_grid_rate_the_xlogy_likelihood_picks(monkeypatch):
     scanned = [fit_line(plan, table) for plan, table in tables]
     monkeypatch.setattr(spectral, "_scan", spectral._neg_log_likelihood)
     assert [fit_line(plan, table) for plan, table in tables] == scanned
+
+
+def test_fit_line_rejects_cells_it_cannot_fit():
+    """A non-finite or negative cell, or a row with no counts, is a ValueError naming the first such row."""
+    plan = plan_observation(0.6, 50, 10)
+    table = simulate_series(H_REF, PSI1, plan, seed=0).counts.astype(float)
+    for row, bad in ((7, np.nan), (3, np.inf), (12, -1.0), (20, None)):
+        broken = table.copy()
+        if bad is None:
+            broken[row] = 0.0
+        else:
+            broken[row, 2] = bad
+        broken[row + 5, 0] = -np.inf  # a later bad row is not the one named
+        with pytest.raises(ValueError, match=rf"row {row} is"):
+            fit_line(plan, broken)
+    # An exact-probability table has zero cells but positive rows, and fits.
+    noiseless = simulate_series(H_REF, PSI1, plan, seed=0, mode="noiseless").counts
+    assert noiseless.min() == 0.0 and fit_line(plan, noiseless) is not None
+
+
+def desk_lines(seeds):
+    """(plan, table) of each input of sampled H_REF desk records (default plans, nt=200, ne=10)."""
+    plans = default_plans(H_REF, 200, 10)
+    for seed in seeds:
+        table = _record(H_REF, list(plans.items()), seed, 0.0, "sampled")
+        yield from zip(plans.values(), np.split(table, 4))
+
+
+def endpoint_lines(seeds):
+    """(plan, table) of endpoint_sweep-style PSI1 lines: nt=400, ne cycling 4..1024, a 3.5x guess."""
+    rng = np.random.default_rng(29)
+    for seed in seeds:
+        plan = plan_observation(2.1 * float(rng.uniform(0.95, 1.05)), 400, 4 ** (1 + seed % 5), "endpoint")
+        yield plan, simulate_series(H_REF, PSI1, plan, seed).counts
+
+
+def screen_lines():
+    """Lines that reach the screen from every corner fit_line meets.
+
+    Sampled desk and endpoint lines, noiseless tables on both strategies,
+    nt = 4..16, the zero-line families (with and without preparation error)
+    and the isotropic family, whose zero lines never reach the screen.
+    """
+    yield from desk_lines(range(10))
+    yield from endpoint_lines(range(20))
+    yield from line_tables()
+    rng = np.random.default_rng(16)
+    for i in range(60):
+        w, nt, ne = float(rng.uniform(0.05, 2.0)), int(rng.integers(4, 17)), int(rng.choice([1, 4, 64, 987]))
+        plan = plan_observation(w * float(rng.uniform(1.0, 3.5)), nt, ne, STRATEGIES[i % 2])
+        yield plan, simulate_series(HamiltonianParams(w + 0.6, 0.6, 1.4), PSI1, plan, seed=i).counts
+    for truth in ((1.2, 1.2, 1.2), (1.0, 0.0, 0.0), (0.8, 0.3, 0.3), (0.0, 0.0, 1.0), (1.0, 1.0, 1.0)):
+        h = HamiltonianParams(*truth)
+        for eta, mode in ((0.0, "sampled"), (0.05, "sampled"), (0.05, "noiseless")):
+            for input_id, plan in default_plans(h, 64, 4).items():
+                yield plan, simulate_series(h, input_id, plan, seed=3, eta=eta, mode=mode).counts
+
+
+def record_screens(monkeypatch):
+    """Wrap spectral._screen so each call records (its index or None, the exact scan's argmin)."""
+    screen, calls = spectral._screen, []
+
+    def recorded(rates, t, k, n):
+        best = screen(rates, t, k, n)
+        calls.append((best, int(np.argmin(spectral._scan(rates, t, k, n)))))
+        return best
+
+    monkeypatch.setattr(spectral, "_screen", recorded)
+    return calls
+
+
+def test_screen_certifies_only_the_exact_scans_argmin(monkeypatch):
+    calls = record_screens(monkeypatch)
+    for plan, table in screen_lines():
+        fit_line(plan, table)
+    certified = [(best, exact) for best, exact in calls if best is not None]
+    assert len(calls) >= 400 and len(certified) >= 0.9 * len(calls)
+    assert [exact for _, exact in certified] == [best for best, _ in certified]
+
+
+def test_screen_declines_a_near_tie_and_phases_past_its_bound():
+    """A noiseless line midway between two grid rates scores them closer than float32 can tell: no certificate.
+
+    Nor for phases of 2**30 rad and more, where the float64 reduction modulo pi loses the accuracy the bound needs.
+    """
+    t = 0.1 * np.arange(1, 201)
+    k = np.sin(0.6 * t) ** 2
+    n = np.ones_like(t)
+    rates = 0.6 + 1e-3 * (np.arange(41) - 20.5)
+    scores = spectral._scan(rates, t, k, n)
+    assert abs(scores[21] - scores[20]) < 1e-5 * scores[20]
+    assert spectral._screen(rates, t, k, n) is None
+    for top, certified in ((2.0**30, None), (0.999 * 2.0**30, 3)):
+        far = top / t[-1] * (1.0 - 1e-3 * np.arange(40, -1, -1))
+        k_far = np.sin(far[3] * t) ** 2
+        assert np.argmin(spectral._scan(far, t, k_far, n)) == 3
+        assert spectral._screen(far, t, k_far, n) == certified
+
+
+def test_fit_lines_from_the_full_scan_alone_are_unchanged(monkeypatch):
+    """With the certificate's slack at inf every line takes the full scan, and every fit is the same."""
+    lines = list(desk_lines(range(3))) + list(endpoint_lines(range(5))) + list(line_tables())
+    fitted = [fit_line(plan, table) for plan, table in lines]
+    monkeypatch.setattr(spectral, "_SCREEN_SLACK", np.inf)
+    calls = record_screens(monkeypatch)
+    assert [fit_line(plan, table) for plan, table in lines] == fitted
+    assert calls and all(best is None for best, _ in calls)
+
+
+def test_screen_rarely_falls_back_to_the_full_scan(monkeypatch):
+    """At most 1% of 400 H_REF desk lines and 2% of 100 endpoint anchors take the full scan."""
+    calls = record_screens(monkeypatch)
+    for plan, table in desk_lines(range(100)):
+        fit_line(plan, table)
+    assert len(calls) == 400 and sum(best is None for best, _ in calls) <= 4
+    calls.clear()
+    for plan, table in endpoint_lines(range(100)):
+        fit_line(plan, table)
+    assert len(calls) == 100 and sum(best is None for best, _ in calls) <= 2
+
+
+def test_float32_kernels_stay_inside_the_screens_bound():
+    """numpy's float32 sin, cos, reciprocal and log err no more than the screen's bound allows.
+
+    Narrowed |r| for r in [-pi/2, pi/2] (near 0 and near +-pi/2 included)
+    gives sin and cos within ds/2 of float64's |sin r| and |cos r|; the
+    reciprocal of s in [2 ds, 1] is correctly rounded, and the log of the
+    result in [1, 2**20] is within 2**-21 relative.  A numpy build with
+    worse float32 kernels fails here instead of certifying a wrong rate.
+    """
+    ds = spectral._SCREEN_DS
+    rng = np.random.default_rng(32)
+    edge = np.pi / 2 - rng.uniform(0.0, 1e-3, 100_000)
+    r = np.concatenate([rng.uniform(-np.pi / 2, np.pi / 2, 400_000), rng.uniform(-1e-3, 1e-3, 100_000), edge, -edge])
+    r = np.concatenate([r, [0.0, np.pi / 2, -np.pi / 2, np.nextafter(np.pi / 2, 0.0)]])
+    narrowed = np.abs(r).astype(np.float32)
+    assert np.abs(np.sin(narrowed) - np.abs(np.sin(r))).max() <= ds / 2
+    assert np.abs(np.cos(narrowed) - np.abs(np.cos(r))).max() <= ds / 2
+    s = np.concatenate([rng.uniform(2 * ds, 1.0, 200_000), np.exp(rng.uniform(np.log(2 * ds), 0.0, 200_000))])
+    s = np.concatenate([s, 1.0 - np.arange(1, 2000) * 2.0**-24, [2 * ds, 1.0]]).astype(np.float32)
+    inverse = np.reciprocal(s)
+    exact = 1.0 / s.astype(float)
+    assert np.all(np.abs(inverse - exact) <= 2.0**-24 * exact)
+    log = np.log(inverse).astype(float)
+    assert np.all(np.abs(log - np.log(inverse.astype(float))) <= 2.0**-21 * np.log(inverse.astype(float)))
+
+
+def drive_alone(search):
+    """(x, evaluations) of one search driven by hand on its 1-D rows, one scalar f(x) at a time."""
+    rows, a, b = search
+    steps, evaluations = spectral._bounded_brent(a, b), 0
+    x = next(steps)
+    while True:
+        evaluations += 1
+        try:
+            x = steps.send(spectral._neg_log_likelihood(x, *rows))
+        except StopIteration as stop:
+            return stop.value, evaluations
+
+
+def test_lockstep_brent_gives_each_lane_the_bits_it_gets_alone(monkeypatch):
+    """Stacked searches (several row counts, lanes finishing on different steps) return each lane's own x."""
+    drive, searches = spectral._lockstep_brent, []
+
+    def recorded(batch):
+        searches.extend(batch)
+        return drive(batch)
+
+    monkeypatch.setattr(spectral, "_lockstep_brent", recorded)
+    fit_lines(list(desk_lines(range(4))) + list(endpoint_lines(range(4))))
+    assert len({rows[0].size for rows, _, _ in searches}) == 3  # desk 200, endpoint anchors 398, endpoint pairs 2
+    alone = [drive_alone(search) for search in searches]
+    desk_steps = {evaluations for (rows, _, _), (_, evaluations) in zip(searches, alone) if rows[0].size == 200}
+    assert len(desk_steps) > 1  # the 16 desk lanes, stepped together, stop after different numbers of steps
+    together = drive(searches)
+    assert [x.hex() for x in together] == [x.hex() for x, _ in alone]
+    assert [drive([search])[0].hex() for search in searches] == [x.hex() for x, _ in alone]
 
 
 def test_importing_entmap_loads_no_scipy_optimize():
