@@ -58,9 +58,9 @@ from .spectral import (
 DEFAULT_NT = 200
 DEFAULT_NE = 10
 DEFAULT_OUT = "runs/run"
-# Largest nt: characterize peaks near 0.77 kB of traced memory per time point
-# (default plans, ne = 10, sampled; fit_line's rate scan holds the peak),
-# about 0.8 GB at 2**20 points.  ne is bounded by gateerr.MAX_NE.
+# Largest nt: characterize peaks near 0.61 kB of traced memory per time point
+# (default plans, ne = 10, sampled; the float32 rate screen of one line, screened
+# alone, holds the peak), about 0.64 GB at 2**20 points.  ne is bounded by gateerr.MAX_NE.
 MAX_NT = 2**20
 # Most log-spaced budgets one gate-error sweep may ask for.
 MAX_NE_COUNT = 2**16

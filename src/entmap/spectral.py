@@ -9,9 +9,10 @@ from the binomial likelihood of an input's readout table on its plan's grid
 (Rife & Boorstyn's single-tone maximum-likelihood estimator, applied to
 counts); the endpoint strategy's w comes from its two high-budget rows alone.
 The fit's rate scan, the float32 screen that certifies its best rate, and the
-bounded Brent search, which fit_lines steps in lockstep over several lines, are
-entmap's own; scipy gives xlogy.  Everything here works on arrays and plans; no
-C^2 series is needed.
+bounded Brent search are entmap's own; scipy gives xlogy.  fit_lines checks
+all its tables in one pass, seeds and screens lines of one nt and strategy as
+one stack, then steps all their Brent searches in lockstep.  Everything here
+works on arrays and plans; no C^2 series is needed.
 """
 
 from __future__ import annotations
@@ -170,8 +171,8 @@ def _scan(rates: np.ndarray, t: np.ndarray, k: np.ndarray, n: np.ndarray) -> np.
     fails = n - k
     hit, miss = k > 0, fails > 0
     with np.errstate(divide="ignore"):
-        score = np.log(np.sin(np.multiply.outer(rates, t[hit])) ** 2) @ k[hit]
-        score += np.log(np.cos(np.multiply.outer(rates, t[miss])) ** 2) @ fails[miss]
+        score = np.log(np.sin(rates[:, None] * t[hit]) ** 2) @ k[hit]
+        score += np.log(np.cos(rates[:, None] * t[miss]) ** 2) @ fails[miss]
     return -score
 
 
@@ -193,9 +194,20 @@ def _scan(rates: np.ndarray, t: np.ndarray, k: np.ndarray, n: np.ndarray) -> np.
 # included, and (rows + 8) 2**-23 twice the float32 error of a rows-term sum of such
 # logs with narrowed weights.  The headroom left holds _scan's own float64 rounding, so
 # a rate whose lower bound exceeds the candidate's exact score times 1 + _SCREEN_SLACK
-# cannot win the exact scan, and no exact tie is ever certified.  The phases are
-# reduced _SCREEN_BLOCK rates at a time, so the screen never holds more than two
-# float32 (rates, rows) arrays, or one and a block's two float64 arrays.
+# cannot win the exact scan, and no exact tie is ever certified.
+# The candidate's exact score is _scan's float64 terms at its rate (the same products, sin,
+# cos and log), k log sin^2 + f log cos^2 added row by row and summed over each line's own
+# rows, where _scan takes two matmuls over the rows each term weighs.  A grid's phases are
+# at least pi/(4 nt), and no double lies near enough a multiple of pi/2 for sin^2 or cos^2
+# to round to 0, so each log is finite and a zero weight adds an exact 0 (were one not,
+# the score would be inf or NaN, and the line declined).  The terms share one sign, so
+# either sum lies within (rows + 1) 2**-53 of their exact total, and the two within
+# 2 (rows + 1) 2**-53 of each other: under 9.1e-13 at the 4096 rows a stack admits
+# (_STACK_ROWS), which _SCREEN_SLACK covers alone.  At any row count, a lone line's
+# included, the unused half of the radius's second term, (rows + 8) 2**-24 approx, covers
+# it over 2**27 times, since a rate that clears the bound has approx above that score.
+# The phases are reduced _SCREEN_BLOCK rates at a time, so the screen never holds more
+# than two float32 (lines, rates, rows) arrays, or one and a block's two float64 arrays.
 _SCREEN_DS = 2.0**-21
 _SCREEN_SLOPE = 4.04 * _SCREEN_DS
 _SCREEN_SLACK = 1e-12
@@ -203,44 +215,54 @@ _SCREEN_MAX_PHASE = 2.0**30
 _SCREEN_BLOCK = 14
 
 
-def _screen(rates: np.ndarray, t: np.ndarray, k: np.ndarray, n: np.ndarray) -> int | None:
-    """int(np.argmin(_scan(rates, t, k, n))) when a float32 scan certifies it, else None.
+def _screen(rates: np.ndarray, t: np.ndarray, k: np.ndarray, n: np.ndarray):
+    """Per line, int(np.argmin(_scan(rates, t, k, n))) when a float32 scan certifies it, else None.
 
-    rates and t are monotonic (a rate grid and a plan's times), so the
-    largest phase is at an end.  The candidate minimizes the float32 upper
-    bound approx + radius; its own score is _scan's on that one rate, and
-    every other rate's float32 lower bound approx - radius must clear it
-    (see the constants above).
+    rates is one line's grid against its rows t, k and n, or a stack of
+    grids (..., rates) against rows (..., rows), each line scored on its
+    own rows; the result is an index or None, or a list of them.  A line's
+    rates and t are positive and increasing (a rate grid and a plan's
+    times), so its largest phase is its last.  Its candidate minimizes the
+    float32 upper bound approx + radius, and every other rate's float32
+    lower bound approx - radius must clear the candidate's exact float64
+    score (see the constants above).
     """
-    if max(abs(rates[0]), abs(rates[-1])) * max(abs(t[0]), abs(t[-1])) >= _SCREEN_MAX_PHASE:
-        return None
-    r = np.empty((rates.size, t.size), dtype=np.float32)
-    for start in range(0, rates.size, _SCREEN_BLOCK):
-        phase = rates[start : start + _SCREEN_BLOCK, None] * t
+    lead = rates.shape[:-1]
+    rates, t, k, n = (column.reshape(-1, column.shape[-1]) for column in (rates, t, k, n))
+    top = rates[:, -1] * t[:, -1]
+    r = np.empty(rates.shape + t.shape[-1:], dtype=np.float32)
+    for start in range(0, rates.shape[1], _SCREEN_BLOCK):
+        block = slice(start, start + _SCREEN_BLOCK)
+        phase = rates[:, block, None] * t[:, None, :]
         turns = np.multiply(phase, 1.0 / np.pi)
         np.rint(turns, out=turns)
         turns *= np.pi
         phase -= turns
-        r[start : start + _SCREEN_BLOCK] = phase
+        r[:, block] = phase
         del phase, turns
     # For |r| <= pi/2, |sin r| = sin|r| and |cos r| = cos|r|; past it by rounding, the clamp covers cos < 0.
     np.abs(r, out=r)
     c = np.cos(r)
     s = np.sin(r, out=r)
-    approx, slope = np.zeros(rates.size), np.zeros(rates.size)
-    for trig, weights in ((s, k), (c, n - k)):
-        weights = weights.astype(np.float32)
+    approx, slope = np.zeros(rates.shape), np.zeros(rates.shape)
+    fails = n - k
+    for trig, weights in ((s, k), (c, fails)):
+        weights = weights.astype(np.float32)[:, :, None]
         np.maximum(trig, np.float32(2.0 * _SCREEN_DS), out=trig)
         inverse = np.reciprocal(trig, out=trig)
-        slope += inverse @ weights
-        approx += np.log(inverse, out=inverse) @ weights
+        slope += (inverse @ weights)[:, :, 0]
+        approx += (np.log(inverse, out=inverse) @ weights)[:, :, 0]
     approx *= 2.0
-    radius = _SCREEN_SLOPE * slope + (t.size + 8) * 2.0**-23 * approx
-    best = int(np.argmin(approx + radius))
-    bound = float(_scan(rates[best : best + 1], t, k, n)[0]) * (1.0 + _SCREEN_SLACK)
+    radius = _SCREEN_SLOPE * slope + (t.shape[1] + 8) * 2.0**-23 * approx
+    lines, best = np.arange(rates.shape[0]), np.argmin(approx + radius, axis=1)
     lower = approx - radius
-    lower[best] = np.inf
-    return best if bool(np.all(lower > bound)) else None
+    lower[lines, best] = np.inf
+    phase = rates[lines, best, None] * t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = k * np.log(np.sin(phase) ** 2) + fails * np.log(np.cos(phase) ** 2)
+    bound = -terms.sum(axis=1) * (1.0 + _SCREEN_SLACK)
+    certified = (top < _SCREEN_MAX_PHASE) & np.all(lower > bound[:, None], axis=1)
+    return np.where(certified, best, None).reshape(lead).tolist()
 
 
 # scipy's bounded minimize_scalar constants, its evaluation cap, and the xatol fit_lines asks of it.
@@ -333,37 +355,84 @@ def _bracket(rows: tuple, rates: np.ndarray, best: int) -> tuple[tuple, float, f
     return rows, float(rates[max(best - 1, 0)]), float(rates[min(best + 1, rates.size - 1)])
 
 
-def _line_rows(plan: SamplingPlan, table) -> tuple[np.ndarray, np.ndarray] | None:
-    """(k, n) of a readout table after its checks, or None when k/n averages below DEGENERATE_MEAN."""
-    counts = np.asarray(table, dtype=float)
-    if counts.shape != (plan.nt, 4):
-        raise ValueError(f"fit_line needs a ({plan.nt}, 4) table of outcome counts, got shape {counts.shape}")
-    n = counts.sum(axis=1)
-    bad = ~(np.all(counts >= 0.0, axis=1) & np.isfinite(n) & (n > 0.0))
-    if bad.any():
+# The anchor scan's 41 rates, in bins of the rfft seed around it.
+_GRID_BINS = np.linspace(-0.75, 0.75, 41)
+
+# Most table rows one stacked anchor pass takes: lines of one nt and strategy are
+# seeded and screened together up to this many rows, and a longer line alone.
+_STACK_ROWS = 4096
+
+
+def _line_rows(lines: list[tuple[SamplingPlan, object]]) -> tuple[np.ndarray, np.ndarray]:
+    """(k, n) of every line's table after its checks, the lines' rows concatenated in order."""
+    tables = []
+    for i, (plan, table) in enumerate(lines):
+        counts = np.asarray(table, dtype=float)
+        if counts.shape != (plan.nt, 4):
+            raise ValueError(
+                f"fit_line needs a ({plan.nt}, 4) table of outcome counts, got shape {counts.shape} in line {i}"
+            )
+        tables.append(counts)
+    counts = np.concatenate(tables or [np.empty((0, 4))])
+    # Summed a column at a time, each row's total has the bits of counts.sum(axis=1).
+    n = sum(counts.T)
+    if not (np.all(counts >= 0.0) and np.all(np.isfinite(n) & (n > 0.0))):
+        bad = ~(np.all(counts >= 0.0, axis=1) & np.isfinite(n) & (n > 0.0))
         j = int(bad.argmax())
+        starts = np.cumsum([0] + [plan.nt for plan, _ in lines])
+        line = int(np.searchsorted(starts, j, side="right")) - 1
         raise ValueError(
-            f"fit_line needs finite counts >= 0 with a positive total in every row; row {j} is {counts[j].tolist()}"
+            "fit_line needs finite counts >= 0 with a positive total in every row; "
+            f"line {line}, row {j - starts[line]} is {counts[j].tolist()}"
         )
-    k = counts[:, SUCCESS_OUTCOMES].sum(axis=1)
-    return None if (k / n).mean() < DEGENERATE_MEAN else (k, n)
+    return sum(counts.T[SUCCESS_OUTCOMES]), n
 
 
-def _anchor_search(plan: SamplingPlan, k: np.ndarray, n: np.ndarray) -> tuple[float, tuple, tuple | None]:
-    """(seed line, anchor search, endpoint rows or None) of a line that has one, as fit_lines describes.
+def _stacks(plans: list[SamplingPlan]) -> list[tuple[list[int], np.ndarray]]:
+    """(positions, rows) of plans in stacks of one nt and strategy, each of at most _STACK_ROWS rows or one plan.
 
-    The scan's best rate is _screen's when it certifies one, else the full _scan's.
+    rows indexes each stacked plan's rows in all plans' rows concatenated in order.
     """
-    seed_line = (int(np.argmax(np.abs(np.fft.rfft(k / n))[1:])) + 1) * plan.bin_width
-    t = plan.times()
-    polish = plan.strategy == "endpoint" and plan.nt >= 8
+    stacks, open_stacks = [], {}
+    for i, plan in enumerate(plans):
+        stack = open_stacks.get((plan.nt, plan.strategy))
+        if stack is None or (len(stack) + 1) * plan.nt > _STACK_ROWS:
+            stack = open_stacks[plan.nt, plan.strategy] = []
+            stacks.append(stack)
+        stack.append(i)
+    starts = np.cumsum([0] + [plan.nt for plan in plans])
+    return [(stack, starts[stack, None] + np.arange(plans[stack[0]].nt)) for stack in stacks]
+
+
+def _anchor_searches(plans: list[SamplingPlan], k: np.ndarray, n: np.ndarray) -> list[tuple | None]:
+    """(seed line, anchor search, endpoint rows or None) of each stacked line, as fit_lines describes.
+
+    plans share nt and strategy, and k and n are their (lines, nt) rows.  A
+    line whose k/n averages below DEGENERATE_MEAN has None.  The scan's
+    best rate is _screen's when it certifies one, else the full _scan's.
+    """
+    ratio = k / n
+    live = np.flatnonzero(ratio.sum(axis=1) / ratio.shape[1] >= DEGENERATE_MEAN)
+    found: list[tuple | None] = [None] * len(plans)
+    if live.size == 0:
+        return found
+    if live.size < len(plans):
+        ratio, k, n = ratio[live], k[live], n[live]
+    widths = np.array([plans[line].bin_width for line in live])
+    seeds = (np.argmax(np.abs(np.fft.rfft(ratio, axis=-1))[:, 1:], axis=-1) + 1) * widths
+    del ratio
+    t = np.array([plans[line].dt for line in live])[:, None] * np.arange(1, plans[0].nt + 1)
+    polish = plans[0].strategy == "endpoint" and plans[0].nt >= 8
     fit = slice(0, -2) if polish else slice(None)
-    rows = (t[fit], k[fit], n[fit])
-    grid = (seed_line + plan.bin_width * np.linspace(-0.75, 0.75, 41)) / 2.0
-    best = _screen(grid, *rows)
-    if best is None:
-        best = int(np.argmin(_scan(grid, *rows)))
-    return seed_line, _bracket(rows, grid, best), (t[-2:], k[-2:], n[-2:]) if polish else None
+    rows = (t[:, fit], k[:, fit], n[:, fit])
+    grids = (seeds[:, None] + widths[:, None] * _GRID_BINS) / 2.0
+    for j, (line, seed_line, best) in enumerate(zip(live, seeds.tolist(), _screen(grids, *rows))):
+        anchor = tuple(column[j] for column in rows)
+        if best is None:
+            best = int(np.argmin(_scan(grids[j], *anchor)))
+        ends = (t[j, -2:], k[j, -2:], n[j, -2:]) if polish else None
+        found[line] = (seed_line, _bracket(anchor, grids[j], best), ends)
+    return found
 
 
 def _endpoint_search(anchor: tuple, ends: tuple, w_a: float) -> tuple[tuple, float, float]:
@@ -372,7 +441,8 @@ def _endpoint_search(anchor: tuple, ends: tuple, w_a: float) -> tuple[tuple, flo
     sigma_a = 0.5 / math.sqrt(float(n @ t**2))
     grid = np.linspace(max(w_a - 6.0 * sigma_a, 0.0), w_a + 6.0 * sigma_a, 41)
     f = _scan(grid, *ends)
-    mode = (f <= np.r_[np.inf, f[:-1]]) & (f <= np.r_[f[1:], np.inf])
+    inf = np.array([np.inf])
+    mode = (f <= np.concatenate((inf, f[:-1]))) & (f <= np.concatenate((f[1:], inf)))
     return _bracket(ends, grid, int(np.argmin(np.where(mode, f + 0.5 * ((grid - w_a) / sigma_a) ** 2, np.inf))))
 
 
@@ -392,14 +462,25 @@ def fit_lines(lines: list[tuple[SamplingPlan, object]]) -> list[FrequencyEstimat
     w_a.  That strategy takes w from its two endpoint rows alone: of their
     -log L modes within 6 sigma_a of w_a, it refines the one the interior
     rows favour, by (w - w_a)^2 / (2 sigma_a^2) to second order, sigma_a =
-    1/(2*sqrt(sum n_j t_j^2)) being their Fisher sigma.  All lines' anchor
-    searches run in lockstep, then their endpoint searches, and each line
-    gets the bits it would get alone.  A line is None when k/n averages
-    below DEGENERATE_MEAN (the combination is 0), otherwise omega_hat = w
-    with the resolution figure 4/(nt*sqrt(ne)).
+    1/(2*sqrt(sum n_j t_j^2)) being their Fisher sigma.  All tables are
+    checked in one pass, and lines of one nt and strategy are seeded and
+    screened as one stack, up to _STACK_ROWS rows together (a longer line
+    alone); all lines' anchor searches then run in lockstep, then their
+    endpoint searches, and each line gets the bits it would get alone.  A
+    bad table is a ValueError naming its position in lines and its first
+    bad row.  A line is None when k/n averages below DEGENERATE_MEAN (the
+    combination is 0), otherwise omega_hat = w with the resolution figure
+    4/(nt*sqrt(ne)).
     """
-    checked = [(plan, _line_rows(plan, table)) for plan, table in lines]
-    live = [(plan, *_anchor_search(plan, *rows)) for plan, rows in checked if rows is not None]
+    k, n = _line_rows(lines)
+    # The stacks' copies replace the concatenated rows, so each row is held once.
+    stacks = [(stack, k[rows], n[rows]) for stack, rows in _stacks([plan for plan, _ in lines])]
+    del k, n
+    anchors: list[tuple | None] = [None] * len(lines)
+    for stack, k_rows, n_rows in stacks:
+        for i, anchor in zip(stack, _anchor_searches([lines[i][0] for i in stack], k_rows, n_rows)):
+            anchors[i] = anchor
+    live = [(plan, *anchor) for (plan, _), anchor in zip(lines, anchors) if anchor is not None]
     rates = _lockstep_brent([search for _, _, search, _ in live])
     polished = [
         (i, _endpoint_search(anchor[0], ends, rates[i]))
@@ -412,7 +493,7 @@ def fit_lines(lines: list[tuple[SamplingPlan, object]]) -> list[FrequencyEstimat
         FrequencyEstimate(w, resolution_epsilon(plan.nt, plan.ne), 2.0 * seed_line)
         for (plan, seed_line, *_), w in zip(live, rates)
     )
-    return [None if rows is None else next(estimates) for _, rows in checked]
+    return [None if anchor is None else next(estimates) for anchor in anchors]
 
 
 def fit_line(plan: SamplingPlan, table) -> FrequencyEstimate | None:

@@ -12,7 +12,7 @@ import pytest
 from entmap import spectral
 from entmap.concest import ConcurrenceSeries
 from entmap.qcore import INPUT_IDS, PSI1, PSI3, HamiltonianParams, combinations
-from entmap.recon import _record, default_plans, estimate_combination, simulate_series
+from entmap.recon import _record, characterize, default_plans, estimate_combination, simulate_series
 from entmap.spectral import (
     NYQUIST_MARGIN,
     STRATEGIES,
@@ -349,25 +349,97 @@ def screen_lines():
 
 
 def record_screens(monkeypatch):
-    """Wrap spectral._screen so each call records (its index or None, the exact scan's argmin)."""
-    screen, calls = spectral._screen, []
+    """Wrap spectral._screen to record each stacked pass: (calls, passes).
+
+    calls gets (its index or None, the exact scan's argmin) per line, and
+    passes the number of lines each pass screened.
+    """
+    screen, calls, passes = spectral._screen, [], []
 
     def recorded(rates, t, k, n):
-        best = screen(rates, t, k, n)
-        calls.append((best, int(np.argmin(spectral._scan(rates, t, k, n)))))
-        return best
+        picks = screen(rates, t, k, n)
+        passes.append(len(picks))
+        for best, line in zip(picks, zip(rates, t, k, n)):
+            calls.append((best, int(np.argmin(spectral._scan(*line)))))
+        return picks
 
     monkeypatch.setattr(spectral, "_screen", recorded)
-    return calls
+    return calls, passes
 
 
 def test_screen_certifies_only_the_exact_scans_argmin(monkeypatch):
-    calls = record_screens(monkeypatch)
+    calls, _ = record_screens(monkeypatch)
     for plan, table in screen_lines():
         fit_line(plan, table)
     certified = [(best, exact) for best, exact in calls if best is not None]
     assert len(calls) >= 400 and len(certified) >= 0.9 * len(calls)
     assert [exact for _, exact in certified] == [best for best, _ in certified]
+
+
+def near_tie_line():
+    """A noiseless (plan, table) whose likelihood scores anchor-grid rates 20 and 21 alike, to rounding."""
+    plan = SamplingPlan(nt=200, dt=0.1)
+    t, n = plan.times(), np.ones(200)
+    grid = (4 * plan.bin_width + plan.bin_width * spectral._GRID_BINS) / 2.0  # the grid of rfft seed bin 4
+    lo, hi = grid[20], grid[21]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        scores = spectral._scan(grid[20:22], t, np.sin(mid * t) ** 2, n)
+        lo, hi = (mid, hi) if scores[0] < scores[1] else (lo, mid)
+    p = np.sin(lo * t) ** 2
+    return plan, np.column_stack([1.0 - p, 0.0 * p, p, 0.0 * p])
+
+
+def test_fit_lines_gives_a_shuffled_mixed_batch_what_fit_line_gives_each_line(monkeypatch):
+    """Stacking lines by nt and strategy changes no estimate: one fit_lines call equals fit_line line by line.
+
+    The batch mixes desk lines of four bin widths, endpoint lines (398
+    anchor rows), endpoint lines below nt = 8, a zero line, noiseless
+    tables, the near-tie line whose screen declines, and two lines longer
+    than the stacking cap, which are screened alone.
+    """
+    rng = np.random.default_rng(30)
+    lines = list(desk_lines(range(3))) + list(endpoint_lines(range(4)))
+    for i in range(6):
+        w = float(rng.uniform(0.3, 2.0))
+        plan = plan_observation(w * 1.7, 4 + i % 4, int(rng.choice([4, 64, 987])), "endpoint")
+        lines.append((plan, simulate_series(HamiltonianParams(w + 0.6, 0.6, 1.4), PSI1, plan, seed=i).counts))
+    zero = plan_observation(1.4, 200, 10)
+    lines.append((zero, simulate_series(HamiltonianParams(0.7, 0.7, 0.3), PSI1, zero, seed=0).counts))
+    for input_id, plan in default_plans(H_REF, 200, 10).items():
+        lines.append((plan, simulate_series(H_REF, input_id, plan, seed=0, mode="noiseless").counts))
+    lines.append(near_tie_line())
+    long = plan_observation(0.6, spectral._STACK_ROWS + 904, 10)
+    lines += [(long, simulate_series(H_REF, PSI1, long, seed=seed).counts) for seed in (1, 2)]
+    lines = [lines[i] for i in rng.permutation(len(lines))]
+    calls, passes = record_screens(monkeypatch)
+    alone = [fit_line(plan, table) for plan, table in lines]
+    assert alone.count(None) == 1 and passes == [1] * (len(lines) - 1) and (None, 20) in calls
+    calls.clear()
+    passes.clear()
+    assert fit_lines(lines) == alone
+    assert max(passes) > 1 and passes.count(1) >= 2 and sum(passes) == len(calls) == len(lines) - 1
+
+
+def test_fit_lines_names_the_first_bad_line_and_its_first_bad_row():
+    """A bad table in a multi-line call is a ValueError naming its position in lines and its row.
+
+    Line 1 (200 rows) is bad at row 7; line 3, a later 50-row line stacked
+    with line 0, is bad at row 1 and is not the one named.
+    """
+    short = plan_observation(0.6, 50, 10)
+    (plan, table), *_ = desk_lines(range(1))
+    lines = [(short, simulate_series(H_REF, PSI1, short, seed=seed).counts.astype(float)) for seed in range(2)]
+    lines = [lines[0], (plan, table.astype(float)), (plan, table.astype(float)), lines[1]]
+    lines[1][1][7, 2] = np.nan
+    lines[3][1][1] = 0.0
+    with pytest.raises(ValueError, match=r"line 1, row 7 is"):
+        fit_lines(lines)
+    with pytest.raises(ValueError, match=r"line 1, row 1 is"):
+        fit_lines(lines[2:])  # line 3's bad row, named by its position in this call
+    lines[3] = (short, lines[3][1][:-1])
+    with pytest.raises(ValueError, match=r"\(50, 4\) table .* in line 3"):
+        fit_lines(lines)
 
 
 def test_screen_declines_a_near_tie_and_phases_past_its_bound():
@@ -394,14 +466,17 @@ def test_fit_lines_from_the_full_scan_alone_are_unchanged(monkeypatch):
     lines = list(desk_lines(range(3))) + list(endpoint_lines(range(5))) + list(line_tables())
     fitted = [fit_line(plan, table) for plan, table in lines]
     monkeypatch.setattr(spectral, "_SCREEN_SLACK", np.inf)
-    calls = record_screens(monkeypatch)
+    calls, _ = record_screens(monkeypatch)
     assert [fit_line(plan, table) for plan, table in lines] == fitted
     assert calls and all(best is None for best, _ in calls)
 
 
 def test_screen_rarely_falls_back_to_the_full_scan(monkeypatch):
-    """At most 1% of 400 H_REF desk lines and 2% of 100 endpoint anchors take the full scan."""
-    calls = record_screens(monkeypatch)
+    """At most 1% of 400 H_REF desk lines and 2% of 100 endpoint anchors take the full scan.
+
+    A desk characterize screens its four lines in one stacked pass.
+    """
+    calls, passes = record_screens(monkeypatch)
     for plan, table in desk_lines(range(100)):
         fit_line(plan, table)
     assert len(calls) == 400 and sum(best is None for best, _ in calls) <= 4
@@ -409,6 +484,10 @@ def test_screen_rarely_falls_back_to_the_full_scan(monkeypatch):
     for plan, table in endpoint_lines(range(100)):
         fit_line(plan, table)
     assert len(calls) == 100 and sum(best is None for best, _ in calls) <= 2
+    calls.clear()
+    passes.clear()
+    characterize(H_REF, default_plans(H_REF, 200, 10), seed=0)
+    assert passes == [4] and len(calls) == 4
 
 
 def test_float32_kernels_stay_inside_the_screens_bound():
