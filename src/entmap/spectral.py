@@ -8,11 +8,12 @@ simply: qubit 1 reads - with probability sin^2(w t), so fit_line estimates w
 from the binomial likelihood of an input's readout table on its plan's grid
 (Rife & Boorstyn's single-tone maximum-likelihood estimator, applied to
 counts); the endpoint strategy's w comes from its two high-budget rows alone.
-The fit's rate scan, the float32 screen that certifies its best rate, and the
-bounded Brent search are entmap's own; scipy gives xlogy.  fit_lines checks
-all its tables in one pass, seeds and screens lines of one nt and strategy as
-one stack, then steps all their Brent searches in lockstep.  Everything here
-works on arrays and plans; no C^2 series is needed.
+The likelihood, the fit's rate scan, the float32 screen that certifies its
+best rate, and the bounded Brent search are entmap's own, on numpy alone; no
+scipy code runs.  fit_lines checks all its tables in one pass, seeds and
+screens lines of one nt and strategy as one stack, then steps all their Brent
+searches in lockstep.  Everything here works on arrays and plans; no C^2
+series is needed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
+
+# No scipy code runs here.  The bare package is imported only so that its version
+# is in sys.modules: perfbench/worker.py reads sys.modules["scipy"].__version__
+# unguarded after its timed loop, and a desk or endpoint worker imports no runner.
+# Drop this import once that read is guarded (ROADMAP items 1 and 5).
+import scipy
 
 # Sampling margin above Nyquist for the fastest expected spectral line.
 NYQUIST_MARGIN = 1.25
@@ -161,9 +167,13 @@ def _neg_log_likelihood(rates, t: np.ndarray, k: np.ndarray, n: np.ndarray):
     rates is a grid against one line's rows (t, k, n), or one rate per line
     against rows stacked as (lines, rows) arrays; either way each value is
     summed over its own row, so a stacked line's value has its bits alone.
+    Every phase w t must be positive, so that each log is finite and a zero
+    weight adds an exact 0.  Grid and bracket rates and a plan's times are
+    positive, Brent scores only rates strictly inside its bracket, and no
+    double phase rounds sin^2 or cos^2 to 0 (see the certificate above _SCREEN_DS).
     """
     phase = np.asarray(rates)[..., None] * t
-    return -(xlogy(k, np.sin(phase) ** 2) + xlogy(n - k, np.cos(phase) ** 2)).sum(axis=-1)
+    return -(k * np.log(np.sin(phase) ** 2) + (n - k) * np.log(np.cos(phase) ** 2)).sum(axis=-1)
 
 
 def _scan(rates: np.ndarray, t: np.ndarray, k: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -195,17 +205,18 @@ def _scan(rates: np.ndarray, t: np.ndarray, k: np.ndarray, n: np.ndarray) -> np.
 # logs with narrowed weights.  The headroom left holds _scan's own float64 rounding, so
 # a rate whose lower bound exceeds the candidate's exact score times 1 + _SCREEN_SLACK
 # cannot win the exact scan, and no exact tie is ever certified.
-# The candidate's exact score is _scan's float64 terms at its rate (the same products, sin,
-# cos and log), k log sin^2 + f log cos^2 added row by row and summed over each line's own
-# rows, where _scan takes two matmuls over the rows each term weighs.  A grid's phases are
-# at least pi/(4 nt), and no double lies near enough a multiple of pi/2 for sin^2 or cos^2
-# to round to 0, so each log is finite and a zero weight adds an exact 0 (were one not,
-# the score would be inf or NaN, and the line declined).  The terms share one sign, so
-# either sum lies within (rows + 1) 2**-53 of their exact total, and the two within
-# 2 (rows + 1) 2**-53 of each other: under 9.1e-13 at the 4096 rows a stack admits
-# (_STACK_ROWS), which _SCREEN_SLACK covers alone.  At any row count, a lone line's
-# included, the unused half of the radius's second term, (rows + 8) 2**-24 approx, covers
-# it over 2**27 times, since a rate that clears the bound has approx above that score.
+# The candidate's exact score is _neg_log_likelihood at its rate, the expression Brent scores
+# by: _scan's float64 terms (the same products, sin, cos and log), k log sin^2 + f log cos^2
+# added row by row and summed over each line's own rows, where _scan takes two matmuls over
+# the rows each term weighs.  A grid's phases are at least pi/(4 nt), and no double lies
+# near enough a multiple of pi/2 for sin^2 or cos^2 to round to 0, so each log is finite
+# and a zero weight adds an exact 0 (were one not, the score would be inf or NaN, and the
+# line declined).  The terms share one sign, so either sum lies within (rows + 1) 2**-53
+# of their exact total, and the two within 2 (rows + 1) 2**-53 of each other: under
+# 9.1e-13 at the 4096 rows a stack admits (_STACK_ROWS), which _SCREEN_SLACK covers
+# alone.  At any row count, a lone line's included, the unused half of the radius's
+# second term, (rows + 8) 2**-24 approx, covers it over 2**27 times, since a rate that
+# clears the bound has approx above that score.
 # The phases are reduced _SCREEN_BLOCK rates at a time, so the screen never holds more
 # than two float32 (lines, rates, rows) arrays, or one and a block's two float64 arrays.
 _SCREEN_DS = 2.0**-21
@@ -257,10 +268,8 @@ def _screen(rates: np.ndarray, t: np.ndarray, k: np.ndarray, n: np.ndarray):
     lines, best = np.arange(rates.shape[0]), np.argmin(approx + radius, axis=1)
     lower = approx - radius
     lower[lines, best] = np.inf
-    phase = rates[lines, best, None] * t
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = k * np.log(np.sin(phase) ** 2) + fails * np.log(np.cos(phase) ** 2)
-    bound = -terms.sum(axis=1) * (1.0 + _SCREEN_SLACK)
+        bound = _neg_log_likelihood(rates[lines, best], t, k, n) * (1.0 + _SCREEN_SLACK)
     certified = (top < _SCREEN_MAX_PHASE) & np.all(lower > bound[:, None], axis=1)
     return np.where(certified, best, None).reshape(lead).tolist()
 

@@ -480,7 +480,7 @@ def traced_peak(call) -> int:
 
 
 def test_characterize_traced_memory_per_time_point_stays_at_the_fits_level():
-    """About 0.61 kB per point at nt = 2**14, ne = 10, sampled; recording the four inputs unblocked reaches 3.9 kB.
+    """About 0.62 kB per point at nt = 2**14, ne = 10, sampled; recording the four inputs unblocked reaches 3.9 kB.
 
     The bound is the 0.76 kB per point (191 B per recorded point) the full
     float64 rate scan peaked at, plus 2%.

@@ -1,9 +1,12 @@
 """Unit tests for observation planning, DFT peaks, and the likelihood line fit."""
 
+import ast
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -284,12 +287,76 @@ def test_bounded_brent_returns_scipys_minimizer_bit_for_bit(monkeypatch):
         assert float(oracle).hex() == x.hex(), (a, b)
 
 
+def xlogy_likelihood(rates, t, k, n):
+    """_neg_log_likelihood scored by scipy's xlogy, which takes 0 log 0 as 0 (the oracle for both log kernels)."""
+    from scipy.special import xlogy  # entmap itself never imports scipy.special
+
+    phase = np.asarray(rates)[..., None] * t
+    return -(xlogy(k, np.sin(phase) ** 2) + xlogy(n - k, np.cos(phase) ** 2)).sum(axis=-1)
+
+
 def test_scan_picks_the_grid_rate_the_xlogy_likelihood_picks(monkeypatch):
     """fit_line gives the same estimates, to the bit, when its scans score by the xlogy likelihood instead."""
     tables = list(line_tables())
     scanned = [fit_line(plan, table) for plan, table in tables]
-    monkeypatch.setattr(spectral, "_scan", spectral._neg_log_likelihood)
+    monkeypatch.setattr(spectral, "_scan", xlogy_likelihood)
     assert [fit_line(plan, table) for plan, table in tables] == scanned
+
+
+def test_fits_match_the_xlogy_likelihood_to_1e_11(monkeypatch):
+    """Scoring by numpy's log instead of xlogy moves no fit past its last few bits.
+
+    numpy's SIMD log can differ from libm's in the last bit, so Brent may
+    step to another double; every line keeps its None-ness and its rate
+    within 1e-11 relative.
+    """
+    lines = [*line_tables(), *desk_lines(range(50)), *endpoint_lines(range(50))]
+    shipped = fit_lines(lines)
+    monkeypatch.setattr(spectral, "_neg_log_likelihood", xlogy_likelihood)
+    oracle = fit_lines(lines)
+    assert [fit is None for fit in shipped] == [fit is None for fit in oracle]
+    pairs = [(fit.omega_hat, slow.omega_hat) for fit, slow in zip(shipped, oracle) if fit is not None]
+    assert len(pairs) > 400
+    for w, w_oracle in pairs:
+        assert w == pytest.approx(w_oracle, rel=1e-11, abs=0.0)
+
+
+def test_brent_never_scores_the_clamped_edge_of_an_endpoint_polish(monkeypatch):
+    """A polish grid clamped at rate 0 fits with no RuntimeWarning: Brent scores no phase of 0.
+
+    The lines are endpoint lines at nt = 8, planned from a 3.5x guess, whose
+    polish grids start at 0.  In one, the endpoint rows read no success, so
+    the polish brackets [0, rate] and Brent walks towards 0 without scoring
+    it; the likelihood of a zero phase is not finite.
+    """
+    drive, scan, solves, starts = spectral._lockstep_brent, spectral._scan, [], []
+
+    def recorded_brent(batch):
+        found = drive(batch)
+        solves.extend(zip(batch, found))
+        return found
+
+    def recorded_scan(rates, *rows):
+        starts.append(float(rates[0]))
+        return scan(rates, *rows)
+
+    monkeypatch.setattr(spectral, "_lockstep_brent", recorded_brent)
+    monkeypatch.setattr(spectral, "_scan", recorded_scan)
+    plan = plan_observation(3.5 * 0.6, 8, 987, "endpoint")
+    tables = [simulate_series(H_REF, PSI1, plan, seed).counts.astype(float) for seed in range(3)]
+    silent = tables[2].copy()
+    silent[-2:, 0] += silent[-2:, spectral.SUCCESS_OUTCOMES].sum(axis=1)
+    silent[-2:, spectral.SUCCESS_OUTCOMES] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fits = fit_lines([(plan, table) for table in [*tables, silent]])
+    assert None not in fits and starts.count(0.0) >= 3
+    edge = [(rows, b, x) for (rows, a, b), x in solves if a == 0.0]
+    assert len(edge) == 1
+    (rows, b, x), = edge
+    assert 0.0 < x < b and fits[-1].omega_hat == x
+    with pytest.warns(RuntimeWarning):
+        assert not np.isfinite(spectral._neg_log_likelihood(0.0, *rows))
 
 
 def test_fit_line_rejects_cells_it_cannot_fit():
@@ -548,8 +615,14 @@ def test_lockstep_brent_gives_each_lane_the_bits_it_gets_alone(monkeypatch):
     assert [drive([search])[0].hex() for search in searches] == [x.hex() for x, _ in alone]
 
 
+def fresh_interpreter(code):
+    """stdout of code run by a fresh interpreter that imports entmap from this source tree."""
+    env = {**os.environ, "PYTHONPATH": str(Path(spectral.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
 def test_importing_entmap_loads_no_scipy_optimize():
-    """A fresh interpreter imports recon, then runner, with scipy (for scipy.special) but without scipy.optimize.
+    """A fresh interpreter imports recon, then runner, with the bare scipy package but without scipy.optimize.
 
     recon is checked alone first: the benchmark's desk and endpoint workers
     import no runner, and perfbench/worker.py:306 reads scipy's version from
@@ -558,9 +631,46 @@ def test_importing_entmap_loads_no_scipy_optimize():
     """
     probe = "print('scipy' in sys.modules, 'scipy.optimize' in sys.modules)"
     code = f"import sys, entmap.recon; {probe}; import entmap.runner; {probe}"
-    env = {**os.environ, "PYTHONPATH": str(Path(spectral.__file__).resolve().parents[1])}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert run.stdout.split() == ["True", "False", "True", "False"]
+    assert fresh_interpreter(code).split() == ["True", "False", "True", "False"]
+
+
+def test_importing_entmap_loads_no_scipy_module_a_bare_import_does_not():
+    """recon, then runner, load neither scipy.special nor scipy.optimize, nor any scipy module `import scipy` does not."""
+    probe = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    bare = set(fresh_interpreter(f"import sys, scipy; {probe}").split())
+    recon, runner = fresh_interpreter(f"import sys, entmap.recon; {probe}; import entmap.runner; {probe}").splitlines()
+    assert "scipy.version" in bare
+    for loaded in (set(recon.split()), set(runner.split())):
+        assert not loaded & {"scipy.special", "scipy.optimize"}
+        assert loaded <= bare, sorted(loaded - bare)
+
+
+def test_entmap_imports_only_declared_packages_and_no_scipy_submodule():
+    """Every third-party module src/entmap imports is a pyproject dependency, and scipy is imported bare.
+
+    A heavy import (scipy.special loads about 17 MB and 0.2 s) then fails
+    here, not in the benchmark.
+    """
+    src = Path(spectral.__file__).resolve().parent
+    pyproject = (src.parents[1] / "pyproject.toml").read_text()
+    listed = re.search(r"^dependencies = \[(.*?)^\]", pyproject, re.M | re.S).group(1)
+    declared = {re.match(r"[A-Za-z0-9_.-]+", name).group(0).lower() for name in re.findall(r'"([^"]+)"', listed)}
+    imported = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+                assert node.module.split(".")[0] != "scipy", f"{path.name}:{node.lineno} imports from {node.module}"
+            else:
+                continue
+            for name in names:
+                assert not name.startswith("scipy."), f"{path.name}:{node.lineno} imports {name}"
+                imported.setdefault(name.split(".")[0], f"{path.name}:{node.lineno}")
+    third_party = {name: where for name, where in imported.items() if name not in sys.stdlib_module_names | {"entmap"}}
+    assert {"numpy", "scipy"} <= third_party.keys()
+    assert {name: where for name, where in third_party.items() if name not in declared} == {}
 
 
 def test_cosine_amplitudes_recovers_known_mixture():
