@@ -58,9 +58,9 @@ from .spectral import (
 DEFAULT_NT = 200
 DEFAULT_NE = 10
 DEFAULT_OUT = "runs/run"
-# Largest nt: characterize peaks near 0.62 kB of traced memory per time point
+# Largest nt: characterize peaks near 0.60 kB of traced memory per time point
 # (default plans, ne = 10, sampled; the float32 rate screen of one line, screened
-# alone, holds the peak), about 0.65 GB at 2**20 points.  ne is bounded by gateerr.MAX_NE.
+# alone, holds the peak), about 0.63 GB at 2**20 points.  ne is bounded by gateerr.MAX_NE.
 MAX_NT = 2**20
 # Most log-spaced budgets one gate-error sweep may ask for.
 MAX_NE_COUNT = 2**16
@@ -369,6 +369,8 @@ def _read_series_csv(path: Path, expected_hash: str, input_id: str) -> Concurren
             raise ConfigError(f"{path}:{lineno}: expected {SERIES_HEADER} as numbers, got {line!r}") from None
         if any(counts[:own] + counts[own + 1 :]):
             raise ConfigError(f"{path}:{lineno}: {input_id} reads shots_{channel}; the others must be 0")
+        if abs(counts[own]) >= 2**63:
+            raise ConfigError(f"{path}:{lineno}: shots_{channel} {counts[own]} lies outside the int64 range")
         rows.append((lineno, t, c2, counts[own]))
     linenos, times, values, shots = zip(*rows) if rows else ((),) * 4
     times, values = np.array(times, dtype=float), np.array(values, dtype=float)

@@ -10,10 +10,10 @@ from the binomial likelihood of an input's readout table on its plan's grid
 counts); the endpoint strategy's w comes from its two high-budget rows alone.
 The likelihood, the fit's rate scan, the float32 screen that certifies its
 best rate, and the bounded Brent search are entmap's own, on numpy alone; no
-scipy code runs.  fit_lines checks all its tables in one pass, seeds and
-screens lines of one nt and strategy as one stack, then steps all their Brent
-searches in lockstep.  Everything here works on arrays and plans; no C^2
-series is needed.
+scipy code runs.  fit_lines checks all its tables in one pass, then fits
+lines of one nt and strategy as one stack in one pass, from rfft seed to
+Brent, whose searches step in lockstep.  Everything here works on arrays and
+plans; no C^2 series is needed.
 """
 
 from __future__ import annotations
@@ -226,20 +226,16 @@ _SCREEN_MAX_PHASE = 2.0**30
 _SCREEN_BLOCK = 14
 
 
-def _screen(rates: np.ndarray, t: np.ndarray, k: np.ndarray, n: np.ndarray):
-    """Per line, int(np.argmin(_scan(rates, t, k, n))) when a float32 scan certifies it, else None.
+def _screen(rates: np.ndarray, t: np.ndarray, k: np.ndarray, n: np.ndarray) -> list:
+    """Per line, int(np.argmin(_scan(rates[j], t[j], k[j], n[j]))) when a float32 scan certifies it, else None.
 
-    rates is one line's grid against its rows t, k and n, or a stack of
-    grids (..., rates) against rows (..., rows), each line scored on its
-    own rows; the result is an index or None, or a list of them.  A line's
-    rates and t are positive and increasing (a rate grid and a plan's
-    times), so its largest phase is its last.  Its candidate minimizes the
-    float32 upper bound approx + radius, and every other rate's float32
-    lower bound approx - radius must clear the candidate's exact float64
-    score (see the constants above).
+    rates is a stack of grids (lines, rates) against rows (lines, rows), each
+    line scored on its own rows.  A line's rates and t are positive and
+    increasing (a rate grid and a plan's times), so its largest phase is its
+    last.  Its candidate minimizes the float32 upper bound approx + radius,
+    and every other rate's float32 lower bound approx - radius must clear the
+    candidate's exact float64 score (see the constants above).
     """
-    lead = rates.shape[:-1]
-    rates, t, k, n = (column.reshape(-1, column.shape[-1]) for column in (rates, t, k, n))
     top = rates[:, -1] * t[:, -1]
     r = np.empty(rates.shape + t.shape[-1:], dtype=np.float32)
     for start in range(0, rates.shape[1], _SCREEN_BLOCK):
@@ -271,7 +267,7 @@ def _screen(rates: np.ndarray, t: np.ndarray, k: np.ndarray, n: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = _neg_log_likelihood(rates[lines, best], t, k, n) * (1.0 + _SCREEN_SLACK)
     certified = (top < _SCREEN_MAX_PHASE) & np.all(lower > bound[:, None], axis=1)
-    return np.where(certified, best, None).reshape(lead).tolist()
+    return np.where(certified, best, None).tolist()
 
 
 # scipy's bounded minimize_scalar constants, its evaluation cap, and the xatol fit_lines asks of it.
@@ -329,46 +325,42 @@ def _bounded_brent(a: float, b: float):
     return xf
 
 
-def _lockstep_brent(searches: list[tuple[tuple, float, float]]) -> list[float]:
-    """_bounded_brent's minimizer of -log L on rows = (t, k, n) in [a, b], for each (rows, a, b) in searches.
+def _lockstep_brent(t: np.ndarray, k: np.ndarray, n: np.ndarray, a: list[float], b: list[float]) -> list[float]:
+    """_bounded_brent's minimizer of -log L on each line's rows (t[j], k[j], n[j]) in [a[j], b[j]].
 
-    Searches over the same number of rows step together: each step takes
-    every pending search's f(x) from one _neg_log_likelihood call on their
-    stacked rows.  A stacked row's value has the bits of that row alone, so
-    every search returns what it would alone.  Rows are never padded.
+    t, k and n are one stack's (lines, rows) arrays.  The searches step
+    together: each step takes every pending line's f(x) from one
+    _neg_log_likelihood call on their rows.  A stacked row's value has the
+    bits of that row alone, so every line gets the x it would get alone.
     """
-    found = [0.0] * len(searches)
-    groups: dict[int, list[int]] = {}
-    for lane, (rows, _, _) in enumerate(searches):
-        groups.setdefault(rows[0].size, []).append(lane)
-    for lanes in groups.values():
-        t, k, n = (np.stack(column) for column in zip(*(searches[lane][0] for lane in lanes)))
-        steps = [_bounded_brent(*searches[lane][1:]) for lane in lanes]
-        x = np.array([next(step) for step in steps])
-        while lanes:
-            live = []
-            for j, value in enumerate(_neg_log_likelihood(x, t, k, n).tolist()):
-                try:
-                    x[j] = steps[j].send(value)
-                    live.append(j)
-                except StopIteration as stop:
-                    found[lanes[j]] = stop.value
-            if len(live) < len(lanes):
-                t, k, n, x = t[live], k[live], n[live], x[live]
-                lanes, steps = [lanes[j] for j in live], [steps[j] for j in live]
+    steps = [_bounded_brent(lo, hi) for lo, hi in zip(a, b)]
+    lanes, found = list(range(len(steps))), [0.0] * len(steps)
+    x = np.array([next(step) for step in steps])
+    while lanes:
+        live = []
+        for j, value in enumerate(_neg_log_likelihood(x, t, k, n).tolist()):
+            try:
+                x[j] = steps[j].send(value)
+                live.append(j)
+            except StopIteration as stop:
+                found[lanes[j]] = stop.value
+        if len(live) < len(lanes):
+            t, k, n, x = t[live], k[live], n[live], x[live]
+            lanes, steps = [lanes[j] for j in live], [steps[j] for j in live]
     return found
 
 
-def _bracket(rows: tuple, rates: np.ndarray, best: int) -> tuple[tuple, float, float]:
-    """A _lockstep_brent search on rows between the neighbours of rates[best]."""
-    return rows, float(rates[max(best - 1, 0)]), float(rates[min(best + 1, rates.size - 1)])
+def _neighbours(grid: np.ndarray, best: list[int]) -> tuple[list[float], list[float]]:
+    """(a, b): each line's rates either side of grid[j, best[j]], clamped to its grid's ends."""
+    lines, best = np.arange(grid.shape[0]), np.asarray(best)
+    return grid[lines, np.maximum(best - 1, 0)].tolist(), grid[lines, np.minimum(best + 1, grid.shape[1] - 1)].tolist()
 
 
 # The anchor scan's 41 rates, in bins of the rfft seed around it.
 _GRID_BINS = np.linspace(-0.75, 0.75, 41)
 
-# Most table rows one stacked anchor pass takes: lines of one nt and strategy are
-# seeded and screened together up to this many rows, and a longer line alone.
+# Most table rows one stack takes: lines of one nt and strategy are fitted
+# together up to this many rows, and a longer line alone.
 _STACK_ROWS = 4096
 
 
@@ -413,16 +405,26 @@ def _stacks(plans: list[SamplingPlan]) -> list[tuple[list[int], np.ndarray]]:
     return [(stack, starts[stack, None] + np.arange(plans[stack[0]].nt)) for stack in stacks]
 
 
-def _anchor_searches(plans: list[SamplingPlan], k: np.ndarray, n: np.ndarray) -> list[tuple | None]:
-    """(seed line, anchor search, endpoint rows or None) of each stacked line, as fit_lines describes.
+def _endpoint_grid(t: np.ndarray, n: np.ndarray, ends: list, w_a: float) -> tuple[np.ndarray, int]:
+    """The 41 rates within 6 sigma_a of w_a, and which -log L mode of the ends rows the anchor rows t, n favour."""
+    sigma_a = 0.5 / math.sqrt(float(n @ t**2))
+    grid = np.linspace(max(w_a - 6.0 * sigma_a, 0.0), w_a + 6.0 * sigma_a, 41)
+    f = _scan(grid, *ends)
+    inf = np.array([np.inf])
+    mode = (f <= np.concatenate((inf, f[:-1]))) & (f <= np.concatenate((f[1:], inf)))
+    return grid, int(np.argmin(np.where(mode, f + 0.5 * ((grid - w_a) / sigma_a) ** 2, np.inf)))
+
+
+def _fit_stack(plans: list[SamplingPlan], k: np.ndarray, n: np.ndarray) -> list[FrequencyEstimate | None]:
+    """Each stacked line's estimate, or None, as fit_lines describes.
 
     plans share nt and strategy, and k and n are their (lines, nt) rows.  A
-    line whose k/n averages below DEGENERATE_MEAN has None.  The scan's
-    best rate is _screen's when it certifies one, else the full _scan's.
+    line whose k/n averages below DEGENERATE_MEAN is None.  The scan's best
+    rate is _screen's when it certifies one, else the full _scan's.
     """
     ratio = k / n
     live = np.flatnonzero(ratio.sum(axis=1) / ratio.shape[1] >= DEGENERATE_MEAN)
-    found: list[tuple | None] = [None] * len(plans)
+    found: list[FrequencyEstimate | None] = [None] * len(plans)
     if live.size == 0:
         return found
     if live.size < len(plans):
@@ -435,24 +437,19 @@ def _anchor_searches(plans: list[SamplingPlan], k: np.ndarray, n: np.ndarray) ->
     fit = slice(0, -2) if polish else slice(None)
     rows = (t[:, fit], k[:, fit], n[:, fit])
     grids = (seeds[:, None] + widths[:, None] * _GRID_BINS) / 2.0
-    for j, (line, seed_line, best) in enumerate(zip(live, seeds.tolist(), _screen(grids, *rows))):
-        anchor = tuple(column[j] for column in rows)
-        if best is None:
-            best = int(np.argmin(_scan(grids[j], *anchor)))
-        ends = (t[j, -2:], k[j, -2:], n[j, -2:]) if polish else None
-        found[line] = (seed_line, _bracket(anchor, grids[j], best), ends)
+    best = [
+        int(np.argmin(_scan(grids[j], *(column[j] for column in rows)))) if pick is None else pick
+        for j, pick in enumerate(_screen(grids, *rows))
+    ]
+    rates = _lockstep_brent(*rows, *_neighbours(grids, best))
+    if polish:
+        ends = (t[:, -2:], k[:, -2:], n[:, -2:])
+        picks = (_endpoint_grid(t[j, fit], n[j, fit], [end[j] for end in ends], w) for j, w in enumerate(rates))
+        grids, best = zip(*picks)
+        rates = _lockstep_brent(*ends, *_neighbours(np.array(grids), best))
+    for line, seed_line, w in zip(live.tolist(), seeds.tolist(), rates):
+        found[line] = FrequencyEstimate(w, resolution_epsilon(plans[line].nt, plans[line].ne), 2.0 * seed_line)
     return found
-
-
-def _endpoint_search(anchor: tuple, ends: tuple, w_a: float) -> tuple[tuple, float, float]:
-    """The endpoint rows' search around the -log L mode, within 6 sigma_a of w_a, that the anchor rows favour."""
-    t, _, n = anchor
-    sigma_a = 0.5 / math.sqrt(float(n @ t**2))
-    grid = np.linspace(max(w_a - 6.0 * sigma_a, 0.0), w_a + 6.0 * sigma_a, 41)
-    f = _scan(grid, *ends)
-    inf = np.array([np.inf])
-    mode = (f <= np.concatenate((inf, f[:-1]))) & (f <= np.concatenate((f[1:], inf)))
-    return _bracket(ends, grid, int(np.argmin(np.where(mode, f + 0.5 * ((grid - w_a) / sigma_a) ** 2, np.inf))))
 
 
 def fit_lines(lines: list[tuple[SamplingPlan, object]]) -> list[FrequencyEstimate | None]:
@@ -472,37 +469,22 @@ def fit_lines(lines: list[tuple[SamplingPlan, object]]) -> list[FrequencyEstimat
     -log L modes within 6 sigma_a of w_a, it refines the one the interior
     rows favour, by (w - w_a)^2 / (2 sigma_a^2) to second order, sigma_a =
     1/(2*sqrt(sum n_j t_j^2)) being their Fisher sigma.  All tables are
-    checked in one pass, and lines of one nt and strategy are seeded and
-    screened as one stack, up to _STACK_ROWS rows together (a longer line
-    alone); all lines' anchor searches then run in lockstep, then their
-    endpoint searches, and each line gets the bits it would get alone.  A
-    bad table is a ValueError naming its position in lines and its first
-    bad row.  A line is None when k/n averages below DEGENERATE_MEAN (the
-    combination is 0), otherwise omega_hat = w with the resolution figure
-    4/(nt*sqrt(ne)).
+    checked in one pass.  Lines of one nt and strategy are then fitted as
+    one stack, up to _STACK_ROWS rows together (a longer line alone), in
+    one pass from seed to Brent whose searches step in lockstep; each line
+    gets the bits it would get alone.  A bad table is a ValueError naming
+    its position in lines and its first bad row.  A line is None when k/n
+    averages below DEGENERATE_MEAN (the combination is 0), otherwise
+    omega_hat = w with the resolution figure 4/(nt*sqrt(ne)).
     """
     k, n = _line_rows(lines)
     # The stacks' copies replace the concatenated rows, so each row is held once.
     stacks = [(stack, k[rows], n[rows]) for stack, rows in _stacks([plan for plan, _ in lines])]
     del k, n
-    anchors: list[tuple | None] = [None] * len(lines)
+    fits = {}
     for stack, k_rows, n_rows in stacks:
-        for i, anchor in zip(stack, _anchor_searches([lines[i][0] for i in stack], k_rows, n_rows)):
-            anchors[i] = anchor
-    live = [(plan, *anchor) for (plan, _), anchor in zip(lines, anchors) if anchor is not None]
-    rates = _lockstep_brent([search for _, _, search, _ in live])
-    polished = [
-        (i, _endpoint_search(anchor[0], ends, rates[i]))
-        for i, (_, _, anchor, ends) in enumerate(live)
-        if ends is not None
-    ]
-    for (i, _), w in zip(polished, _lockstep_brent([search for _, search in polished])):
-        rates[i] = w
-    estimates = iter(
-        FrequencyEstimate(w, resolution_epsilon(plan.nt, plan.ne), 2.0 * seed_line)
-        for (plan, seed_line, *_), w in zip(live, rates)
-    )
-    return [None if anchor is None else next(estimates) for anchor in anchors]
+        fits.update(zip(stack, _fit_stack([lines[i][0] for i in stack], k_rows, n_rows)))
+    return [fits[i] for i in range(len(lines))]
 
 
 def fit_line(plan: SamplingPlan, table) -> FrequencyEstimate | None:

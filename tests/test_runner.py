@@ -414,6 +414,7 @@ BAD_INPUT_CASES = [
     ("nan", _series_line_edit(1, "nan"), "series_psi1.csv:4:"),
     ("c2 above one", _series_line_edit(1, "1.5"), "series_psi1.csv:4:"),
     ("negative shots", _series_line_edit(2, "-1"), "series_psi1.csv:4:"),
+    ("shots 2**63", _series_line_edit(2, str(2**63)), "series_psi1.csv:4:"),
     ("off-grid time", _series_line_edit(0, lambda t: repr(float(t) * 1.01)), "series_psi1.csv:4:"),
     ("shots in the other channel", _series_line_edit(3, "5"), "series_psi1.csv:4:"),
     ("not UTF-8", _series_line_edit(1, lambda c2: c2 + "\udcff"), "series_psi1.csv:"),

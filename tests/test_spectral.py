@@ -270,10 +270,10 @@ def test_bounded_brent_returns_scipys_minimizer_bit_for_bit(monkeypatch):
 
     drive, solves = spectral._lockstep_brent, []
 
-    def recorded(searches):
-        found = drive(searches)
-        for (rows, a, b), x in zip(searches, found):
-            solves.append((lambda w, rows=rows: spectral._neg_log_likelihood(w, *rows), a, b, x))
+    def recorded(t, k, n, a, b):
+        found = drive(t, k, n, a, b)
+        for rows, lo, hi, x in zip(zip(t, k, n), a, b, found):
+            solves.append((lambda w, rows=rows: spectral._neg_log_likelihood(w, *rows), lo, hi, x))
         return found
 
     monkeypatch.setattr(spectral, "_lockstep_brent", recorded)
@@ -331,9 +331,9 @@ def test_brent_never_scores_the_clamped_edge_of_an_endpoint_polish(monkeypatch):
     """
     drive, scan, solves, starts = spectral._lockstep_brent, spectral._scan, [], []
 
-    def recorded_brent(batch):
-        found = drive(batch)
-        solves.extend(zip(batch, found))
+    def recorded_brent(t, k, n, a, b):
+        found = drive(t, k, n, a, b)
+        solves.extend(zip(zip(t, k, n), a, b, found))
         return found
 
     def recorded_scan(rates, *rows):
@@ -351,7 +351,7 @@ def test_brent_never_scores_the_clamped_edge_of_an_endpoint_polish(monkeypatch):
         warnings.simplefilter("error", RuntimeWarning)
         fits = fit_lines([(plan, table) for table in [*tables, silent]])
     assert None not in fits and starts.count(0.0) >= 3
-    edge = [(rows, b, x) for (rows, a, b), x in solves if a == 0.0]
+    edge = [(rows, b, x) for rows, a, b, x in solves if a == 0.0]
     assert len(edge) == 1
     (rows, b, x), = edge
     assert 0.0 < x < b and fits[-1].omega_hat == x
@@ -520,12 +520,12 @@ def test_screen_declines_a_near_tie_and_phases_past_its_bound():
     rates = 0.6 + 1e-3 * (np.arange(41) - 20.5)
     scores = spectral._scan(rates, t, k, n)
     assert abs(scores[21] - scores[20]) < 1e-5 * scores[20]
-    assert spectral._screen(rates, t, k, n) is None
+    assert spectral._screen(rates[None], t[None], k[None], n[None]) == [None]
     for top, certified in ((2.0**30, None), (0.999 * 2.0**30, 3)):
         far = top / t[-1] * (1.0 - 1e-3 * np.arange(40, -1, -1))
         k_far = np.sin(far[3] * t) ** 2
         assert np.argmin(spectral._scan(far, t, k_far, n)) == 3
-        assert spectral._screen(far, t, k_far, n) == certified
+        assert spectral._screen(far[None], t[None], k_far[None], n[None]) == [certified]
 
 
 def test_fit_lines_from_the_full_scan_alone_are_unchanged(monkeypatch):
@@ -583,9 +583,8 @@ def test_float32_kernels_stay_inside_the_screens_bound():
     assert np.all(np.abs(log - np.log(inverse.astype(float))) <= 2.0**-21 * np.log(inverse.astype(float)))
 
 
-def drive_alone(search):
+def drive_alone(rows, a, b):
     """(x, evaluations) of one search driven by hand on its 1-D rows, one scalar f(x) at a time."""
-    rows, a, b = search
     steps, evaluations = spectral._bounded_brent(a, b), 0
     x = next(steps)
     while True:
@@ -597,22 +596,24 @@ def drive_alone(search):
 
 
 def test_lockstep_brent_gives_each_lane_the_bits_it_gets_alone(monkeypatch):
-    """Stacked searches (several row counts, lanes finishing on different steps) return each lane's own x."""
-    drive, searches = spectral._lockstep_brent, []
+    """Each stack's searches, stepped together (lanes finishing on different steps), return each lane's own x."""
+    drive, batches = spectral._lockstep_brent, []
 
-    def recorded(batch):
-        searches.extend(batch)
-        return drive(batch)
+    def recorded(*batch):
+        batches.append(batch)
+        return drive(*batch)
 
     monkeypatch.setattr(spectral, "_lockstep_brent", recorded)
     fit_lines(list(desk_lines(range(4))) + list(endpoint_lines(range(4))))
-    assert len({rows[0].size for rows, _, _ in searches}) == 3  # desk 200, endpoint anchors 398, endpoint pairs 2
-    alone = [drive_alone(search) for search in searches]
-    desk_steps = {evaluations for (rows, _, _), (_, evaluations) in zip(searches, alone) if rows[0].size == 200}
-    assert len(desk_steps) > 1  # the 16 desk lanes, stepped together, stop after different numbers of steps
-    together = drive(searches)
-    assert [x.hex() for x in together] == [x.hex() for x, _ in alone]
-    assert [drive([search])[0].hex() for search in searches] == [x.hex() for x, _ in alone]
+    # The desk stack (200 rows), then the endpoint stack's anchors (398 rows) and its endpoint pairs.
+    assert [t.shape for t, *_ in batches] == [(16, 200), (4, 398), (4, 2)]
+    for t, k, n, a, b in batches:
+        alone = [drive_alone(rows, lo, hi) for rows, lo, hi in zip(zip(t, k, n), a, b)]
+        assert [x.hex() for x in drive(t, k, n, a, b)] == [x.hex() for x, _ in alone]
+        lanes = [drive(t[j : j + 1], k[j : j + 1], n[j : j + 1], a[j : j + 1], b[j : j + 1])[0] for j in range(len(a))]
+        assert [x.hex() for x in lanes] == [x.hex() for x, _ in alone]
+        if t.shape[1] == 200:
+            assert len({evaluations for _, evaluations in alone}) > 1  # the 16 desk lanes stop on different steps
 
 
 def fresh_interpreter(code):
