@@ -122,6 +122,8 @@ _MASK32 = 0xFFFFFFFF
 # (high, low) limbs; a 128-bit number is always carried as such a limb pair.
 _PCG_MULT = (np.uint64(2549297995355413924), np.uint64(4865540595714422341))
 _LOW32 = np.uint64(_MASK32)
+# Shift counts as uint64 scalars, built once rather than on every limb op.
+_U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(k) for k in (1, 11, 32, 58, 63, 64))
 
 # numpy's random_binomial draws by inversion while min(p, 1 - p) * n <= 30
 # (numpy/random/src/distributions/distributions.c), so every binomial of a
@@ -153,14 +155,33 @@ def _hash_chain(start: int, mult: int, n: int) -> list[int]:
     return chain
 
 
-def _hashmix(value, xor_const, mult_const):
-    # Works on Python ints and on uint32 arrays alike; the mask is a no-op on the arrays.
+# The constants of n hashes are the first n + 1 of any longer chain, so these serve every seed of
+# at most _POOL_SIZE words with its three spawn-key words; a longer seed builds a longer chain.
+_CHAIN_A = _hash_chain(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + 3))
+_CHAIN_A_WORDS = np.array(_CHAIN_A, dtype=np.uint32).reshape(-1, 1)
+_CHAIN_B = np.array(_hash_chain(_INIT_B, _MULT_B, 2 * _POOL_SIZE), dtype=np.uint32)
+_CHAIN_B_XOR, _CHAIN_B_MULT = _CHAIN_B[:-1].reshape(2, _POOL_SIZE, 1), _CHAIN_B[1:].reshape(2, _POOL_SIZE, 1)
+
+
+def _hashmix(value: int, xor_const: int, mult_const: int) -> int:
     value = (value ^ xor_const) * mult_const & _MASK32
     return value ^ (value >> _XSHIFT)
 
 
-def _mix(x, y):
+def _mix(x: int, y: int) -> int:
     result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> _XSHIFT)
+
+
+def _hashmix_words(words: np.ndarray, xor_const, mult_const) -> np.ndarray:
+    """_hashmix on uint32 arrays, whose products already wrap mod 2**32."""
+    words = (words ^ xor_const) * mult_const
+    return words ^ (words >> _XSHIFT)
+
+
+def _mix_words(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """_mix on uint32 arrays."""
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
     return result ^ (result >> _XSHIFT)
 
 
@@ -170,10 +191,13 @@ def stream_words(master_seed: int, input_id, channel, time_indices) -> np.ndarra
     input_id and channel each name one key for every row or hold one name
     per time index.  Row k equals SeedSequence(master_seed, spawn_key=(input
     k, time_indices[k], channel k)).generate_state(4, np.uint64).  The
-    seed's own words fill and mix the pool once, with Python ints, since
-    they are the same for every row; the spawn-key words are then folded in
-    as uint32 columns, all four pool words at a time, a key named once as a
-    single-row column.
+    seed's own words, and each spawn key ahead of the first that varies by
+    row, are the same for every row: they fill and mix the pool once, with
+    Python ints.  The other keys are folded in as uint32 rows of one word
+    per point, all four pool words at a time, and the pool hashes out to
+    every point's words the same way.  The hash constants come from
+    module-level chains built once, which cover any seed below 2**128; only a
+    longer seed builds a longer chain.
     """
     index = np.asarray(time_indices).reshape(-1)
     if index.dtype.kind not in "iu":
@@ -191,9 +215,15 @@ def stream_words(master_seed: int, input_id, channel, time_indices) -> np.ndarra
     run = _uint32_words(master_seed)
     # With a spawn key, numpy pads the run entropy to the pool size.
     run += [0] * (_POOL_SIZE - len(run))
-    tail = [np.array([[w]], dtype=np.uint32) for w in run[_POOL_SIZE:]]
-    tail += [key.astype(np.uint32).reshape(-1, 1) for key in keys]
-    hc = _hash_chain(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + len(tail)))
+    # A key's words lie along a (1, n) row, so each op's inner loop runs over the points, not the pool.
+    rows = [key.astype(np.uint32).reshape(1, -1) for key in keys]
+    # Keys ahead of the first that varies by point are one word for every point, and join the seed's words.
+    while rows and rows[0].size == 1:
+        run.append(int(rows.pop(0)[0, 0]))
+    hc, consts = _CHAIN_A, _CHAIN_A_WORDS
+    if len(hc) <= _POOL_SIZE * (len(run) + len(rows)):
+        hc = _hash_chain(_INIT_A, _MULT_A, _POOL_SIZE * (len(run) + len(rows)))
+        consts = np.array(hc, dtype=np.uint32).reshape(-1, 1)
     pool = [_hashmix(w, hc[i], hc[i + 1]) for i, w in enumerate(run[:_POOL_SIZE])]
     k = _POOL_SIZE
     for src in range(_POOL_SIZE):
@@ -201,26 +231,28 @@ def stream_words(master_seed: int, input_id, channel, time_indices) -> np.ndarra
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hashmix(pool[src], hc[k], hc[k + 1]))
                 k += 1
-    pool = np.array(pool, dtype=np.uint32)
-    consts = np.array(hc, dtype=np.uint32)
-    for column in tail:
-        pool = _mix(pool, _hashmix(column, consts[k : k + _POOL_SIZE], consts[k + 1 : k + _POOL_SIZE + 1]))
+    for w in run[_POOL_SIZE:]:
+        pool = [_mix(x, _hashmix(w, hc[k + dst], hc[k + dst + 1])) for dst, x in enumerate(pool)]
         k += _POOL_SIZE
-    out_consts = np.array(_hash_chain(_INIT_B, _MULT_B, 2 * _POOL_SIZE), dtype=np.uint32)
-    pool = np.broadcast_to(pool, (index.size, _POOL_SIZE))
-    state = _hashmix(np.tile(pool, 2), out_consts[:-1], out_consts[1:])
+    pool = np.array(pool, dtype=np.uint32).reshape(-1, 1)
+    for row in rows:
+        pool = _mix_words(pool, _hashmix_words(row, consts[k : k + _POOL_SIZE], consts[k + 1 : k + _POOL_SIZE + 1]))
+        k += _POOL_SIZE
+    # The (4, n) pool hashes out twice: (2, 4, n), every point's eight output words in order.
+    state = _hashmix_words(pool, _CHAIN_B_XOR, _CHAIN_B_MULT)
+    state = np.broadcast_to(state, (2, _POOL_SIZE, index.size)).reshape(2 * _POOL_SIZE, index.size)
     # Word pairs read as little-endian uint64s, as generate_state does.
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
 
 
 def _mul64(a, b):
     """Full 128-bit products of uint64 arrays a * b, as (high, low) limbs, from 32-bit halves."""
-    a0, a1 = a & _LOW32, a >> np.uint64(32)
-    b0, b1 = b & _LOW32, b >> np.uint64(32)
+    a0, a1 = a & _LOW32, a >> _U32
+    b0, b1 = b & _LOW32, b >> _U32
     p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> np.uint64(32)) + (p01 & _LOW32) + (p10 & _LOW32)
-    high = a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
-    return high, (mid << np.uint64(32)) | (p00 & _LOW32)
+    mid = (p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    high = a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+    return high, (mid << _U32) | (p00 & _LOW32)
 
 
 def _add128(a, b):
@@ -243,8 +275,7 @@ def _seeded_streams(words) -> np.ndarray:
     state = (inc + (w0, w1)) * MULT + inc.
     """
     w0, w1, w2, w3 = np.asarray(words, dtype=np.uint64).reshape(-1, 4).T
-    one = np.uint64(1)
-    inc = ((w2 << one) | (w3 >> np.uint64(63)), (w3 << one) | one)
+    inc = ((w2 << _U1) | (w3 >> _U63), (w3 << _U1) | _U1)
     state = _lcg_step(_add128(inc, (w0, w1)), inc)
     return np.column_stack(state + inc)
 
@@ -274,9 +305,9 @@ def _stream_doubles(streams: np.ndarray, count: int) -> np.ndarray:
     for i in range(count):
         state = _lcg_step(state, inc)
         x = state[0] ^ state[1]
-        rot = state[0] >> np.uint64(58)
-        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-        doubles[:, i] = (x >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+        rot = state[0] >> _U58
+        x = (x >> rot) | (x << ((_U64 - rot) & _U63))
+        doubles[:, i] = (x >> _U11) * (1.0 / 9007199254740992.0)
     return doubles
 
 
@@ -336,10 +367,13 @@ def _inversion_counts(p: np.ndarray, shots: np.ndarray, doubles: np.ndarray):
     on every row at once, with the same float operations in the same order.
     Each binomial stage works only on the lanes that draw (shots left and a
     non-zero ratio); of those only lanes with p > 0 walk, certified against
-    libm's qn by _inversion_x.  Row j's binomials take their uniforms from
-    doubles[j] in order, one per binomial that draws.  Rows the replay does
-    not cover, where inversion passes its bound and restarts or numpy would
-    leave inversion, are returned in a mask; their counts are not valid.
+    libm's qn by _inversion_x.  A stage whose probability column is zero in
+    every row has no such lane and is skipped.  Row j's binomials take their
+    uniforms from doubles[j] in order, one per binomial that draws, so
+    doubles needs a column per non-zero probability among a row's first
+    three.  Rows the replay does not cover, where inversion passes its bound
+    and restarts or numpy would leave inversion, are returned in a mask;
+    their counts are not valid.
     """
     m = len(p)
     counts = np.zeros((m, 4), dtype=np.int64)
@@ -350,6 +384,8 @@ def _inversion_counts(p: np.ndarray, shots: np.ndarray, doubles: np.ndarray):
     # A spent remainder divides 0/0 or x/0; such lanes draw nothing by inversion, or redraw as numpy leaves it.
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(3):
+            if not p[:, k].any():
+                continue  # a stage of zero ratios has no drawing lane, and remaining -= 0.0 is exact
             ratio = p[:, k] / remaining
             remaining -= p[:, k]
             lanes = np.flatnonzero((left > 0) & (ratio != 0.0))
@@ -379,8 +415,11 @@ def _inversion_counts(p: np.ndarray, shots: np.ndarray, doubles: np.ndarray):
     return counts, redraw
 
 
-def _checked_sampler_input(p: np.ndarray, shots) -> np.ndarray:
-    """Shots as int64 after checking every row of a sampler's input; a ValueError names the first bad row."""
+def _checked_sampler_input(p: np.ndarray, shots) -> tuple[np.ndarray, np.ndarray]:
+    """(shots as int64, row sums of p) after checking every row of a sampler's input.
+
+    A ValueError names the first bad row.
+    """
     shots = np.asarray(shots).reshape(-1)
     if shots.size != len(p):
         raise ValueError(f"need one shot count per probability row, got {shots.size} for {len(p)}")
@@ -388,11 +427,22 @@ def _checked_sampler_input(p: np.ndarray, shots) -> np.ndarray:
     integral = shots.dtype.kind in "iu"
     s = shots if integral else shots.astype(float)
     with np.errstate(invalid="ignore", over="ignore"):
+        # Summed a column at a time, each row's sum has the bits of p.sum(axis=1).
+        sums = sum(p.T)
+        # Every rule holds when these do: a row of probabilities >= 0 with a positive sum has one above 0.
+        # Only a broken rule builds the per-row masks below.
+        if (
+            np.all((s >= 0) & (s < 2**63))
+            and (integral or np.all(s == np.floor(s)))
+            and np.all((sums > 0.0) & (sums < np.inf))
+            and np.all(p >= 0)
+        ):
+            return shots.astype(np.int64), sums
         whole = integral or (np.isfinite(s) & (s == np.floor(s)))
         rules = (
             (~(whole & (s < 2**63)), "shots must be a whole number below 2**63"),
             (s < 0, "shots must be >= 0"),
-            (~np.isfinite(p.sum(axis=1)), "probabilities and their sum must be finite"),
+            (~np.isfinite(sums), "probabilities and their sum must be finite"),
             ((p < 0).any(axis=1), "probabilities must be >= 0"),
             (~(p > 0).any(axis=1), "probabilities are all zero"),
         )
@@ -402,7 +452,7 @@ def _checked_sampler_input(p: np.ndarray, shots) -> np.ndarray:
         j = bad[0]
         reason = rules[int(np.argmax(broken[j]))][1]
         raise ValueError(f"row {j}: {reason}, got shots {shots[j]!r} and probabilities {p[j].tolist()}")
-    return shots.astype(np.int64)
+    return shots.astype(np.int64), sums
 
 
 def sample_counts_batch(probs, shots, master_seed: int, input_id, channel, time_indices=None) -> np.ndarray:
@@ -415,27 +465,31 @@ def sample_counts_batch(probs, shots, master_seed: int, input_id, channel, time_
     Probabilities must be finite and non-negative with a positive sum, shots
     whole and >= 0.  Every point's stream is seeded from one stream_words
     pass.  Rows with at most _INVERSION_SHOTS shots are drawn together with
-    array ops that step PCG64 and replay numpy's binomial inversion, from a
-    qn that numpy's exp and log give and each lane certifies against libm's
-    (only an uncertified lane calls math.log and math.exp); larger rows, and
-    any row whose inversion restarts, are drawn by one generator set to each
-    point's seeded state in turn.
+    array ops that step PCG64 and replay numpy's binomial inversion.  Each
+    stream is stepped once per binomial its block can draw, as many times as
+    the most non-zero probabilities any row has among its first three
+    outcomes.  The replay takes qn from numpy's exp and log, and each lane
+    certifies it against libm's (only an uncertified lane calls math.log and
+    math.exp); larger rows, and any row whose inversion restarts, are drawn
+    by one generator set to each point's seeded state in turn.
     """
     p = np.asarray(probs, dtype=float).reshape(-1, 4)
-    shots = _checked_sampler_input(p, shots)
+    shots, sums = _checked_sampler_input(p, shots)
     index = np.arange(len(p)) if time_indices is None else np.asarray(time_indices).reshape(-1)
     if index.size != len(p):
         raise ValueError(f"need one time index per probability row, got {index.size} for {len(p)}")
-    p = p / p.sum(axis=1, keepdims=True)
+    p = p / sums[:, None]
     streams = _seeded_streams(stream_words(master_seed, input_id, channel, index))
-    per_point = shots > _INVERSION_SHOTS
-    small = np.flatnonzero(~per_point)
+    replay = shots <= _INVERSION_SHOTS
+    # Most blocks replay every row, and a slice then spares three fancy-index copies.
+    small = slice(None) if replay.all() else np.flatnonzero(replay)
     counts = np.empty((len(p), 4), dtype=np.int64)
-    if small.size:
-        # A row draws at most three binomials, one double each.
-        counts[small], redraw = _inversion_counts(p[small], shots[small], _stream_doubles(streams[small], 3))
-        per_point[small[redraw]] = True
-    rows = np.flatnonzero(per_point)
+    if replay.any():
+        # A row draws one double per binomial that can draw: one per non-zero probability of its first three.
+        draws = int(sum(p.T[:3] != 0.0).max())
+        counts[small], redraw = _inversion_counts(p[small], shots[small], _stream_doubles(streams[small], draws))
+        replay[small] = ~redraw
+    rows = np.flatnonzero(~replay)
     rng = None
     for j, stream, n in zip(rows.tolist(), streams[rows].tolist(), shots[rows].tolist()):
         rng = _generator(stream, rng)

@@ -16,7 +16,7 @@ from entmap.measure import (
     stream_words,
 )
 from entmap.qcore import ALL_INPUTS, PSI1, PSI2, PSI3, PSI4, HamiltonianParams, evolve_batch
-from entmap.recon import _record, default_plans
+from entmap.recon import READOUT_CHANNEL, _record, default_plans
 from entmap.spectral import plan_observation
 
 H_REF = HamiltonianParams(1.2, 0.6, 1.4)
@@ -192,9 +192,10 @@ def test_grid_streams_validate_like_point_rng():
         sample_counts_batch(probs, [1, 1, 1], 1, PSI1, "zz", [0, 1])
 
 
-# Entropies on both sides of numpy's uint32-word boundaries, and one that
-# needs more words than the pool holds.
-ENTROPIES = [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, 2**130 + 2**64 + 5]
+# Entropies on both sides of numpy's uint32-word boundaries, and on both
+# sides of the pool's four words: 2**128 is the first seed whose words need a
+# longer hash chain than stream_words keeps.
+ENTROPIES = [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, 2**128 - 1, 2**128, 2**130 + 2**64 + 5]
 
 
 def numpy_seed_sequence(entropy, input_id, time_index, channel):
@@ -348,6 +349,52 @@ def test_sample_counts_batch_equals_numpy_streams_on_random_tables(monkeypatch):
     assert_rows_equal(counts, numpy_counts(probs, shots, 2**64 + 9, PSI2, "zz"))
     # The replay itself draws every row of at most 60 shots.
     assert len(generators) == np.count_nonzero(shots > 60)
+
+
+def count_stream_steps(monkeypatch):
+    """Wrap the PCG64 stepping; returns the list of doubles per stream each call asks for."""
+    steps = []
+    real_stream_doubles = measure._stream_doubles
+
+    def counting_stream_doubles(streams, count):
+        steps.append(count)
+        return real_stream_doubles(streams, count)
+
+    monkeypatch.setattr(measure, "_stream_doubles", counting_stream_doubles)
+    return steps
+
+
+def test_each_stream_steps_once_per_binomial_its_block_can_draw(monkeypatch):
+    """At eta 0, psi1 read in zz has one non-zero outcome among its first three, psi2 two and psi3 (read
+    in xz) three, so their streams step once, twice and three times; a desk record of all four inputs
+    steps three times, and an endpoint psi1 plan whose 1024-shot end rows go to their own generators
+    steps once.  Every record still draws what numpy draws row by row.
+    """
+    steps = count_stream_steps(monkeypatch)
+    desk = default_plans(H_REF, 200, 10)
+    records = [
+        ([(PSI1, desk[PSI1])], 1),
+        ([(PSI2, desk[PSI2])], 2),
+        ([(PSI3, desk[PSI3])], 3),
+        (list(desk.items()), 3),
+        ([(PSI1, plan_observation(2.1, 400, 1024, "endpoint"))], 1),
+    ]
+    for inputs, want in records:
+        steps.clear()
+        table = _record(H_REF, inputs, 7, 0.0, "sampled")
+        assert steps == [want], [input_id for input_id, _ in inputs]
+        start = 0
+        for input_id, plan in inputs:
+            channel = READOUT_CHANNEL[input_id]
+            probs = outcome_probs_batch(evolve_batch(H_REF, prepare_input(input_id), plan.times()), channel)
+            rows = table[start : start + plan.nt]
+            assert_rows_equal(rows, numpy_counts(probs, plan.shots(), 7, input_id, channel))
+            start += plan.nt
+    # Rows whose shots all land in the last outcome draw no binomial and step no stream.
+    steps.clear()
+    counts = sample_counts_batch([[0.0, 0.0, 0.0, 1.0]] * 3, [5, 60, 0], 7, PSI1, "zz")
+    np.testing.assert_array_equal(counts, [[0, 0, 0, 5], [0, 0, 0, 60], [0, 0, 0, 0]])
+    assert steps == [0]
 
 
 def count_walk_lanes(monkeypatch):

@@ -495,6 +495,7 @@ OVERFLOWING_GRIDS = [
     ),
     ("psi1 dt 1e308", {"plans": {"psi1": {"dt": 1e308}}}, "plans.psi1"),
     ("psi1 dt 1e-320", {"plans": {"psi1": {"dt": 1e-320}}}, "plans.psi1"),
+    ("psi1 dt 1e-200", {"plans": {"psi1": {"dt": 1e-200}}}, "plans.psi1"),
 ]
 
 
@@ -503,7 +504,8 @@ OVERFLOWING_GRIDS = [
 def test_grids_that_overflow_float64_exit_2_and_name_their_place(
     tmp_path, monkeypatch, capsys, command, label, edit, where
 ):
-    """A time span nt*dt or bin width 2*pi/(nt*dt) past float64 is a config error for every command."""
+    """A time span nt*dt past float64, or a bin width 2*pi/(nt*dt) above recon.MAX_BIN_WIDTH, is a config
+    error for every command."""
     monkeypatch.delenv("ENTMAP_SEED", raising=False)
     cfg_path = write_config(tmp_path / "cfg.json", plan={"nt": 16, "ne": 4}, mode="sampled", **edit)
     out = tmp_path / "run"
