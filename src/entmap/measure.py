@@ -163,25 +163,14 @@ _CHAIN_B = np.array(_hash_chain(_INIT_B, _MULT_B, 2 * _POOL_SIZE), dtype=np.uint
 _CHAIN_B_XOR, _CHAIN_B_MULT = _CHAIN_B[:-1].reshape(2, _POOL_SIZE, 1), _CHAIN_B[1:].reshape(2, _POOL_SIZE, 1)
 
 
-def _hashmix(value: int, xor_const: int, mult_const: int) -> int:
+def _hashmix(value, xor_const, mult_const):
+    # Works on Python ints and on uint32 arrays alike; the mask is a no-op on the arrays.
     value = (value ^ xor_const) * mult_const & _MASK32
     return value ^ (value >> _XSHIFT)
 
 
-def _mix(x: int, y: int) -> int:
+def _mix(x, y):
     result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ (result >> _XSHIFT)
-
-
-def _hashmix_words(words: np.ndarray, xor_const, mult_const) -> np.ndarray:
-    """_hashmix on uint32 arrays, whose products already wrap mod 2**32."""
-    words = (words ^ xor_const) * mult_const
-    return words ^ (words >> _XSHIFT)
-
-
-def _mix_words(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """_mix on uint32 arrays."""
-    result = _MIX_MULT_L * x - _MIX_MULT_R * y
     return result ^ (result >> _XSHIFT)
 
 
@@ -236,10 +225,10 @@ def stream_words(master_seed: int, input_id, channel, time_indices) -> np.ndarra
         k += _POOL_SIZE
     pool = np.array(pool, dtype=np.uint32).reshape(-1, 1)
     for row in rows:
-        pool = _mix_words(pool, _hashmix_words(row, consts[k : k + _POOL_SIZE], consts[k + 1 : k + _POOL_SIZE + 1]))
+        pool = _mix(pool, _hashmix(row, consts[k : k + _POOL_SIZE], consts[k + 1 : k + _POOL_SIZE + 1]))
         k += _POOL_SIZE
     # The (4, n) pool hashes out twice: (2, 4, n), every point's eight output words in order.
-    state = _hashmix_words(pool, _CHAIN_B_XOR, _CHAIN_B_MULT)
+    state = _hashmix(pool, _CHAIN_B_XOR, _CHAIN_B_MULT)
     state = np.broadcast_to(state, (2, _POOL_SIZE, index.size)).reshape(2 * _POOL_SIZE, index.size)
     # Word pairs read as little-endian uint64s, as generate_state does.
     return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
@@ -439,6 +428,7 @@ def _checked_sampler_input(p: np.ndarray, shots) -> tuple[np.ndarray, np.ndarray
         ):
             return shots.astype(np.int64), sums
         whole = integral or (np.isfinite(s) & (s == np.floor(s)))
+        # Every rule here must also fail the condition above, which returns before these run.
         rules = (
             (~(whole & (s < 2**63)), "shots must be a whole number below 2**63"),
             (s < 0, "shots must be >= 0"),

@@ -44,18 +44,6 @@ READOUT_CHANNEL = {**CHANNEL_FOR_INPUT, PSI5: "xz"}
 # Rows of the stacked record filled per evolve, rotation and sampler call.
 RECORD_BLOCK_ROWS = 4096
 
-# Largest coupling magnitude the pipeline is run on, and largest DFT bin width
-# of a plan.  invert_frequencies squares the quoted sigmas and sums the
-# squares.  A degenerate line quotes bin_width/4, and a fitted line's sigma is
-# at most about a bin width, so the bin width, not the couplings, bounds
-# them: a user-set dt can make it as large as it likes.  A planned grid's bin
-# width is 10*|combination|/nt, at most 5e150 with couplings of MAX_COUPLING,
-# so MAX_BIN_WIDTH admits every planned grid and keeps each square near 1e302
-# or below, far from the float64 maximum (about 1.8e308).
-MAX_COUPLING = 1e150
-MAX_BIN_WIDTH = 8.0 * MAX_COUPLING
-
-
 class InconsistentFrequencyError(RuntimeError):
     """No sign assignment reproduces the measured frequency quad within tolerance."""
 

@@ -37,8 +37,6 @@ from .qcore import (
     sideband_frequencies,
 )
 from .recon import (
-    MAX_BIN_WIDTH,
-    MAX_COUPLING,
     MODES,
     SIGN_CONVENTION,
     SIGN_PATTERNS,
@@ -48,6 +46,7 @@ from .recon import (
     simulate_series,
 )
 from .spectral import (
+    MAX_COUPLING,
     STRATEGIES,
     SamplingPlan,
     cosine_amplitudes,
@@ -266,8 +265,7 @@ def build_plans(cfg: ExperimentConfig, entries: dict | None = None) -> dict[str,
     By default every input gets its plans.<id> override or else the shared
     plan.  An entry without dt is planned around its input's guess from the
     couplings.  A plan SamplingPlan rejects, like couplings with nothing to
-    observe, or a bin width above MAX_BIN_WIDTH, is a config error naming
-    plans.<id> if that entry sets dt, else hamiltonian.
+    observe, is a config error naming plans.<id> if that entry sets dt, else hamiltonian.
     """
     if entries is None:
         entries = {input_id: cfg.payload["plans"].get(input_id, cfg.payload["plan"]) for input_id in INPUT_IDS}
@@ -281,12 +279,6 @@ def build_plans(cfg: ExperimentConfig, entries: dict | None = None) -> dict[str,
                 if "dt" in e
                 else plan_observation(guesses[input_id], e["nt"], e["ne"], e["strategy"])
             )
-            width = plans[input_id].bin_width
-            if not width <= MAX_BIN_WIDTH:
-                raise ValueError(
-                    f"bin width 2*pi/(nt*dt) must be <= {MAX_BIN_WIDTH:g} so the uncertainty propagation "
-                    f"stays finite, got {width!r}"
-                )
     except ValueError as exc:
         raise ConfigError(f"{place}: {exc}") from exc
     return plans

@@ -48,6 +48,18 @@ SUCCESS_OUTCOMES = [2, 3]
 DEGENERATE_MEAN = 0.25
 
 
+# Largest coupling magnitude the pipeline is run on, and largest DFT bin width
+# of a plan.  invert_frequencies squares the quoted sigmas and sums the
+# squares.  A degenerate line quotes bin_width/4, and a fitted line's sigma is
+# at most about a bin width, so the bin width, not the couplings, bounds
+# them: a user-set dt can make it as large as it likes.  A planned grid's bin
+# width is 10*|combination|/nt, at most 5e150 with couplings of MAX_COUPLING,
+# so MAX_BIN_WIDTH admits every planned grid and keeps each square near 1e302
+# or below, far from the float64 maximum (about 1.8e308).
+MAX_COUPLING = 1e150
+MAX_BIN_WIDTH = 8.0 * MAX_COUPLING
+
+
 @dataclass(frozen=True)
 class SamplingPlan:
     """Time grid t_j = j*dt for j = 1..nt, plus the shot budget ne.
@@ -69,8 +81,13 @@ class SamplingPlan:
         if not (isinstance(self.dt, (int, float)) and math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be a positive finite number, got {self.dt!r}")
         span = self.nt * self.dt
-        if not (math.isfinite(span) and math.isfinite(2.0 * math.pi / span)):
-            raise ValueError(f"nt*dt and the bin width 2*pi/(nt*dt) must be finite, got nt*dt = {span!r}")
+        if not math.isfinite(span):
+            raise ValueError(f"nt*dt must be finite, got {span!r}")
+        if not 2.0 * math.pi / span <= MAX_BIN_WIDTH:
+            raise ValueError(
+                f"the bin width 2*pi/(nt*dt) must be finite and <= {MAX_BIN_WIDTH:g} so the uncertainty "
+                f"propagation stays finite, got nt*dt = {span!r}"
+            )
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if not isinstance(self.ne, (int, np.integer)) or self.ne < 1:

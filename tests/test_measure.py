@@ -479,6 +479,8 @@ def test_inversion_stops_on_a_tie_as_numpy_does(monkeypatch):
     np.testing.assert_array_equal(counts[:, 0], 0)
 
 
+# At least one bad row per rule of measure._checked_sampler_input, each reached only through the
+# whole-array check that comes first; a new rule needs its row here.
 @pytest.mark.parametrize(
     "probs, shots, message",
     [

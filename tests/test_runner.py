@@ -21,7 +21,7 @@ from entmap.runner import (
     resolve_config,
 )
 from entmap.qcore import INPUT_IDS
-from entmap.recon import MAX_COUPLING
+from entmap.spectral import MAX_COUPLING
 
 BASE_CONFIG = {
     "hamiltonian": {"c1": 1.2, "c2": 0.6, "c3": 1.4},
@@ -504,8 +504,8 @@ OVERFLOWING_GRIDS = [
 def test_grids_that_overflow_float64_exit_2_and_name_their_place(
     tmp_path, monkeypatch, capsys, command, label, edit, where
 ):
-    """A time span nt*dt past float64, or a bin width 2*pi/(nt*dt) above recon.MAX_BIN_WIDTH, is a config
-    error for every command."""
+    """A time span nt*dt past float64, or a bin width 2*pi/(nt*dt) above spectral.MAX_BIN_WIDTH, is a
+    config error for every command."""
     monkeypatch.delenv("ENTMAP_SEED", raising=False)
     cfg_path = write_config(tmp_path / "cfg.json", plan={"nt": 16, "ne": 4}, mode="sampled", **edit)
     out = tmp_path / "run"

@@ -17,6 +17,8 @@ from entmap.concest import ConcurrenceSeries
 from entmap.qcore import INPUT_IDS, PSI1, PSI3, HamiltonianParams, combinations
 from entmap.recon import _record, characterize, default_plans, estimate_combination, simulate_series
 from entmap.spectral import (
+    MAX_BIN_WIDTH,
+    MAX_COUPLING,
     NYQUIST_MARGIN,
     STRATEGIES,
     FrequencyEstimate,
@@ -91,6 +93,17 @@ def test_sampling_plan_validation():
     for dt in (1e308, 1e-320):
         with pytest.raises(ValueError, match="finite"):
             SamplingPlan(nt=16, dt=dt)
+
+
+def test_sampling_plan_bounds_the_bin_width_for_every_caller():
+    """A plan built directly, not only one from a config, refuses a bin width whose quoted sigma would
+    overflow when squared; the widest planned grid, nt 4 around a combination of 2*MAX_COUPLING, passes."""
+    with pytest.raises(ValueError, match=re.escape(f"<= {MAX_BIN_WIDTH:g}")):
+        SamplingPlan(nt=64, dt=1e-200)
+    widest = plan_observation(2.0 * MAX_COUPLING, 4, 1)
+    assert widest.bin_width <= MAX_BIN_WIDTH
+    with pytest.raises(ValueError, match="bin width"):
+        SamplingPlan(nt=4, dt=widest.dt * widest.bin_width / (2.0 * MAX_BIN_WIDTH))
 
 
 def test_uniform_plan_accounting():
