@@ -73,6 +73,7 @@ class ConcurrenceSeries:
         fault = first_bad_point(times, values, shots)
         if fault is not None:
             raise ValueError(f"point {fault[0] + 1}: {fault[1]}")
+        SamplingPlan(times.size, float(times[0]))  # refuses a step no plan could have: span or bin width past bounds
         arrays = {"times": times, "values": values, "shots": shots}
         if self.counts is not None:
             counts = np.array(self.counts)

@@ -34,6 +34,7 @@ from .qcore import (
     concurrence_sq_exact,
     evolve_batch,
     imperfect_prep_concurrence_sq,
+    require_finite_phases,
     sideband_frequencies,
 )
 from .recon import (
@@ -264,8 +265,8 @@ def build_plans(cfg: ExperimentConfig, entries: dict | None = None) -> dict[str,
 
     By default every input gets its plans.<id> override or else the shared
     plan.  An entry without dt is planned around its input's guess from the
-    couplings.  A plan SamplingPlan rejects, like couplings with nothing to
-    observe, is a config error naming plans.<id> if that entry sets dt, else hamiltonian.
+    couplings.  A plan SamplingPlan or require_finite_phases rejects, like couplings with nothing
+    to observe, is a config error naming plans.<id> if that entry sets dt, else hamiltonian.
     """
     if entries is None:
         entries = {input_id: cfg.payload["plans"].get(input_id, cfg.payload["plan"]) for input_id in INPUT_IDS}
@@ -274,11 +275,12 @@ def build_plans(cfg: ExperimentConfig, entries: dict | None = None) -> dict[str,
         guesses = planning_guesses(cfg.hamiltonian)
         for input_id, e in entries.items():
             place = f"plans.{input_id}" if "dt" in e else "hamiltonian"
-            plans[input_id] = (
+            plan = plans[input_id] = (
                 SamplingPlan(e["nt"], e["dt"], e["strategy"], e["ne"])
                 if "dt" in e
                 else plan_observation(guesses[input_id], e["nt"], e["ne"], e["strategy"])
             )
+            require_finite_phases(cfg.hamiltonian, plan.nt * plan.dt)
     except ValueError as exc:
         raise ConfigError(f"{place}: {exc}") from exc
     return plans

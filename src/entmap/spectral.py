@@ -153,6 +153,8 @@ def plan_observation(omega_guess: float, nt: int, ne: int, strategy: str = "unif
             "plan a zero combination around another rate, as recon.planning_guesses does"
         )
     dt = 2.0 * math.pi / (2.0 * NYQUIST_MARGIN * 4.0 * omega_guess)
+    if not math.isfinite(dt):
+        raise ValueError(f"omega_guess {omega_guess!r} is too small to plan around: pi/(5*omega_guess) overflows")
     return SamplingPlan(nt, dt, strategy, ne)
 
 

@@ -187,6 +187,8 @@ def test_concurrence_series_validation():
         flat_series(times=0.5 * np.arange(0, 4))
     with pytest.raises(ValueError):
         flat_series(times=-0.5 * np.arange(1, 5))
+    with pytest.raises(ValueError, match="bin width"):
+        flat_series(times=1e-320 * np.arange(1, 5))
     with pytest.raises(ValueError):
         flat_series(values=np.array([0.0, 1.5, 0.0, 0.0]))
     with pytest.raises(ValueError):

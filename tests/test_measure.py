@@ -98,6 +98,17 @@ def test_outcome_probs_validation():
     assert p.shape == (3, 4)
     assert np.all((p >= 0.0) & (p <= 1.0))
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-15)
+    # The rows carry no check of their own: normalized states (some amplitudes
+    # exactly zero) give finite rows in [0, 1] summing to 1, whatever the channels.
+    rng = np.random.default_rng(34)
+    for n in (1, 7, 500):
+        amps = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+        amps[rng.random((n, 4)) < 0.3] = 0.0
+        amps[np.abs(amps).sum(axis=1) == 0.0, 0] = 1.0
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        p = outcome_probs_batch(amps, rng.choice(CHANNELS, size=n))
+        assert np.all(np.isfinite(p)) and np.all((p >= 0.0) & (p <= 1.0))
+        np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
 
 
 def test_sample_counts_totals_and_support():

@@ -1,5 +1,7 @@
 """Unit tests for the exchange-coupling dynamics core."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -295,3 +297,21 @@ def test_imperfect_prep_rejects_bad_eta():
 def test_evolve_rejects_non_finite_time():
     with pytest.raises(ValueError):
         evolve_batch(H_REF, basis_state(0), [np.nan])
+    # A finite time whose phase E*t overflows is refused before any arithmetic, with no RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"every phase E\*t must be finite"):
+            evolve_batch(H_REF, basis_state(0), [0.5, 1e308])
+
+
+def test_evolve_keeps_unit_norm_at_long_times():
+    """The output carries no check of its own: finite phases keep every row at unit norm."""
+    rng = np.random.default_rng(34)
+    times = np.concatenate([[0.0], np.logspace(-3, 250, 400)])
+    for _ in range(10):
+        h = random_hamiltonian(rng)
+        psi0 = random_state(rng)
+        psi0[rng.integers(4)] = 0.0
+        out = evolve_batch(h, psi0 / np.linalg.norm(psi0), times)
+        assert np.all(np.isfinite(out))
+        assert np.abs((np.abs(out) ** 2).sum(axis=1) - 1.0).max() <= 1e-15

@@ -466,6 +466,24 @@ def test_bad_inputs_exit_2_and_name_their_place(tmp_path, monkeypatch, capsys, l
     assert where in capsys.readouterr().err
 
 
+def test_series_step_past_the_bin_width_bound_exits_2(tmp_path, monkeypatch, capsys):
+    """A series whose every time is rewritten to j*1e-320 keeps a uniform grid, but its bin width
+    2*pi/(nt*dt) overflows: spectrum refuses the file instead of writing nan and inf."""
+    monkeypatch.delenv("ENTMAP_SEED", raising=False)
+    out = tmp_path / "run"
+    cfg_path = write_config(tmp_path / "cfg.json", plan={"nt": 8, "ne": 4}, mode="sampled")
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+    path = out / "series_psi1.csv"
+    lines = path.read_text().splitlines()
+    for j in range(1, 9):
+        lines[j + 1] = ",".join([f"{j}e-320", *lines[j + 1].split(",")[1:]])
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["spectrum", "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
+    assert "series_psi1.csv: the bin width" in capsys.readouterr().err
+    assert not (out / "spectrum_psi1.csv").exists()
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -496,6 +514,7 @@ OVERFLOWING_GRIDS = [
     ("psi1 dt 1e308", {"plans": {"psi1": {"dt": 1e308}}}, "plans.psi1"),
     ("psi1 dt 1e-320", {"plans": {"psi1": {"dt": 1e-320}}}, "plans.psi1"),
     ("psi1 dt 1e-200", {"plans": {"psi1": {"dt": 1e-200}}}, "plans.psi1"),
+    ("psi1 phase past float64", {"plans": {"psi1": {"dt": 1e307}}}, "plans.psi1"),
 ]
 
 

@@ -76,6 +76,8 @@ def test_plan_observation_validation():
         plan_observation(0.6, 3, 10)
     with pytest.raises(ValueError, match="strategy"):
         plan_observation(0.6, 100, 10, "adaptive")
+    with pytest.raises(ValueError, match=r"omega_guess 5e-324 is too small to plan around"):
+        plan_observation(5e-324, 16, 4)
 
 
 def test_sampling_plan_validation():
